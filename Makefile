@@ -17,9 +17,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector (CI runs this).
+# Full suite under the race detector (CI runs this), then the worker pool and
+# every package that fans out on it again at 1, 2 and 4 cores: core count is
+# a test axis, not an assumption.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
+		./internal/bsp ./internal/qsm ./internal/pram ./internal/oracle ./internal/service
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault
 # framework, the hardened run store, and the service chaos tests — fixed
@@ -27,7 +31,7 @@ race:
 # off, so injected faults actually re-fire every run.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault ./internal/runstore ./internal/retry
-	$(GO) test -race -count=1 -run 'Chaos|Breaker|Backoff|EncodeErrors|RetryAfter' ./internal/service
+	$(GO) test -race -count=1 -run 'Chaos|Breaker|Backoff|EncodeErrors|RetryAfter|ProgramPanic' ./internal/service
 
 # Cluster chaos (CI runs this): a 3-node in-process cluster driven through
 # seeded peer-failure plans — node down, slow peer, partitioned store, torn

@@ -147,7 +147,8 @@ func (c *Core[S]) Recent() []StepStats {
 // strategy — validates schedules, routes traffic, and prices the step,
 // returning the machine's native Stats together with the normalized
 // StepStats view. Core commits the result: clock, counters, trace, ring,
-// observers.
+// observers. A panicking processor program panics Step on the driver
+// goroutine, with the lowest-numbered chunk's value as a serial run would.
 func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
 	c.pool.ForChunks(c.p, body)
 	st, view := merge()

@@ -93,21 +93,9 @@ func (c *Core[S]) Grid(n int) []int {
 func (c *Core[S]) Workers() int { return c.pool.Workers() }
 
 // ChunkPlan reports the contiguous chunking ForChunks uses for n items:
-// the chunk width and the number of chunks. Chunk r covers
-// [r·width, min((r+1)·width, n)). The parallel router sizes its per-chunk
-// count matrix from this.
-func (c *Core[S]) ChunkPlan(n int) (width, chunks int) {
-	if n <= 0 {
-		return 0, 0
-	}
-	workers := c.pool.Workers()
-	if workers > n {
-		workers = n
-	}
-	width = (n + workers - 1) / workers
-	chunks = (n + width - 1) / width
-	return width, chunks
-}
+// the chunk width and the number of chunks (workpool.Pool.Chunks). The
+// parallel router sizes its per-chunk count matrix from this.
+func (c *Core[S]) ChunkPlan(n int) (width, chunks int) { return c.pool.Chunks(n) }
 
 // ForChunks runs fn over the contiguous disjoint ranges of [0, n) reported
 // by ChunkPlan, in parallel on the core's pool. Merge strategies use it for

@@ -8,13 +8,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"parbw/internal/bsp"
 	"parbw/internal/fault"
 	"parbw/internal/harness"
+	"parbw/internal/model"
 	"parbw/internal/result"
 	"parbw/internal/runstore"
 )
@@ -530,5 +533,44 @@ func TestEncodeErrorsCounted(t *testing.T) {
 	s.writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
 	if st := s.Stats(); st.EncodeErrors != 1 {
 		t.Fatalf("stats = %+v, want 1 encode error", st)
+	}
+}
+
+// A processor program that panics on a multi-worker engine, inside a
+// multi-worker sweep, fails its own task with the engine's panic message;
+// the server survives and runs the next job. The machine's chunks run on
+// two goroutines, so this needs the worker pool to hand the panic back to
+// the task's goroutine instead of crashing the process.
+func TestProgramPanicFailsOneTask(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var bad atomic.Bool
+	bad.Store(true)
+	runner := func(id string, cfg harness.Config) (*result.Result, error) {
+		if bad.Load() {
+			m := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(2, 1), Workers: 2})
+			m.Superstep(func(c *bsp.Ctx) { c.Send(8+c.ID(), 0, 1) })
+		}
+		return DefaultRunner(id, cfg)
+	}
+	s := newTestServer(t, Options{Runner: runner, Workers: 2, Retries: -1})
+	job, err := s.Submit(RunRequest{Experiments: []string{"table1/broadcast"}, Seeds: []uint64{1, 2}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := waitState(t, job); state != StatusFailed {
+		t.Fatalf("job state %q, want failed", state)
+	}
+	for _, task := range job.View().Tasks {
+		if task.Status != StatusFailed || !strings.Contains(task.Error, "bsp: proc 0 send to invalid dst 8 (p=8)") {
+			t.Fatalf("task = %+v, want failed with proc 0's invalid-dst panic", task)
+		}
+	}
+	bad.Store(false)
+	next, err := s.Submit(RunRequest{Experiments: []string{"table1/broadcast"}, Seeds: []uint64{3}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := waitState(t, next); state != StatusDone {
+		t.Fatalf("next job state %q, want done", state)
 	}
 }

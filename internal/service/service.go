@@ -724,6 +724,20 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 		bus:     newBus(s.opts.ReplayEvents, s.opts.SubscriberBuffer, &s.streamM),
 	}
 
+	// Admission events: one per cell, carrying the full resolved identity so
+	// a stream consumer needs no side lookups. They are published before the
+	// job is queued, so the dispatcher's running/started events always follow
+	// them. Subscribers attach later (they need the job id first); the
+	// replay ring catches them up.
+	job.bus.publish(Event{Type: EventJob, Task: -1, State: StatusQueued})
+	for i, t := range tasks {
+		job.bus.publish(Event{
+			Type: EventAdmitted, Task: i,
+			Experiment: t.Experiment, Seed: t.Seed, Params: t.Params,
+			Key: t.Key, Node: t.Owner,
+		})
+	}
+
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -755,17 +769,6 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 	s.stats.JobsAccepted++
 	s.pruneLocked()
 	s.mu.Unlock()
-	// Admission events: one per cell, carrying the full resolved identity so
-	// a stream consumer needs no side lookups. Subscribers attach later (they
-	// need the job id first); the replay ring catches them up.
-	job.bus.publish(Event{Type: EventJob, Task: -1, State: StatusQueued})
-	for i, t := range tasks {
-		job.bus.publish(Event{
-			Type: EventAdmitted, Task: i,
-			Experiment: t.Experiment, Seed: t.Seed, Params: t.Params,
-			Key: t.Key, Node: t.Owner,
-		})
-	}
 	return job, nil
 }
 

@@ -176,3 +176,124 @@ func TestForChunksFewerItemsThanWorkers(t *testing.T) {
 		t.Fatalf("covered %d, want 3", total)
 	}
 }
+
+// Indices are claimed dynamically: with two workers, fn(0) may block until
+// every other index has run, because the other worker keeps claiming. A
+// fixed contiguous split would hand half the indices to the blocked worker
+// and never finish.
+func TestForCtxDynamicDispatch(t *testing.T) {
+	const n = 100
+	var ran atomic.Int32
+	rest := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- New(2).ForCtx(context.Background(), n, func(i int) {
+			if i == 0 {
+				<-rest
+			} else if ran.Add(1) == n-1 {
+				close(rest)
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("err = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fn(0) never saw the other indices run: dispatch is not dynamic")
+	}
+}
+
+// A panic in fn reaches the caller at every worker count: with elements 3
+// and 7 panicking, the caller recovers element 3's value — the panic a
+// serial run raises first — even when element 7 panics earlier in time, and
+// only after every claimed call has returned.
+func TestPanicReachesCaller(t *testing.T) {
+	const n = 8
+	entries := map[string]func(p *Pool, fn func(i int)){
+		"For": func(p *Pool, fn func(i int)) { p.For(n, fn) },
+		"ForCtx": func(p *Pool, fn func(i int)) {
+			_ = p.ForCtx(context.Background(), n, fn)
+		},
+		"ForChunks": func(p *Pool, fn func(i int)) {
+			p.ForChunks(n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					fn(i)
+				}
+			})
+		},
+	}
+	for name, entry := range entries {
+		for _, workers := range []int{1, 2, 4} {
+			var started, finished atomic.Int32
+			sevenPanicked := make(chan struct{})
+			fn := func(i int) {
+				started.Add(1)
+				defer finished.Add(1)
+				switch i {
+				case 3:
+					if workers > 1 {
+						<-sevenPanicked
+						time.Sleep(10 * time.Millisecond)
+					}
+					panic("three")
+				case 7:
+					close(sevenPanicked)
+					panic("seven")
+				}
+			}
+			got := make(chan any, 1)
+			go func() {
+				defer func() {
+					if finished.Load() != started.Load() {
+						got <- "claimed calls still running at re-panic"
+						return
+					}
+					got <- recover()
+				}()
+				entry(New(workers), fn)
+			}()
+			select {
+			case v := <-got:
+				if v != "three" {
+					t.Errorf("%s workers=%d: recovered %v, want three", name, workers, v)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s workers=%d: call did not return", name, workers)
+			}
+		}
+	}
+}
+
+func TestChunksMatchesForChunks(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 7} {
+		for _, n := range []int{0, 1, 5, 64, 1000} {
+			p := New(workers)
+			width, chunks := p.Chunks(n)
+			var calls atomic.Int32
+			p.ForChunks(n, func(lo, hi int) {
+				calls.Add(1)
+				if lo%width != 0 || hi != min(lo+width, n) {
+					t.Errorf("workers=%d n=%d: chunk [%d,%d) off the width-%d grid", workers, n, lo, hi, width)
+				}
+			})
+			if int(calls.Load()) != chunks {
+				t.Errorf("workers=%d n=%d: %d chunks ran, Chunks reports %d", workers, n, calls.Load(), chunks)
+			}
+		}
+	}
+}
+
+// A serial call keeps its loop on the caller's stack.
+func TestSerialCallsDoNotAllocate(t *testing.T) {
+	p := New(1)
+	fn := func(int) {}
+	chunk := func(lo, hi int) {}
+	if a := testing.AllocsPerRun(100, func() {
+		p.For(100, fn)
+		p.ForChunks(100, chunk)
+	}); a != 0 {
+		t.Fatalf("serial For+ForChunks allocated %v times per call", a)
+	}
+}
