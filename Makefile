@@ -23,7 +23,8 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
-		./internal/bsp ./internal/qsm ./internal/pram ./internal/oracle ./internal/service
+		./internal/bsp ./internal/qsm ./internal/pram ./internal/collective \
+		./internal/oracle ./internal/service
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault
 # framework, the hardened run store, and the service chaos tests — fixed

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"fmt"
 	"testing"
 
 	"parbw/internal/model"
@@ -27,6 +28,35 @@ func BenchmarkSuperstepMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// BenchmarkSuperstepFanout is the pipelined-broadcast superstep shape at
+// the scale of an n = p = 4096 sample sort: every processor reads its inbox
+// and sends to two children on pinned slots. Comparing workers=2 with
+// workers=1 shows what sharing the per-chunk shard arenas across cores costs.
+func BenchmarkSuperstepFanout(b *testing.B) {
+	const p = 4096
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			m := New(Config{P: p, Cost: model.BSPm(64, 4), Seed: 1, Workers: w})
+			body := func(c *Ctx) {
+				var a int64
+				for _, msg := range c.Recv() {
+					a += msg.A
+				}
+				i := c.ID()
+				slot := 2 * (i % (p / 64))
+				c.SendAt(slot, (2*i+1)%p, Msg{A: a + 1})
+				c.SendAt(slot+1, (2*i+2)%p, Msg{A: a + 2})
+			}
+			m.Superstep(body) // warm the recycled buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Superstep(body)
+			}
+		})
 	}
 }
 

@@ -140,12 +140,7 @@ type Machine struct {
 type shard struct {
 	buf []send
 	ctx Ctx
-}
-
-// sends returns processor i's queued run inside its shard's arena.
-func (m *Machine) sends(i int) []send {
-	off := m.cols.Off[i]
-	return m.shards[i/m.width].buf[off : off+m.cols.Cnt[i]]
+	_   engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
 // New constructs a Machine from either the package-native Config or the
@@ -383,12 +378,18 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	cnt := m.core.Offsets() // messages destined per processor
 	cols := m.cols
 	maxStep := 0
-	total := 0 // messages this superstep
+	total := 0            // messages this superstep
+	sh, end := 0, m.width // processor i's shard and the first processor past it
 	for i := 0; i < m.p; i++ {
 		if w := cols.Work[i]; w > st.W {
 			st.W = w
 		}
-		sends := m.sends(i)
+		if i == end {
+			sh++
+			end += m.width
+		}
+		off := cols.Off[i]
+		sends := m.shards[sh].buf[off : off+cols.Cnt[i]]
 		if n := len(sends); n > 1 {
 			if n <= insertionSortMax {
 				for a := 1; a < n; a++ {
@@ -450,12 +451,14 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// append-per-destination routing produced. Large steps on a
 	// multi-worker machine take the destination-sharded parallel passes
 	// instead; they compute the same positions chunk-locally, so the slab
-	// contents are byte-identical either way.
+	// contents are byte-identical either way. A shard's arena is its
+	// processors' runs concatenated in (processor, slot-sorted) order, so the
+	// serial pass scans the arenas linearly.
 	if m.core.Workers() > 1 && total >= parallelRouteMin && m.gridFits(maxStep, total) {
 		m.routeParallel(slab, hist, cnt)
 	} else {
-		for i := 0; i < m.p; i++ {
-			sends := m.sends(i)
+		for sh := range m.shards {
+			sends := m.shards[sh].buf
 			for k := range sends {
 				s := &sends[k]
 				end := s.slot + int(s.msg.Len)

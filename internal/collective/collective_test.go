@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -561,6 +563,77 @@ func TestBroadcastVecEmpty(t *testing.T) {
 	m := bspMachine(4, model.BSPg(1, 1))
 	if out := BroadcastVecBSP(m, 0, nil); out != nil {
 		t.Fatal("empty vector broadcast returned items")
+	}
+}
+
+// The inbox a broadcast starts with belongs to the caller's previous
+// superstep: leftover messages shaped like pipeline items must not be taken
+// for item 0.
+func TestBroadcastVecIgnoresLeftoverInbox(t *testing.T) {
+	p := 9
+	m := bspMachine(p, model.BSPmLinear(4, 4))
+	m.Superstep(func(c *bsp.Ctx) {
+		if c.ID() != 0 {
+			return
+		}
+		for dst := 1; dst < p; dst++ {
+			c.Send(dst, 0, 99)
+		}
+	})
+	vec := []int64{5, 6, 7}
+	if out := BroadcastVecBSP(m, 0, vec); !reflect.DeepEqual(out, vec) {
+		t.Fatalf("got %v, want %v", out, vec)
+	}
+}
+
+// The broadcast's result and its whole model-time record are a function of
+// the machine and the vector, never of how many host workers ran it.
+func TestBroadcastVecWorkerCountEquivalence(t *testing.T) {
+	type run struct {
+		out   []int64
+		time  model.Time
+		steps int
+		trace []bsp.Stats
+	}
+	cost := model.BSPm(8, 4)
+	for _, p := range []int{2, 9, 32, 1000} {
+		for _, k := range []int{1, 17, p - 1} {
+			vec := make([]int64, k)
+			for j := range vec {
+				vec[j] = int64(3*j + 1)
+			}
+			var want run
+			for _, w := range []int{1, 2, 4} {
+				m := bsp.New(bsp.Config{P: p, Cost: cost, Seed: 7, Workers: w, Trace: true})
+				out := BroadcastVecBSP(m, p/3+1, vec)
+				got := run{out, m.Time(), m.Supersteps(), m.Trace()}
+				if w == 1 {
+					if !reflect.DeepEqual(out, vec) {
+						t.Fatalf("p=%d k=%d: got %v, want %v", p, k, out, vec)
+					}
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("p=%d k=%d: workers=%d differs from workers=1", p, k, w)
+				}
+			}
+		}
+	}
+}
+
+// The pipeline keeps O(1) state per processor: a p·k copy of the vector
+// (8 MB here) must never be materialized.
+func TestBroadcastVecMemoryLinear(t *testing.T) {
+	p, k := 1024, 1023
+	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(32, 4), Seed: 1})
+	vec := make([]int64, k)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	BroadcastVecBSP(m, 1, vec)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("p=%d k=%d broadcast allocated %d bytes, want < 1 MB", p, k, n)
 	}
 }
 

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"fmt"
+
 	"parbw/internal/bsp"
 )
 
@@ -60,8 +62,12 @@ func AllGatherBSP(m *bsp.Machine, vals []int64) []int64 {
 // superstep behind, so the total is O((k + depth)·stage) rather than
 // k·depth·stage — the standard pipelining win that both models enjoy, with
 // the BSP(m) paying max(h, c_m, L) and the BSP(g) paying max(g·h, L) per
-// stage. Returns the vector received by the last processor (all receive the
-// same; asserted by tests).
+// stage. It panics unless every processor received exactly k items, and
+// returns the vector received by the farthest processor.
+//
+// Host memory is O(p + k): a node forwards each item in the superstep after
+// it arrives, so it never holds more than one received, unforwarded item,
+// and only the farthest node keeps the whole vector.
 func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 	p := m.P()
 	k := len(vec)
@@ -71,18 +77,24 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 	if p == 1 {
 		return append([]int64(nil), vec...)
 	}
-	// Binary tree over virtual ids (root = 0).
-	vid := func(i int) int { return (i - root + p) % p }
-	rid := func(v int) int { return (v + root) % p }
+	// Binary tree over virtual ids (root = 0). The rotations are written
+	// without % because they run for every processor of every superstep.
+	vid := func(i int) int {
+		if i >= root {
+			return i - root
+		}
+		return i - root + p
+	}
+	rid := func(v int) int {
+		if v < p-root {
+			return v + root
+		}
+		return v + root - p
+	}
 	depth := 0
 	for 1<<depth < p {
 		depth++
 	}
-	got := make([][]int64, p)
-	for i := range got {
-		got[i] = make([]int64, 0, k)
-	}
-	got[root] = append(got[root], vec...)
 
 	mm := p
 	if m.Cost().Global() {
@@ -92,42 +104,67 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 	// messages: nodes are striped into K = ⌈p/m⌉ groups by virtual id and
 	// group q uses steps 2q and 2q+1 for its two child messages.
 	stripes := (p + mm - 1) / mm
-	// Each superstep, every node forwards its oldest unforwarded item to
-	// both children (items pipeline down the tree one level per superstep).
-	fwd := make([]int, p) // next item index to forward, per node
-	total := k + depth + 2
-	for t := 0; t < total; t++ {
-		m.Superstep(func(c *bsp.Ctx) {
-			i := c.ID()
-			v := vid(i)
-			j := fwd[i]
-			if j >= len(got[i]) {
-				return
-			}
-			slot := 2 * (v % stripes)
-			for _, child := range []int{2*v + 1, 2*v + 2} {
-				if child < p {
-					c.SendAt(slot, rid(child), bsp.Msg{A: got[i][j], B: int64(j)})
-					slot++
-				}
-			}
-			fwd[i] = j + 1
-		})
-		for i := 0; i < p; i++ {
-			for _, msg := range m.Inbox(i) {
-				// Items arrive in order along the pipeline.
-				if int(msg.B) == len(got[i]) {
-					got[i] = append(got[i], msg.A)
-				}
-			}
+
+	// Per-node pipeline state: items received, items forwarded, and the
+	// received item not yet forwarded. The root forwards straight from vec.
+	got := make([]int, p)
+	fwd := make([]int, p)
+	cur := make([]int64, p)
+	got[root] = k
+	far := rid(p - 1)
+	out := make([]int64, k)
+	take := func(i int, msg bsp.Msg) {
+		if got[i] != fwd[i] || int(msg.B) != got[i] {
+			panic(fmt.Sprintf("collective: pipelined broadcast out of step: processor %d got item %d holding %d unforwarded", i, msg.B, got[i]-fwd[i]))
+		}
+		cur[i] = msg.A
+		got[i]++
+		if i == far {
+			out[msg.B] = msg.A
 		}
 	}
-	// All processors now hold the vector; return the farthest one's copy.
-	far := rid(p - 1)
-	if len(got[far]) != k {
-		panic("collective: pipelined broadcast incomplete")
+
+	// Each superstep, every node forwards its oldest unforwarded item to
+	// both children (items pipeline down the tree one level per superstep).
+	t := 0
+	step := func(c *bsp.Ctx) {
+		i := c.ID()
+		// At t = 0 the inbox holds the caller's previous superstep, not ours.
+		if t > 0 {
+			for _, msg := range c.Recv() {
+				take(i, msg)
+			}
+		}
+		j := fwd[i]
+		if j >= got[i] {
+			return
+		}
+		item := cur[i]
+		if i == root {
+			item = vec[j]
+		}
+		v := vid(i)
+		slot := 2 * (v % stripes)
+		for _, child := range [2]int{2*v + 1, 2*v + 2} {
+			if child < p {
+				c.SendAt(slot, rid(child), bsp.Msg{A: item, B: int64(j)})
+				slot++
+			}
+		}
+		fwd[i] = j + 1
 	}
-	return got[far]
+	for total := k + depth + 2; t < total; t++ {
+		m.Superstep(step)
+	}
+	for _, msg := range m.Inbox(far) {
+		take(far, msg)
+	}
+	for i, n := range got {
+		if n != k {
+			panic(fmt.Sprintf("collective: pipelined broadcast incomplete: processor %d received %d of %d items", i, n, k))
+		}
+	}
+	return out
 }
 
 func maxIntc(a, b int) int {

@@ -43,6 +43,16 @@ type Cols struct {
 	rngInit []bool
 }
 
+// CacheLinePad is trailing padding for the per-chunk shard structs the
+// machines keep side by side in one slice. A shard's arena header and Ctx
+// index are written on every send and every processor, by the one worker
+// that owns the chunk. Unpadded, two workers' shards share a 64-byte line
+// and each write invalidates the other core's copy (false sharing), enough
+// to make a 2-worker superstep slower than a 1-worker one. A full line of
+// padding after the hot fields keeps neighbours apart whatever the slice's
+// alignment.
+type CacheLinePad struct{ _ [64]byte }
+
 // NewCols allocates the columns for p processors. seed is the machine seed
 // every per-processor RNG derives from.
 func NewCols(p int, seed uint64) *Cols {

@@ -148,6 +148,7 @@ type shard struct {
 	buf     []access
 	romHits int
 	ctx     Ctx
+	_       engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
 // New constructs a Machine from either the package-native Config or the

@@ -109,12 +109,7 @@ type Machine struct {
 type shard struct {
 	buf []request
 	ctx Ctx
-}
-
-// reqs returns processor i's buffered run inside its shard's arena.
-func (m *Machine) reqs(i int) []request {
-	off := m.cols.Off[i]
-	return m.shards[i/m.width].buf[off : off+m.cols.Cnt[i]]
+	_   engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
 // New constructs a Machine from either the package-native Config or the
@@ -326,11 +321,20 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	cols := m.cols
 
 	maxStep := 0
+	// Processors are walked shard by shard: shards hold contiguous ascending
+	// processor ranges, so this is processor order without a per-processor
+	// division.
+	sh, end := 0, m.width // processor i's shard and the first processor past it
 	for i := 0; i < m.p; i++ {
 		if w := cols.Work[i]; w > st.W {
 			st.W = w
 		}
-		reqs := m.reqs(i)
+		if i == end {
+			sh++
+			end += m.width
+		}
+		off := cols.Off[i]
+		reqs := m.shards[sh].buf[off : off+cols.Cnt[i]]
 		nr, nw := 0, 0
 		for k := range reqs {
 			if reqs[k].write {
@@ -408,10 +412,12 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	}
 
 	// Histogram over request steps; apply writes in processor order so the
-	// highest-numbered writer wins deterministically (Arbitrary rule).
+	// highest-numbered writer wins deterministically (Arbitrary rule). The
+	// shard arenas concatenated in shard order are the runs in processor
+	// order, so they are scanned linearly.
 	hist := m.core.Hist(maxStep)
-	for i := 0; i < m.p; i++ {
-		reqs := m.reqs(i)
+	for sh := range m.shards {
+		reqs := m.shards[sh].buf
 		for k := range reqs {
 			r := &reqs[k]
 			hist[r.slot]++
