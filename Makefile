@@ -19,12 +19,15 @@ test:
 
 # Full suite under the race detector (CI runs this), then the worker pool and
 # every package that fans out on it again at 1, 2 and 4 cores: core count is
-# a test axis, not an assumption.
+# a test axis, not an assumption. The harness joins that axis through its
+# observer tests only (concurrent observed runs); its async/backpressure
+# golden still depends on goroutine interleaving.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
 		./internal/bsp ./internal/qsm ./internal/pram ./internal/collective \
 		./internal/oracle ./internal/service
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Observer' ./internal/harness
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault
 # framework, the hardened run store, and the service chaos tests — fixed
@@ -47,10 +50,11 @@ chaos-cluster:
 # GET /v1/runs/{id}/events, and the cluster event back-channel — resume
 # replays the exact missed suffix, a chaos-slowed subscriber loses events
 # to explicit gap markers without ever slowing the executor, a 10k-cell
-# sweep streams every terminal event exactly once, and fixed-seed cluster
-# chaos streams byte-identically. Race detector on, cache off.
+# sweep streams every terminal event exactly once, fixed-seed cluster chaos
+# streams byte-identically, and a watched job's step events match their
+# golden. Race detector on, cache off.
 stream-chaos:
-	$(GO) test -race -count=1 -run 'TestBus|TestSSE|TestClusterPartitionedExecution|TestClusterChaosStreamByteStable|TestClusterEventBackChannel' ./internal/service
+	$(GO) test -race -count=1 -run 'TestBus|TestSSE|TestClusterPartitionedExecution|TestClusterChaosStreamByteStable|TestClusterEventBackChannel|TestStepEventGolden' ./internal/service
 	$(GO) test -race -count=1 -run 'TestReadSSE|TestFormatEvent|TestWatch' ./cmd/bandsim
 	$(GO) test -race -count=1 -run 'Writer' ./internal/fault
 

@@ -19,9 +19,9 @@ import (
 
 // traceTargets maps the classic `bandsim trace <name>` algorithm targets to
 // drivers executed on a traced BSP(m) machine (p=256, m=32, L=4, exponential
-// penalty). Any registered experiment id is also a valid trace target: it is
-// run under a process-global engine observer that records every superstep of
-// every machine the experiment constructs.
+// penalty). Any registered experiment id is also a valid trace target: its
+// run gives a recording observer to every machine it constructs, so the
+// timeline holds each of their supersteps.
 var traceTargets = map[string]func(m *bsp.Machine, seed uint64){
 	"broadcast": func(m *bsp.Machine, seed uint64) {
 		collective.BroadcastBSP(m, 0, 1)
@@ -94,9 +94,9 @@ func unknownTraceTargetError(name string) error {
 // runTrace executes the named target and prints a per-superstep timeline:
 // work, h, injection steps, max per-step load, overloads, c_m and the
 // superstep's charged cost. A legacy algorithm name runs on a dedicated
-// traced BSP(m) machine; an experiment id runs the experiment under a global
-// engine observer, so the timeline covers every machine (BSP, QSM, PRAM)
-// the experiment drives.
+// traced BSP(m) machine; an experiment id runs the experiment with an
+// observer that each of its machines receives at construction, so the
+// timeline covers every machine (BSP, QSM, PRAM) the experiment drives.
 func runTrace(w io.Writer, name string, seed uint64, csv bool) error {
 	if fn, ok := traceTargets[name]; ok {
 		m := bsp.New(bsp.Config{P: 256, Cost: model.BSPm(32, 4), Seed: seed, Trace: true})

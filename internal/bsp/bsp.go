@@ -480,11 +480,12 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	if st.HRecv > st.H {
 		st.H = st.HRecv
 	}
+	global, budget := m.cost.Global(), m.cost.M // once per merge, not per slot
 	for _, mt := range hist {
 		if mt > st.MaxSlot {
 			st.MaxSlot = mt
 		}
-		if m.cost.Global() && mt > m.cost.M {
+		if global && mt > budget {
 			st.Overload++
 		}
 	}

@@ -193,9 +193,9 @@ func TestConformanceCostMonotoneInOverload(t *testing.T) {
 	}
 }
 
-// Observer contract: per-machine observers fire before the process-global
-// tap, per committed step, in superstep order, with the stats the machine
-// itself retains.
+// Observer contract: the observer given at construction fires before any
+// attached later, once per committed step, in superstep order, with the
+// stats the machine itself retains.
 func TestObserverCallbackOrdering(t *testing.T) {
 	type event struct {
 		scope string
@@ -205,13 +205,12 @@ func TestObserverCallbackOrdering(t *testing.T) {
 	m := bsp.New(bsp.Config{
 		P: 8, Cost: model.BSPm(4, 1), Seed: 1, Trace: true,
 		Observer: engine.ObserverFunc(func(st engine.StepStats) {
-			events = append(events, event{"machine", st})
+			events = append(events, event{"config", st})
 		}),
 	})
-	remove := engine.AddGlobalObserver(engine.ObserverFunc(func(st engine.StepStats) {
-		events = append(events, event{"global", st})
+	m.Attach(engine.ObserverFunc(func(st engine.StepStats) {
+		events = append(events, event{"attached", st})
 	}))
-	defer remove()
 
 	const steps = 5
 	for s := 0; s < steps; s++ {
@@ -220,18 +219,17 @@ func TestObserverCallbackOrdering(t *testing.T) {
 			c.Send((c.ID()+1)%8, 1, int64(s))
 		})
 	}
-	remove()
 
 	if len(events) != 2*steps {
 		t.Fatalf("saw %d events, want %d", len(events), 2*steps)
 	}
 	trace := m.Trace()
 	for s := 0; s < steps; s++ {
-		loc, glob := events[2*s], events[2*s+1]
-		if loc.scope != "machine" || glob.scope != "global" {
-			t.Fatalf("step %d: order = (%s, %s), want (machine, global)", s, loc.scope, glob.scope)
+		first, second := events[2*s], events[2*s+1]
+		if first.scope != "config" || second.scope != "attached" {
+			t.Fatalf("step %d: order = (%s, %s), want (config, attached)", s, first.scope, second.scope)
 		}
-		for _, ev := range []event{loc, glob} {
+		for _, ev := range []event{first, second} {
 			if ev.st.Machine != "bsp" || ev.st.Index != s {
 				t.Fatalf("step %d: got machine %q index %d", s, ev.st.Machine, ev.st.Index)
 			}

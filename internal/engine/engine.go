@@ -11,9 +11,10 @@
 // Core also owns the recycled scratch buffers the merge strategies share
 // (the per-step injection histogram and a per-processor ledger), the
 // retained trace, a fixed-size ring of recent steps that is always on, and
-// the observability layer of observer.go: normalized per-step callbacks plus
-// cheap process-wide atomic counters that aggregate across every machine in
-// the process (surfaced by `bandsim serve` on /statsz).
+// the observability layer of observer.go: normalized per-step callbacks to
+// the observers the machine was constructed with, plus cheap process-wide
+// atomic counters that aggregate across every machine in the process
+// (surfaced by `bandsim serve` on /statsz).
 //
 // The merge strategy returns both the machine's native Stats value and a
 // normalized StepStats view; Core commits the former and publishes the
@@ -91,8 +92,8 @@ func (c *Core[S]) Trace() []S { return c.trace }
 // ChargeTime adds t units of simulated time outside any superstep.
 func (c *Core[S]) ChargeTime(t model.Time) { c.time += t }
 
-// Attach registers an observer for this machine's steps. Per-machine
-// observers run before the process-global ones, in attachment order.
+// Attach registers an observer for this machine's steps. Observers run in
+// attachment order.
 func (c *Core[S]) Attach(obs Observer) {
 	if obs != nil {
 		c.observers = append(c.observers, obs)
@@ -168,8 +169,6 @@ func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
 	for _, obs := range c.observers {
 		obs.OnStep(view)
 	}
-	notifyGlobal(view)
-	notifyTagged(view)
 	return st
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -188,17 +189,69 @@ func TestAttachNilObserverIgnored(t *testing.T) {
 	step(c, 1, 0, 0, 0) // must not panic
 }
 
-func TestGlobalObserverAddRemove(t *testing.T) {
+// A machine's observers run in attachment order on every committed step and
+// survive ResetClock, like the machine's other configuration.
+func TestAttachedObserversRunInOrder(t *testing.T) {
 	c := NewCore[int]("test", 1, 1, false)
-	var n int
-	remove := AddGlobalObserver(ObserverFunc(func(st StepStats) { n++ }))
+	var got []string
+	c.Attach(ObserverFunc(func(StepStats) { got = append(got, "a") }))
+	c.Attach(ObserverFunc(func(StepStats) { got = append(got, "b") }))
 	step(c, 1, 0, 0, 0)
+	c.ResetClock()
 	step(c, 1, 0, 0, 0)
-	remove()
-	remove() // idempotent
-	step(c, 1, 0, 0, 0)
-	if n != 2 {
-		t.Fatalf("global observer saw %d steps, want 2", n)
+	if want := "abab"; strings.Join(got, "") != want {
+		t.Fatalf("observer calls = %v, want %s", got, want)
+	}
+}
+
+// Observers are per machine: concurrent drivers each see exactly their own
+// machine's steps, in commit order, and a machine without observers is
+// invisible to everyone.
+func TestObserversScopedPerMachine(t *testing.T) {
+	drive := func(label string, steps int, wg *sync.WaitGroup, got *[]StepStats) {
+		defer wg.Done()
+		c := NewCore[int](label, 2, 1, false)
+		if got != nil {
+			c.Attach(ObserverFunc(func(st StepStats) { *got = append(*got, st) }))
+		}
+		for i := 0; i < steps; i++ {
+			step(c, float64(i), 1, 1, 0)
+		}
+	}
+	var a, b []StepStats
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go drive("a", 3, &wg, &a)
+	go drive("b", 5, &wg, &b)
+	go drive("c", 7, &wg, nil)
+	wg.Wait()
+	for _, tc := range []struct {
+		label string
+		got   []StepStats
+		want  int
+	}{{"a", a, 3}, {"b", b, 5}} {
+		if len(tc.got) != tc.want {
+			t.Fatalf("machine %s: observer saw %d steps, want %d", tc.label, len(tc.got), tc.want)
+		}
+		for i, st := range tc.got {
+			if st.Machine != tc.label || st.Index != i || st.Cost != float64(i) {
+				t.Fatalf("machine %s step %d: got %+v", tc.label, i, st)
+			}
+		}
+	}
+}
+
+// The commit path allocates nothing per step, observed or not.
+func TestStepIsZeroAllocs(t *testing.T) {
+	c := NewCore[int]("test", 2, 1, false)
+	step(c, 1, 0, 0, 0) // warm scratch
+	if allocs := testing.AllocsPerRun(100, func() { step(c, 1, 0, 0, 0) }); allocs != 0 {
+		t.Fatalf("unobserved step costs %v allocs, want 0", allocs)
+	}
+	n := 0
+	c.Attach(ObserverFunc(func(StepStats) { n++ }))
+	if allocs := testing.AllocsPerRun(100, func() { step(c, 1, 0, 0, 0) }); allocs != 0 {
+		t.Fatalf("observed step costs %v allocs, want 0", allocs)
 	}
 }
 

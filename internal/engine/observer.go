@@ -1,10 +1,9 @@
 // Observability layer of the superstep engine: normalized per-step records,
-// observer callbacks (per-machine and process-global), and cheap atomic
+// per-machine observer callbacks given at construction, and cheap atomic
 // counters aggregated across every machine in the process.
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"parbw/internal/model"
@@ -36,9 +35,12 @@ type StepStats struct {
 	Hist []int
 }
 
-// Observer receives a callback after every committed superstep. Callbacks
-// run on the machine's driver goroutine; they must not call back into the
-// machine and should be cheap — a slow observer stalls the simulation.
+// Observer receives a callback after every committed superstep of the
+// machine it was given to (the Observer field of bsp.Config, qsm.Config,
+// pram.Config and Options, or Attach); a run that wants to see its machines
+// passes its observer to each one it constructs. Callbacks run on the
+// machine's driver goroutine; they must not call back into the machine and
+// should be cheap — a slow observer stalls the simulation.
 type Observer interface {
 	OnStep(st StepStats)
 }
@@ -64,15 +66,7 @@ var global struct {
 	messages   atomic.Uint64
 	maxSlot    atomic.Int64
 	overloads  atomic.Uint64
-
-	mu        sync.Mutex                      // guards writes to observers
-	observers atomic.Pointer[[]*registration] // copy-on-write snapshot
 }
-
-// registration wraps a global observer so removal can compare registration
-// identity rather than observer values (func-typed observers are not
-// comparable).
-type registration struct{ obs Observer }
 
 // countStep folds one committed step into the process-wide counters.
 func countStep(st StepStats) {
@@ -101,57 +95,5 @@ func GlobalCounters() Counters {
 		Messages:    global.messages.Load(),
 		MaxSlotLoad: global.maxSlot.Load(),
 		Overloads:   global.overloads.Load(),
-	}
-}
-
-// AddGlobalObserver registers obs to receive every machine's steps,
-// process-wide, and returns a function that removes it. It is how run-level
-// tooling (`bandsim trace`, harness Config.Observer) taps machines it did
-// not construct. The tap is process-global: while registered, obs also sees
-// steps of machines driven by concurrent runs, so it suits single-run tools
-// and tests rather than the multi-tenant serve path.
-func AddGlobalObserver(obs Observer) (remove func()) {
-	if obs == nil {
-		return func() {}
-	}
-	reg := &registration{obs: obs}
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	var cur []*registration
-	if p := global.observers.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]*registration, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = reg
-	global.observers.Store(&next)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			global.mu.Lock()
-			defer global.mu.Unlock()
-			var cur []*registration
-			if p := global.observers.Load(); p != nil {
-				cur = *p
-			}
-			next := make([]*registration, 0, len(cur))
-			for _, r := range cur {
-				if r != reg {
-					next = append(next, r)
-				}
-			}
-			global.observers.Store(&next)
-		})
-	}
-}
-
-// notifyGlobal fans a committed step out to the process-global observers.
-func notifyGlobal(st StepStats) {
-	p := global.observers.Load()
-	if p == nil {
-		return
-	}
-	for _, r := range *p {
-		r.obs.OnStep(st)
 	}
 }

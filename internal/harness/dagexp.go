@@ -86,13 +86,13 @@ type pricing struct {
 	replayOv, schedOv int
 }
 
-func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, seed uint64) pricing {
+func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, cfg Config) pricing {
 	var pr pricing
-	mg := newBSPg(p, g, l, seed)
+	mg := newBSPg(p, g, l, cfg)
 	sched.ReplayAll(mg, comm)
 	pr.tg = float64(mg.Time())
 
-	mb := newBSPmExp(p, mm, l, seed)
+	mb := newBSPmExp(p, mm, l, cfg)
 	for _, st := range sched.ReplayAll(mb, comm) {
 		pr.replayOv += st.Overload
 	}
@@ -100,7 +100,7 @@ func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, seed uint64) pri
 
 	// The lowering knows its own traffic, so Unbalanced-Send runs with n
 	// known (no learn-n collective); empty supersteps launch no comm phase.
-	ms := newBSPmExp(p, mm, l, seed)
+	ms := newBSPmExp(p, mm, l, cfg)
 	for step := range comm.Steps {
 		n := 0
 		for _, s := range comm.Steps[step].Sends {
@@ -142,7 +142,7 @@ func runDAGLower(rec *Recorder) {
 			}
 			comm := commOnly(ir)
 			xe, xf := dagsched.CrossEdges(d, place)
-			pr := priceLowering(comm, p, mm, g, l, eps, cfg.Seed)
+			pr := priceLowering(comm, p, mm, g, l, eps, cfg)
 			cells++
 			if pr.ts <= pr.tg {
 				globalWins++
@@ -199,10 +199,10 @@ func runDAGComm(rec *Recorder) {
 		}
 		commG, commAB := commOnly(irG), commOnly(irAB)
 
-		mgG := newBSPg(p, g, l, cfg.Seed)
+		mgG := newBSPg(p, g, l, cfg)
 		sched.ReplayAll(mgG, commG)
 		tgG := float64(mgG.Time())
-		pr := priceLowering(commAB, p, mm, g, l, eps, cfg.Seed)
+		pr := priceLowering(commAB, p, mm, g, l, eps, cfg)
 
 		rows++
 		if af <= gf {

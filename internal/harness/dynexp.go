@@ -60,7 +60,7 @@ func runDynBSPg(rec *Recorder) {
 	for _, beta := range []float64{0.0625, 0.125, 0.25, 0.5, 1.0} {
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
-		m := newBSPg(p, g, l, cfg.Seed)
+		m := newBSPg(p, g, l, cfg)
 		res := dynamic.RunBSPgInterval(m, adv, lmt, windows)
 		t.Row(beta, beta*float64(g), stableStr(res.LooksStable()),
 			res.Backlog[len(res.Backlog)-1], res.MaxBacklog)
@@ -72,7 +72,7 @@ func runDynBSPg(rec *Recorder) {
 	for _, beta := range []float64{0.25, 0.5, 1.0} {
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
-		m := newBSPmExp(p, max(p/g, 1), l, cfg.Seed)
+		m := newBSPmExp(p, max(p/g, 1), l, cfg)
 		res := dynamic.RunAlgorithmB(m, adv, lmt, windows, 0.25)
 		t2.Row(beta, stableStr(res.LooksStable()),
 			res.Backlog[len(res.Backlog)-1], res.MaxBacklog)
@@ -86,7 +86,7 @@ func runDynBSPg(rec *Recorder) {
 	for _, alpha := range []float64{1, 2, 3, 4} {
 		lmt := dynamic.Limits{W: 32, Alpha: alpha, Beta: alpha / float64(p) * 4}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-		m := newBSPg(p, g, l, cfg.Seed)
+		m := newBSPg(p, g, l, cfg)
 		res := dynamic.RunBSPgInterval(m, adv, lmt, windows)
 		t3.Row(alpha, alpha*float64(g)/float64(p), stableStr(res.LooksStable()), res.MaxBacklog)
 	}
@@ -104,7 +104,7 @@ func runDynBSPm(rec *Recorder) {
 		alpha := frac * float64(mm)
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.9}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		res := dynamic.RunAlgorithmB(m, adv, lmt, windows, 0.25)
 		t.Row(alpha, frac, stableStr(res.LooksStable()), res.MaxBacklog,
 			res.MeanService(), wW)
@@ -133,7 +133,7 @@ func runDynBSPm(rec *Recorder) {
 		alpha := float64(mm) / float64(4*fl)
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.5}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		res := dynamic.RunAlgorithmBWith(m, adv, lmt, windows, fl,
 			dynamic.ConsecutiveSendScheduler(0.25))
 		t3.Row(fl, alpha*float64(fl), stableStr(res.LooksStable()), res.MaxBacklog, res.MeanService())
@@ -152,9 +152,9 @@ func runListRankAblation(rec *Recorder) {
 		"n", "pointer jumping", "contraction", "jump/contract")
 	for _, p := range rec.IntSweep("n", []int{512, 1024, 4096}, []int{256}) {
 		list := randomListFor(cfg.Seed, p)
-		mj := newBSPmL(p, mm, l, cfg.Seed)
+		mj := newBSPmL(p, mm, l, cfg)
 		problemsListRankJump(mj, list)
-		mc := newBSPmL(p, mm, l, cfg.Seed)
+		mc := newBSPmL(p, mm, l, cfg)
 		problemsListRankContract(mc, list)
 		t.Row(p, mj.Time(), mc.Time(), mj.Time()/mc.Time())
 	}

@@ -76,9 +76,9 @@ func runSchedQSM(rec *Recorder) {
 	for _, skew := range []float64{0, 0.8, 1.4} {
 		rng := xrand.New(cfg.Seed)
 		plan := qsmZipfPlan(rng, p, p*30, blk, skew)
-		ms := newQSMmMem(p, p*blk, expQSMm(mm), cfg.Seed)
+		ms := newQSMmMem(p, p*blk, expQSMm(mm), cfg)
 		rs := sched.UnbalancedSendQSM(ms, plan, sched.Options{Eps: eps})
-		mn := newQSMmMem(p, p*blk, expQSMm(mm), cfg.Seed)
+		mn := newQSMmMem(p, p*blk, expQSMm(mm), cfg)
 		rn := sched.NaiveSendQSM(mn, plan)
 		t.Row(fmt.Sprintf("zipf %.1f", skew), rs.N, rs.XBar, rs.Time, rn.Time,
 			rn.Time/rs.Time, rs.Phase.MaxSlot, mm)
@@ -115,7 +115,7 @@ func runPRAMMap(rec *Recorder) {
 		"n", "m", "QSM time", "t + w/m", "ratio", "overloads")
 	for _, mm := range rec.IntSweep("m", []int{2, 4, 8, 16, 32}, []int{2, 8}) {
 		prog, final := emulate.PrefixDoublingSum(n)
-		m := newQSMmMem(64, 2*n, qsmmLinCost(mm), cfg.Seed)
+		m := newQSMmMem(64, 2*n, qsmmLinCost(mm), cfg)
 		for i := 0; i < n; i++ {
 			m.Store(i, 1)
 		}
@@ -145,10 +145,10 @@ func runDynPhase(rec *Recorder) {
 			}
 			lmt := dynamic.Limits{W: 32, Alpha: alpha, Beta: beta}
 			advG := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-			mg := newBSPg(p, g, l, cfg.Seed)
+			mg := newBSPg(p, g, l, cfg)
 			rg := dynamic.RunBSPgInterval(mg, advG, lmt, windows)
 			advM := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-			mb := newBSPmExp(p, mm, l, cfg.Seed)
+			mb := newBSPmExp(p, mm, l, cfg)
 			rm := dynamic.RunAlgorithmB(mb, advM, lmt, windows, 0.25)
 			cell := verdictChar(rg.LooksStable()) + "/" + verdictChar(rm.LooksStable())
 			row = append(row, cell+" (g/m)")
@@ -162,9 +162,9 @@ func runDynPhase(rec *Recorder) {
 	for _, beta := range []float64{0.0625, 0.125, 0.25, 0.5, 1.0} {
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
-		mg := newBSPg(p, g, l, cfg.Seed)
+		mg := newBSPg(p, g, l, cfg)
 		rg := dynamic.RunBSPgInterval(mg, adv, lmt, windows)
-		mb := newBSPmExp(p, mm, l, cfg.Seed)
+		mb := newBSPmExp(p, mm, l, cfg)
 		rm := dynamic.RunAlgorithmB(mb, adv, lmt, windows, 0.25)
 		t2.Row(beta, stableStr(rg.LooksStable()), stableStr(rm.LooksStable()))
 	}
@@ -191,20 +191,20 @@ func runPipeline(rec *Recorder) {
 			var name string
 			if global {
 				name = fmt.Sprintf("BSP(m=%d)", mm)
-				mp := newBSPmL(p, mm, l, cfg.Seed)
+				mp := newBSPmL(p, mm, l, cfg)
 				collectiveBroadcastVec(mp, vec)
 				pipe = mp.Time()
-				msq := newBSPmL(p, mm, l, cfg.Seed)
+				msq := newBSPmL(p, mm, l, cfg)
 				for j := 0; j < k; j++ {
 					collectiveBroadcast(msq, int64(j))
 				}
 				seq = msq.Time()
 			} else {
 				name = fmt.Sprintf("BSP(g=%d)", g)
-				mp := newBSPg(p, g, l, cfg.Seed)
+				mp := newBSPg(p, g, l, cfg)
 				collectiveBroadcastVec(mp, vec)
 				pipe = mp.Time()
-				msq := newBSPg(p, g, l, cfg.Seed)
+				msq := newBSPg(p, g, l, cfg)
 				for j := 0; j < k; j++ {
 					collectiveBroadcast(msq, int64(j))
 				}
@@ -281,9 +281,9 @@ func runSortAblation(rec *Recorder) {
 			keys[i] = int64(rng.Uint64() % 1000003)
 		}
 		q := depth1Q(n, p)
-		mc := newBSPmL(p, mm, l, cfg.Seed)
+		mc := newBSPmL(p, mm, l, cfg)
 		problemsColumnsort(mc, keys, q)
-		ms := newBSPmL(p, mm, l, cfg.Seed)
+		ms := newBSPmL(p, mm, l, cfg)
 		problemsSampleSort(ms, keys)
 		t.Row(n, n/p, mc.Time(), ms.Time(), sortWinner(mc.Time(), ms.Time()))
 	}
@@ -302,9 +302,9 @@ func runSortAblation(rec *Recorder) {
 			keys[i] = int64(rng.Uint64() % 1000003)
 		}
 		q := depth1Q(n, n)
-		mc := newBSPmL(n, mm, l, cfg.Seed)
+		mc := newBSPmL(n, mm, l, cfg)
 		problemsColumnsort(mc, keys, q)
-		ms := newBSPmL(n, mm, l, cfg.Seed)
+		ms := newBSPmL(n, mm, l, cfg)
 		problemsSampleSort(ms, keys)
 		t2.Row(n, mc.Time(), ms.Time(), ms.Time()/mc.Time(), sortWinner(mc.Time(), ms.Time()))
 	}
@@ -327,7 +327,7 @@ func runTemplate(rec *Recorder) {
 	t := tablefmt.New("Unbalanced-Send with per-processor separation sep (zipf workload)",
 		"sep", "period", "measured", "offline opt", "maxslot", "overloads")
 	for _, sep := range []int{0, 1, 2, 4} {
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.TemplateSend(m, plan, sep, sched.Options{Eps: eps})
 		t.Row(sep, r.Period, r.Time, r.OptimalOffline(mm, l), r.Send.MaxSlot, r.Send.Overload)
 	}
@@ -424,7 +424,7 @@ func runCombineTree(rec *Recorder) {
 			vals[i] = 1
 		}
 		run := func(d int) float64 {
-			m := newBSPmL(p, mm, l, cfg.Seed)
+			m := newBSPmL(p, mm, l, cfg)
 			if got := collective.ReduceBSPDegree(m, vals, collective.Sum, d); got != int64(p) {
 				panic("harness: reduce wrong")
 			}
@@ -445,9 +445,9 @@ func runWraparound(rec *Recorder) {
 	rng := xrand.New(cfg.Seed)
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 16)[name]
-		mw := newBSPmExp(p, mm, l, cfg.Seed)
+		mw := newBSPmExp(p, mm, l, cfg)
 		rw := sched.UnbalancedSend(mw, plan, sched.Options{Eps: eps})
-		mc := newBSPmExp(p, mm, l, cfg.Seed)
+		mc := newBSPmExp(p, mm, l, cfg)
 		rc := sched.UnbalancedConsecutiveSend(mc, plan, sched.Options{Eps: eps})
 		t.Row(name, rw.Time, rc.Time, rc.Time/rw.Time, rw.Send.MaxSlot, rc.Send.MaxSlot)
 	}
@@ -486,13 +486,13 @@ func runAsync(rec *Recorder) {
 		}
 	}
 	ir := b.MustIR()
-	mb := newBSPmExp(p, mm, l, cfg.Seed)
+	mb := newBSPmExp(p, mm, l, cfg)
 	rNaive := sched.NaiveSendIR(mb, ir, 0)
 	opt := rNaive.OptimalOffline(mm, l)
 	t.Row("bulk-sync naive (f^u)", rNaive.Time, rNaive.Time/opt)
 
 	// 2. Bulk-synchronous BSP(m) with Unbalanced-Send.
-	ms := newBSPmExp(p, mm, l, cfg.Seed)
+	ms := newBSPmExp(p, mm, l, cfg)
 	rSched := sched.UnbalancedSendIR(ms, ir, 0, sched.Options{Eps: 0.25, KnownN: n})
 	t.Row("bulk-sync Unbalanced-Send", rSched.Time, rSched.Time/opt)
 

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"parbw/internal/engine"
@@ -42,19 +41,11 @@ type Config struct {
 	Params map[string]string
 	CSV    bool // emit CSV instead of aligned tables
 	// Observer, if non-nil, receives an engine.StepStats callback for every
-	// superstep of every machine the experiment constructs. It is attached
-	// via the engine's process-global tap for the duration of the run;
-	// harness.Run serializes observed runs against all other runs in the
-	// process, so an observer sees only its own experiment's machines.
+	// superstep of every machine the experiment constructs, in commit order.
+	// It is given to each machine at construction, so it sees only this
+	// run's machines and observed runs proceed in parallel with any others.
 	Observer engine.Observer
 }
-
-// tapMu guards the process-global engine observer tap across concurrent
-// harness.Run calls. Runs that attach an observer take the write lock —
-// exclusive, so they never see another run's machines — while unobserved
-// runs share the read lock and proceed fully in parallel (the service's
-// sweep executor stays concurrent).
-var tapMu sync.RWMutex
 
 // Recorder collects the structured output of one experiment run and hands
 // the experiment body its resolved parameters. Bodies emit tables, notes,
@@ -268,16 +259,6 @@ func (e Experiment) Run(w io.Writer, cfg Config) *result.Result {
 	}
 	res := result.New(e.ID, e.Title, e.Source, vals.ResultParams(cfg.Seed))
 	rec := &Recorder{Cfg: cfg, res: res, expID: e.ID, specs: e.specIdx, values: vals}
-	if cfg.Observer != nil {
-		// Exclusive: the process-global tap must see only this run's machines.
-		tapMu.Lock()
-		defer tapMu.Unlock()
-		remove := engine.AddGlobalObserver(cfg.Observer)
-		defer remove()
-	} else {
-		tapMu.RLock()
-		defer tapMu.RUnlock()
-	}
 	start := time.Now()
 	e.run(rec)
 	res.WallNS = time.Since(start).Nanoseconds()

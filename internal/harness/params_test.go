@@ -9,10 +9,11 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"parbw/internal/engine"
 	"parbw/internal/result"
@@ -256,48 +257,75 @@ func TestSweepOverrideCollapses(t *testing.T) {
 	}
 }
 
-// An attached observer must see only its own run's supersteps even while
-// other experiments hammer the engine concurrently (the process-global tap
-// is serialized by harness.Run).
+// Observed runs proceed concurrently and each observer sees exactly its own
+// run's supersteps. Each observer holds its run at the first step until the
+// other run has reached its own first step, so both runs are mid-flight at
+// once; a process-wide lock around observed runs would deadlock here, which
+// the timeout turns into a failure.
 func TestObserverScopedUnderConcurrentRuns(t *testing.T) {
-	e, _ := ByID("table1/parity")
-	count := func() int64 {
-		var n int64
-		e.Run(io.Discard, Config{Seed: 5, Params: QuickParams(),
-			Observer: engine.ObserverFunc(func(engine.StepStats) { atomic.AddInt64(&n, 1) })})
-		return atomic.LoadInt64(&n)
+	runs := []struct {
+		id   string
+		seed uint64
+	}{{"table1/parity", 5}, {"table1/onetoall", 9}}
+	record := func(id string, seed uint64, first func()) []engine.StepStats {
+		e, _ := ByID(id)
+		var steps []engine.StepStats
+		e.Run(io.Discard, Config{Seed: seed, Params: QuickParams(),
+			Observer: engine.ObserverFunc(func(st engine.StepStats) {
+				if len(steps) == 0 && first != nil {
+					first()
+				}
+				st.Hist = nil // valid only inside the callback
+				steps = append(steps, st)
+			})})
+		return steps
 	}
-	solo := count()
-	if solo == 0 {
-		t.Fatal("observer saw no supersteps")
+	solo := make([][]engine.StepStats, len(runs))
+	for i, r := range runs {
+		if solo[i] = record(r.id, r.seed, nil); len(solo[i]) == 0 {
+			t.Fatalf("%s: observer saw no supersteps", r.id)
+		}
 	}
 
-	stop := make(chan struct{})
+	reached := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	got := make([][]engine.StepStats, len(runs))
 	var wg sync.WaitGroup
-	other, _ := ByID("table1/onetoall")
-	for i := 0; i < 4; i++ {
+	for i, r := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			got[i] = record(r.id, r.seed, func() {
+				close(reached[i])
 				select {
-				case <-stop:
-					return
-				default:
-					other.Run(io.Discard, Config{Seed: 9, Params: QuickParams()})
+				case <-reached[1-i]:
+				case <-time.After(10 * time.Second):
+					t.Errorf("%s: the other observed run never reached its first step", r.id)
 				}
-			}
+			})
 		}()
 	}
-	for i := 0; i < 3; i++ {
-		if got := count(); got != solo {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("observed %d supersteps under load, want %d (tap leaked across runs)", got, solo)
+	wg.Wait()
+	for i, r := range runs {
+		if !reflect.DeepEqual(got[i], solo[i]) {
+			t.Errorf("%s: concurrent run observed %d steps, solo run %d; sequences differ",
+				r.id, len(got[i]), len(solo[i]))
 		}
 	}
-	close(stop)
-	wg.Wait()
+}
+
+// Every machine an experiment constructs carries the run's observer: the
+// observer sees as many supersteps as the process-wide engine counters
+// advance by.
+func TestObserverSeesEveryMachine(t *testing.T) {
+	for _, e := range All() {
+		n := uint64(0)
+		before := engine.GlobalCounters().Supersteps
+		e.Run(io.Discard, Config{Seed: 1, Params: QuickParams(),
+			Observer: engine.ObserverFunc(func(engine.StepStats) { n++ })})
+		if d := engine.GlobalCounters().Supersteps - before; n != d {
+			t.Errorf("%s: observer saw %d supersteps, the engine committed %d", e.ID, n, d)
+		}
+	}
 }
 
 func TestRunPanicsOnInvalidParams(t *testing.T) {

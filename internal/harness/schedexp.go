@@ -5,7 +5,6 @@ import (
 
 	"parbw/internal/bsp"
 	"parbw/internal/lower"
-	"parbw/internal/model"
 	"parbw/internal/sched"
 	"parbw/internal/tablefmt"
 	"parbw/internal/xrand"
@@ -119,7 +118,7 @@ func runSchedStatic(rec *Recorder) {
 		"workload", "n", "x̄", "ȳ", "measured", "offline opt", "Thm6.2 bound", "BSP(g) Θ(g(x̄+ȳ))", "maxslot", "overloads")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 16)[name]
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 		opt := r.OptimalOffline(mm, l)
 		bound := lower.UnbalancedSendBound(r.N, r.XBar, r.YBar, p, mm, l, eps)
@@ -138,7 +137,7 @@ func runSchedConsecutive(rec *Recorder) {
 		"workload", "n", "x̄", "measured", "Thm6.3 bound", "maxslot", "overloads")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 8)[name]
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.UnbalancedConsecutiveSend(m, plan, sched.Options{Eps: eps})
 		// x̄' = max over non-overloaded senders; conservatively x̄.
 		bound := lower.ConsecutiveSendBound(r.N, r.XBar, minInt(r.XBar, r.Period), r.YBar, p, mm, l, eps)
@@ -156,7 +155,7 @@ func runSchedGranular(rec *Recorder) {
 		"workload", "n", "t'", "measured", "c·n/m + x̄", "maxslot", "overloads")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 8)[name]
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.UnbalancedGranularSend(m, plan, sched.Options{GranularC: float64(c)})
 		tg := r.N / p
 		if tg < 1 {
@@ -184,7 +183,7 @@ func runSchedFlits(rec *Recorder) {
 	lbar := float64(n0) / float64(msgs)
 	for _, o := range []int{0, 1, 2, 4, 8} {
 		plan := base.WithOverhead(o)
-		m := newBSPmExp(p, mm, l, cfg.Seed)
+		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 		lhat := plan.MaxLen()
 		bound := (1+eps)*(1+float64(o)/lbar)*float64(n0)/float64(mm) +
@@ -203,9 +202,9 @@ func runSelfSched(rec *Recorder) {
 		"workload", "self-sched time", "BSP(m) measured", "ratio", "(1+ε) target")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 16)[name]
-		ss := bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(mm, l), Seed: cfg.Seed})
+		ss := newBSPSelfSched(p, mm, l, cfg)
 		ssr := sched.NaiveSend(ss, plan) // metric ignores injection times
-		real := newBSPmExp(p, mm, l, cfg.Seed)
+		real := newBSPmExp(p, mm, l, cfg)
 		rr := sched.UnbalancedSend(real, plan, sched.Options{Eps: eps, KnownN: ssr.N})
 		t.Row(name, ssr.Time, rr.Time, rr.Time/ssr.Time, 1+eps)
 	}
@@ -225,8 +224,8 @@ func runPenaltyAblation(rec *Recorder) {
 		mk   func() *bsp.Machine
 	}
 	for _, pc := range []pen{
-		{"linear f^ℓ", func() *bsp.Machine { return newBSPmL(p, mm, l, cfg.Seed) }},
-		{"exponential f^u", func() *bsp.Machine { return newBSPmExp(p, mm, l, cfg.Seed) }},
+		{"linear f^ℓ", func() *bsp.Machine { return newBSPmL(p, mm, l, cfg) }},
+		{"exponential f^u", func() *bsp.Machine { return newBSPmExp(p, mm, l, cfg) }},
 	} {
 		naive := sched.NaiveSend(pc.mk(), plan)
 		schd := sched.UnbalancedSend(pc.mk(), plan, sched.Options{Eps: eps})
@@ -244,7 +243,7 @@ func runEpsAblation(rec *Recorder) {
 	for _, mm := range rec.IntSweep("m", []int{16, 64}, []int{16}) {
 		plan := sched.ZipfPlan(rng, p, p*16, 1.1)
 		for _, eps := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
-			m := newBSPmExp(p, mm, l, cfg.Seed)
+			m := newBSPmExp(p, mm, l, cfg)
 			r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 			t.Row(mm, eps, r.Period, r.Time, r.OptimalOffline(mm, l), r.Send.MaxSlot, r.Send.Overload)
 		}

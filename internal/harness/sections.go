@@ -69,8 +69,8 @@ func init() {
 	})
 }
 
-func newQSMmMem(p, mem int, c model.Cost, seed uint64) *qsm.Machine {
-	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: c, Seed: seed})
+func newQSMmMem(p, mem int, c model.Cost, cfg Config) *qsm.Machine {
+	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: c, Seed: cfg.Seed, Observer: cfg.Observer})
 }
 
 func runBroadcastLB(rec *Recorder) {
@@ -81,7 +81,7 @@ func runBroadcastLB(rec *Recorder) {
 	for _, p := range ps {
 		for _, gl := range [][2]int{{8, 8}, {16, 8}, {32, 4}} {
 			g, l := gl[0], gl[1]
-			m := newBSPg(p, g, l, cfg.Seed)
+			m := newBSPg(p, g, l, cfg)
 			collective.BroadcastTernaryBSPg(m, 1)
 			lb := lower.BroadcastLBBSPg(p, g, l)
 			pred := lower.BroadcastTernaryBSPg(p, g)
@@ -95,7 +95,7 @@ func runBroadcastLB(rec *Recorder) {
 	p := rec.IntOr("p2", 4096, 256)
 	for _, gl := range [][2]int{{1, 2}, {2, 8}, {4, 32}, {8, 128}} {
 		g, l := gl[0], gl[1]
-		m := newBSPg(p, g, l, cfg.Seed)
+		m := newBSPg(p, g, l, cfg)
 		collective.BroadcastBSP(m, 0, 1)
 		lb := lower.BroadcastLBBSPg(p, g, l)
 		t2.Row(p, g, l, m.Time(), lb, m.Time()/lb)
@@ -118,7 +118,7 @@ func runHRelationCRCW(rec *Recorder) {
 			}
 		}
 		deg := problems.HRelationDegree(plan)
-		m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary, Seed: cfg.Seed})
+		m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
 		_, rounds := problems.HRelationCRCW(m, plan)
 		t.Row(deg, rounds, m.Time(), m.Time()/float64(deg))
 	}
@@ -135,9 +135,9 @@ func runHRelationCRCW(rec *Recorder) {
 				plan[i] = append(plan[i], problems.HRelationMsg{Dst: 0, Val: int64(i*100 + j)})
 			}
 		}
-		mc := pram.New(pram.Config{P: 16, Mem: 32, Mode: pram.CRCWArbitrary, Seed: cfg.Seed})
+		mc := pram.New(pram.Config{P: 16, Mem: 32, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
 		problems.HRelationCRCW(mc, plan)
-		ms := pram.New(pram.Config{P: 16 * h, Mem: 48 * h, Mode: pram.CRCWArbitrary, Seed: cfg.Seed})
+		ms := pram.New(pram.Config{P: 16 * h, Mem: 48 * h, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
 		problems.HRelationRadixCRCW(ms, plan)
 		winner := "contention"
 		if ms.Time() < mc.Time() {
@@ -160,7 +160,7 @@ func runCRCWSim(rec *Recorder) {
 			mem := pmKind.Base + cells + 2*p + p + 8
 			c := model.QSMm(mm)
 			c.Penalty = model.LinearPenalty
-			m := newQSMmMem(p, mem, c, cfg.Seed)
+			m := newQSMmMem(p, mem, c, cfg)
 			rng := xrand.Derive(cfg.Seed, fmt.Sprintf("crcw-sim/m=%d", mm))
 			for a := 0; a < cells; a++ {
 				m.Store(pmKind.Base+a, int64(a*3+1))
@@ -192,12 +192,12 @@ func runLeader(rec *Recorder) {
 	for _, p := range rec.IntSweep("p", []int{64, 256, 1024, 4096}, []int{64, 256}) {
 		leader := p / 3
 		cr := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.CRCWArbitrary,
-			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed})
+			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed, Observer: cfg.Observer})
 		problems.LeaderCR(cr)
 		er := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.EREW,
-			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed})
+			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed, Observer: cfg.Observer})
 		problems.LeaderER(er, mm)
-		qm := newQSMmMem(p, 3*p, qsmmLinCost(mm), cfg.Seed)
+		qm := newQSMmMem(p, 3*p, qsmmLinCost(mm), cfg)
 		problems.LeaderQSM(qm, 2*p, leader)
 		sep := lower.SeparationERCR(p, mm)
 		t.Row(p, cr.Time(), er.Time(), qm.Time(), er.Time()/cr.Time(), sep)
@@ -213,13 +213,13 @@ func runGroupEmul(rec *Recorder) {
 	for _, g := range []int{2, 4, 8, 16} {
 		for _, h := range []int{1, 4, 16} {
 			mBW := p / g
-			lg := newBSPg(p, g, l, cfg.Seed)
+			lg := newBSPg(p, g, l, cfg)
 			lg.Superstep(func(c *bsp.Ctx) {
 				for k := 0; k < h; k++ {
 					c.Send((c.ID()+k+1)%p, 0, 1)
 				}
 			})
-			gm := newBSPmExp(p, mBW, l, cfg.Seed)
+			gm := newBSPmExp(p, mBW, l, cfg)
 			st := emulate.RunGroupedBSP(gm, g, func(c *bsp.Ctx, send func(int, bsp.Msg)) {
 				for k := 0; k < h; k++ {
 					send((c.ID()+k+1)%p, bsp.Msg{A: 1})

@@ -15,28 +15,29 @@ import (
 
 // Machine constructors for the standing Table 1 comparison: a locally
 // limited machine with gap g and its globally-limited counterpart with the
-// same aggregate bandwidth m = p/g.
+// same aggregate bandwidth m = p/g. Every machine a run builds takes the
+// run's seed and observer from cfg.
 
-func newBSPg(p, g, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPg(g, l), Seed: seed})
+func newBSPg(p, g, l int, cfg Config) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPg(g, l), Seed: cfg.Seed, Observer: cfg.Observer})
 }
 
-func newBSPmL(p, m, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPmLinear(m, l), Seed: seed})
+func newBSPmL(p, m, l int, cfg Config) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPmLinear(m, l), Seed: cfg.Seed, Observer: cfg.Observer})
 }
 
-func newBSPmExp(p, m, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: seed})
+func newBSPmExp(p, m, l int, cfg Config) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: cfg.Seed, Observer: cfg.Observer})
 }
 
-func newQSMg(p, mem, g int, seed uint64) *qsm.Machine {
-	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: model.QSMg(g), Seed: seed})
+func newQSMg(p, mem, g int, cfg Config) *qsm.Machine {
+	return newQSMmMem(p, mem, model.QSMg(g), cfg)
 }
 
-func newQSMmL(p, mem, m int, seed uint64) *qsm.Machine {
+func newQSMmL(p, mem, m int, cfg Config) *qsm.Machine {
 	c := model.QSMm(m)
 	c.Penalty = model.LinearPenalty
-	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: c, Seed: seed})
+	return newQSMmMem(p, mem, c, cfg)
 }
 
 // table1Params is the shared schema shape of the five Table 1 rows: the
@@ -101,9 +102,9 @@ func runOneToAll(rec *Recorder) {
 			vals[i] = int64(i)
 		}
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg)
 		collective.OneToAllBSP(lb, 0, vals)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg)
 		collective.OneToAllBSP(gb, 0, vals)
 		predL := lower.OneToAllBSPg(p, g, l)
 		predG := lower.OneToAllBSPm(p, l)
@@ -111,9 +112,9 @@ func runOneToAll(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg.Seed)
+		lq := newQSMg(p, 2*p, g, cfg)
 		collective.OneToAllQSM(lq, 0, vals)
-		gq := newQSMmL(p, 2*p, m, cfg.Seed)
+		gq := newQSMmL(p, 2*p, m, cfg)
 		collective.OneToAllQSM(gq, 0, vals)
 		t.Row(p, "QSM(g)", lq.Time(), lower.OneToAllQSMg(p, g),
 			lq.Time()/lower.OneToAllQSMg(p, g), "")
@@ -132,9 +133,9 @@ func runBroadcastRow(rec *Recorder) {
 	for _, p := range ps {
 		m := max(p/g, 1)
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg)
 		collective.BroadcastBSP(lb, 0, 7)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg)
 		collective.BroadcastBSP(gb, 0, 7)
 		predL := lower.BroadcastBSPg(p, g, l)
 		predG := lower.BroadcastBSPm(p, m, l)
@@ -142,9 +143,9 @@ func runBroadcastRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg.Seed)
+		lq := newQSMg(p, 2*p, g, cfg)
 		collective.BroadcastQSM(lq, 0, 7)
-		gq := newQSMmL(p, 2*p, m, cfg.Seed)
+		gq := newQSMmL(p, 2*p, m, cfg)
 		collective.BroadcastQSM(gq, 0, 7)
 		t.Row(p, "QSM(g)", lq.Time(), lower.BroadcastQSMg(p, g),
 			lq.Time()/lower.BroadcastQSMg(p, g), "")
@@ -168,9 +169,9 @@ func runParityRow(rec *Recorder) {
 			bits[i] = int64(rng.Intn(2))
 		}
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg)
 		problems.ParityBSP(lb, bits)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg)
 		problems.ParityBSP(gb, bits)
 		predL := lower.ParityBSPg(p, g, l)
 		predG := lower.ParityBSPm(p, m, l)
@@ -178,9 +179,9 @@ func runParityRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg.Seed)
+		lq := newQSMg(p, 2*p, g, cfg)
 		problems.ParityQSM(lq, bits)
-		gq := newQSMmL(p, 2*p, m, cfg.Seed)
+		gq := newQSMmL(p, 2*p, m, cfg)
 		problems.ParityQSM(gq, bits)
 		predQL := lower.ParityQSMgLB(p, g) // lower bound for the weak model
 		predQG := lower.ParityQSMm(p, m)
@@ -204,9 +205,9 @@ func runListRankRow(rec *Recorder) {
 		rng := xrand.New(cfg.Seed)
 		list := problems.RandomList(rng, p)
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg)
 		problems.ListRankContractBSP(lb, list)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg)
 		problems.ListRankContractBSP(gb, list)
 		predL := lower.ListRankLBg(p, g)
 		predG := lower.ListRankBSPm(p, m, l)
@@ -214,9 +215,9 @@ func runListRankRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 3*p, g, cfg.Seed)
+		lq := newQSMg(p, 3*p, g, cfg)
 		problems.ListRankContractQSM(lq, list)
-		gq := newQSMmL(p, 3*p, m, cfg.Seed)
+		gq := newQSMmL(p, 3*p, m, cfg)
 		problems.ListRankContractQSM(gq, list)
 		predQG := lower.ListRankQSMm(p, m)
 		t.Row(p, "QSM(g)", lq.Time(), predL, lq.Time()/predL, "")
@@ -246,9 +247,9 @@ func runSortRow(rec *Recorder) {
 			keys[i] = int64(rng.Uint64() % 1000003)
 		}
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg)
 		problems.ColumnsortBSP(lb, keys, q)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg)
 		problems.ColumnsortBSP(gb, keys, q)
 		predL := lower.SortLBg(p, g)
 		predG := lower.SortBSPm(p, m, l)
@@ -256,9 +257,9 @@ func runSortRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", q, gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, p, g, cfg.Seed)
+		lq := newQSMg(p, p, g, cfg)
 		problems.ColumnsortQSM(lq, keys, q)
-		gq := newQSMmL(p, p, m, cfg.Seed)
+		gq := newQSMmL(p, p, m, cfg)
 		problems.ColumnsortQSM(gq, keys, q)
 		predQG := lower.SortQSMm(p, m)
 		t.Row(p, "QSM(g)", q, lq.Time(), predL, lq.Time()/predL, "")
@@ -276,6 +277,6 @@ func ratioStr(local, global float64) string {
 	return fmt.Sprintf("%.2fx", local/global)
 }
 
-func newBSPSelfSched(p, m, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(m, l), Seed: seed})
+func newBSPSelfSched(p, m, l int, cfg Config) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(m, l), Seed: cfg.Seed, Observer: cfg.Observer})
 }

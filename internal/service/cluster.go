@@ -151,20 +151,18 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	// an owner-side "started" plus sampled engine steps, all tagged with the
 	// origin's task index and this node's name.
 	emit := func(Event) {}
+	cfg := harness.Config{Seed: req.Seed, Params: req.Params}
 	if req.WantEvents && req.Origin != "" && req.Job != "" {
 		var flush func()
 		emit, flush = s.remoteEmitter(r.Context(), req.Origin, req.Job, req.TaskIndex)
 		defer flush()
+		if s.opts.StepSample > 0 {
+			cfg.Observer = s.stepSampler(func(st engine.StepStats) {
+				emit(Event{Type: EventStep, Machine: st.Machine, Superstep: st.Index, Cost: st.Cost, Node: s.cluster.Self()})
+			})
+		}
 	}
 	emit(Event{Type: EventStarted, Experiment: req.Experiment, Seed: req.Seed, Key: key, Node: s.cluster.Self()})
-	if s.opts.StepSample > 0 {
-		untag := engine.TagGoroutine(&stepTag{srv: s, emit: func(st engine.StepStats) {
-			emit(Event{Type: EventStep, Machine: st.Machine, Superstep: st.Index, Cost: st.Cost, Node: s.cluster.Self()})
-		}})
-		defer untag()
-	}
-
-	cfg := harness.Config{Seed: req.Seed, Params: req.Params}
 	ctx := r.Context()
 	var lastErr error
 	for attempt := 1; attempt <= 1+s.opts.Retries; attempt++ {

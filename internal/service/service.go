@@ -366,8 +366,7 @@ type Server struct {
 	drainCh        chan struct{}
 	dispatcherDone chan struct{}
 
-	streamM   busMetrics // server-wide streaming counters (every job bus feeds them)
-	removeTap func()     // detaches the engine tagged-observer bridge
+	streamM busMetrics // server-wide streaming counters (every job bus feeds them)
 
 	mu       sync.Mutex
 	closed   bool
@@ -444,11 +443,6 @@ func New(opts Options) (*Server, error) {
 		dispatcherDone: make(chan struct{}),
 		jobs:           map[string]*Job{},
 	}
-	// The engine→bus bridge: tasks with live subscribers tag their executor
-	// goroutine (runTask), and this observer turns the tagged step commits
-	// into sampled "step" events on the owning job's bus. With no tags the
-	// engine-side cost is two atomic loads per step.
-	s.removeTap = engine.AddTaggedObserver(engine.TaggedObserverFunc(s.onTaggedStep))
 	s.wg.Add(1)
 	go s.dispatch()
 	return s, nil
@@ -462,24 +456,19 @@ func (s *Server) nodeName() string {
 	return s.cluster.Self()
 }
 
-// stepTag marks an executor goroutine as driving one task of one job. The
-// bridge checks srv so that multiple Servers in one process (cluster tests)
-// never deliver each other's steps.
-type stepTag struct {
-	srv  *Server
-	emit func(st engine.StepStats)
-	n    int // steps seen; only the tagged goroutine touches it
-}
-
-func (s *Server) onTaggedStep(tag any, st engine.StepStats) {
-	tg, ok := tag.(*stepTag)
-	if !ok || tg.srv != s {
-		return
-	}
-	tg.n++
-	if sample := s.opts.StepSample; sample > 0 && (tg.n-1)%sample == 0 {
-		tg.emit(st)
-	}
+// stepSampler is the engine→bus bridge: the observer a task's run gives
+// every machine it constructs. It passes every StepSample-th committed step
+// of the task to emit, counting across the task's attempts. Callers only
+// build one when StepSample > 0. The run drives its machines from one
+// goroutine, so the count needs no lock.
+func (s *Server) stepSampler(emit func(st engine.StepStats)) engine.Observer {
+	n := 0
+	return engine.ObserverFunc(func(st engine.StepStats) {
+		if n%s.opts.StepSample == 0 {
+			emit(st)
+		}
+		n++
+	})
 }
 
 // Close is the hard stop: it cancels every running job, stops the
@@ -491,7 +480,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
-	s.removeTap()
 }
 
 // Shutdown is the graceful drain: new submissions are rejected, jobs still
@@ -541,7 +529,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 	s.cancel()
-	s.removeTap()
 	return err
 }
 
@@ -1215,17 +1202,15 @@ func (s *Server) runTask(ctx context.Context, job *Job, idx int, t *Task) {
 		}
 	}
 
-	// Local compute: while anyone is watching, tag this goroutine so the
-	// engine's tagged observer bridges sampled step commits onto the bus.
+	// Local compute: while anyone is watching, the run's machines carry a
+	// sampling observer that publishes step commits onto the bus.
+	cfg := harness.Config{Seed: t.Seed, Params: paramMap(t.Params)}
 	if s.opts.StepSample > 0 && job.bus.HasSubscribers() {
 		node := s.nodeName()
-		untag := engine.TagGoroutine(&stepTag{srv: s, emit: func(st engine.StepStats) {
+		cfg.Observer = s.stepSampler(func(st engine.StepStats) {
 			job.bus.publish(Event{Type: EventStep, Task: idx, Machine: st.Machine, Superstep: st.Index, Cost: st.Cost, Node: node})
-		}})
-		defer untag()
+		})
 	}
-
-	cfg := harness.Config{Seed: t.Seed, Params: paramMap(t.Params)}
 	var lastErr error
 	for attempt := 1; attempt <= 1+s.opts.Retries; attempt++ {
 		if attempt > 1 {
