@@ -26,7 +26,8 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
 		./internal/bsp ./internal/qsm ./internal/pram ./internal/collective \
-		./internal/oracle ./internal/service
+		./internal/oracle ./internal/service ./internal/sched ./internal/shrink \
+		./internal/work/... ./internal/workgen
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Observer' ./internal/harness
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault

@@ -18,6 +18,7 @@ import (
 	"parbw/internal/harness"
 	"parbw/internal/oracle"
 	"parbw/internal/shrink"
+	"parbw/internal/work"
 	"parbw/internal/workgen"
 	"parbw/internal/workpool"
 )
@@ -27,7 +28,7 @@ type fuzzFailure struct {
 	Seed             uint64             `json:"seed"`
 	Family           string             `json:"family"`
 	Violations       []oracle.Violation `json:"violations"`
-	Shrunk           *workgen.Workload  `json:"shrunk,omitempty"`
+	Shrunk           *work.IR           `json:"shrunk,omitempty"`
 	ShrinkEvals      int                `json:"shrink_evals,omitempty"`
 	Nondeterministic int                `json:"nondeterministic,omitempty"`
 }
@@ -83,23 +84,23 @@ and shrinks failures with ddmin. Same flags => byte-identical output.`)
 	// Phase 1 — parallel generate + check. Each seed owns one cell of the
 	// results slice, so the fan-out leaves no scheduling fingerprint.
 	type cell struct {
-		w  *workgen.Workload
+		w  *work.IR
 		vs []oracle.Violation
 	}
 	cells := make([]cell, *seeds)
 	workpool.New(*workers).For(*seeds, func(i int) {
-		w := workgen.Generate(workgen.GenConfig{
+		w := workgen.GenerateIR(workgen.GenConfig{
 			Family: fams[i%len(fams)],
 			Seed:   *seedBase + uint64(i),
 		})
-		cells[i] = cell{w: w, vs: oracle.Check(w)}
+		cells[i] = cell{w: w, vs: oracle.CheckIR(w)}
 	})
 
 	// Phase 2 — sequential, seed-ordered report; shrinking runs here so the
 	// (rare) failing path is deterministic too.
 	enc := json.NewEncoder(stdout)
 	enc.SetEscapeHTML(false)
-	sum := fuzzSummary{Version: workgen.Version, Seeds: *seeds, SeedBase: *seedBase}
+	sum := fuzzSummary{Version: work.Version, Seeds: *seeds, SeedBase: *seedBase}
 	for _, f := range fams {
 		sum.Families = append(sum.Families, string(f))
 	}
@@ -113,13 +114,13 @@ and shrinks failures with ddmin. Same flags => byte-identical output.`)
 		}
 		fail := fuzzFailure{
 			Seed:       *seedBase + uint64(i),
-			Family:     string(c.w.Family),
+			Family:     c.w.Family,
 			Violations: c.vs,
 		}
 		if *doShrink {
 			want := oracle.Names(c.vs)
-			res := shrink.Minimize(c.w, func(cand *workgen.Workload) bool {
-				return sameViolationNames(oracle.Names(oracle.Check(cand)), want)
+			res := shrink.Minimize(c.w, func(cand *work.IR) bool {
+				return sameViolationNames(oracle.Names(oracle.CheckIR(cand)), want)
 			}, shrink.Options{})
 			fail.Shrunk = res.Workload
 			fail.ShrinkEvals = res.Evals
@@ -221,7 +222,7 @@ func writeCorpus(dir string, failures []fuzzFailure) error {
 		w := f.Shrunk
 		if w == nil {
 			// Re-generate: the checked workload itself was not retained.
-			w = workgen.Generate(workgen.GenConfig{Family: workgen.Family(f.Family), Seed: f.Seed})
+			w = workgen.GenerateIR(workgen.GenConfig{Family: workgen.Family(f.Family), Seed: f.Seed})
 		}
 		e := &oracle.Entry{
 			Note:       fmt.Sprintf("bandsim fuzz: family=%s seed=%d", f.Family, f.Seed),

@@ -216,3 +216,73 @@ func TestCLIAndAPIErrorEnvelopeParity(t *testing.T) {
 		t.Fatalf("envelope %s: want suggestions [eps ...] (err %v)", api, err)
 	}
 }
+
+// fuzzGolden compares got against a checked-in golden file, or rewrites the
+// file when REGEN_FUZZ_GOLDEN=1 is set:
+//
+//	REGEN_FUZZ_GOLDEN=1 go test -run TestFuzzGolden ./cmd/bandsim
+func fuzzGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv("REGEN_FUZZ_GOLDEN") == "1" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: output differs from golden:\n got %s\nwant %s", path, got, want)
+	}
+}
+
+// The fuzz CLI's output bytes are pinned: a clean 200-seed run, and a run
+// against the deliberately broken conservation invariant, whose stdout
+// carries every shrunk counterexample and whose -corpus directory carries
+// one entry per failing seed.
+func TestFuzzGoldenClean(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runFuzz([]string{"-seeds", "200", "-json"}, &buf); err != nil {
+		t.Fatalf("runFuzz: %v", err)
+	}
+	fuzzGolden(t, "testdata/fuzz_seeds200.jsonl", buf.Bytes())
+}
+
+func TestFuzzGoldenBrokenConserve(t *testing.T) {
+	oracle.BreakForTest = "workload/conserve"
+	defer func() { oracle.BreakForTest = "" }()
+
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := runFuzz([]string{"-seeds", "6", "-json", "-corpus", dir}, &buf); err == nil {
+		t.Fatal("broken invariant produced no failure exit")
+	}
+	fuzzGolden(t, "testdata/fuzz_broken_conserve/stdout.jsonl", buf.Bytes())
+
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := "testdata/fuzz_broken_conserve/corpus"
+	if os.Getenv("REGEN_FUZZ_GOLDEN") != "1" {
+		want, err := os.ReadDir(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(files) {
+			t.Fatalf("%d corpus files written, golden has %d", len(files), len(want))
+		}
+	}
+	for _, fi := range files {
+		data, err := os.ReadFile(filepath.Join(dir, fi.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuzzGolden(t, filepath.Join(golden, fi.Name()), data)
+	}
+}

@@ -74,10 +74,8 @@ type Stats struct {
 	Cost     model.Time // superstep cost under the machine's model
 }
 
-// Config configures a Machine with an explicit model.Cost. It is the
-// low-level construction surface; most callers should build machines from
-// the cross-machine engine.Options instead (see New). Config remains for
-// cost models Options cannot express, such as the self-scheduling BSP(m).
+// Config configures a Machine with an explicit model.Cost — model.BSPg,
+// model.BSPm, or a custom BSP kind such as the self-scheduling BSP(m).
 type Config struct {
 	P    int        // number of simulated processors (>= 1)
 	Cost model.Cost // cost model; must be a BSP kind
@@ -143,28 +141,8 @@ type shard struct {
 	_   engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
-// New constructs a Machine from either the package-native Config or the
-// cross-machine engine.Options surface (engine.Options selects BSP(m) when
-// M > 0, BSP(g) otherwise; see its docs). The two calls build identical
-// machines:
-//
-//	bsp.New(bsp.Config{P: 64, Cost: model.BSPm(8, 4), Seed: 1})
-//	bsp.New(engine.Options{Procs: 64, M: 8, L: 4, Seed: 1})
-func New[C Config | engine.Options](cfg C) *Machine {
-	if o, ok := any(cfg).(engine.Options); ok {
-		return newMachine(Config{
-			P:        o.Procs,
-			Cost:     o.BSPCost(),
-			Seed:     o.Seed,
-			Workers:  o.Workers,
-			Trace:    o.Trace,
-			Observer: o.Observer,
-		})
-	}
-	return newMachine(any(cfg).(Config))
-}
-
-func newMachine(cfg Config) *Machine {
+// New constructs a Machine. It panics on invalid configuration.
+func New(cfg Config) *Machine {
 	if cfg.Cost.SharedMemory() {
 		panic(fmt.Sprintf("bsp: cost model %v is a QSM kind", cfg.Cost.Kind))
 	}

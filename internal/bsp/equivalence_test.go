@@ -6,12 +6,13 @@ import (
 
 	"parbw/internal/bsp"
 	"parbw/internal/model"
+	"parbw/internal/work"
 	"parbw/internal/workgen"
 )
 
 // replay runs every superstep of w on one machine with the given worker
 // count and returns the per-step Stats plus the final per-processor inboxes.
-func replay(t *testing.T, w *workgen.Workload, workers int) ([]bsp.Stats, [][]bsp.Msg) {
+func replay(t *testing.T, w *work.IR, workers int) ([]bsp.Stats, [][]bsp.Msg) {
 	t.Helper()
 	m := bsp.New(bsp.Config{P: w.P, Cost: model.BSPm(w.M, w.L), Seed: w.Seed, Workers: workers})
 	stats := make([]bsp.Stats, 0, len(w.Steps))
@@ -42,7 +43,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, family := range workgen.Families() {
 		for seed := uint64(1); seed <= 4; seed++ {
-			w := workgen.Generate(workgen.GenConfig{Family: family, Seed: seed})
+			w := workgen.GenerateIR(workgen.GenConfig{Family: family, Seed: seed})
 			if err := w.Validate(); err != nil {
 				t.Fatalf("%s/%d: invalid workload: %v", family, seed, err)
 			}

@@ -109,7 +109,7 @@ func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, cfg Config) pric
 		if n == 0 {
 			continue
 		}
-		r := sched.UnbalancedSendIR(ms, comm, step, sched.Options{Eps: eps, KnownN: n})
+		r := sched.UnbalancedSend(ms, sched.Plan(comm.Rows(step)), sched.Options{Eps: eps, KnownN: n})
 		pr.schedOv += r.Send.Overload
 	}
 	pr.ts = float64(ms.Time())

@@ -485,15 +485,15 @@ func runAsync(rec *Recorder) {
 			b.Send(i, (i+1+k)%p, 1)
 		}
 	}
-	ir := b.MustIR()
+	plan := sched.Plan(b.MustIR().Rows(0))
 	mb := newBSPmExp(p, mm, l, cfg)
-	rNaive := sched.NaiveSendIR(mb, ir, 0)
+	rNaive := sched.NaiveSend(mb, plan)
 	opt := rNaive.OptimalOffline(mm, l)
 	t.Row("bulk-sync naive (f^u)", rNaive.Time, rNaive.Time/opt)
 
 	// 2. Bulk-synchronous BSP(m) with Unbalanced-Send.
 	ms := newBSPmExp(p, mm, l, cfg)
-	rSched := sched.UnbalancedSendIR(ms, ir, 0, sched.Options{Eps: 0.25, KnownN: n})
+	rSched := sched.UnbalancedSend(ms, plan, sched.Options{Eps: 0.25, KnownN: n})
 	t.Row("bulk-sync Unbalanced-Send", rSched.Time, rSched.Time/opt)
 
 	// 3. Asynchronous machine with token-bucket backpressure, naive

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"parbw/internal/workgen"
+	"parbw/internal/work"
 )
 
 // Entry is one corpus case: a (usually shrunk) workload plus the invariant
@@ -13,14 +13,13 @@ import (
 // for fixed bugs. Entries are checked into testdata/corpus/ and replayed by
 // go test; see Replay.
 type Entry struct {
-	Note       string            `json:"note,omitempty"`
-	Violations []string          `json:"violations"`
-	Workload   *workgen.Workload `json:"workload"`
+	Note       string   `json:"note,omitempty"`
+	Violations []string `json:"violations"`
+	Workload   *work.IR `json:"workload"`
 }
 
 // Encode returns the canonical byte encoding of the entry (compact JSON in
-// declaration order, newline-terminated), byte-stable like
-// workgen.Workload.Encode.
+// declaration order, newline-terminated), byte-stable like work.IR.Encode.
 func (e *Entry) Encode() ([]byte, error) {
 	if e.Violations == nil {
 		e.Violations = []string{}
@@ -41,7 +40,7 @@ func DecodeEntry(data []byte) (*Entry, error) {
 	if e.Workload == nil {
 		return nil, fmt.Errorf("oracle: corpus entry has no workload")
 	}
-	if e.Workload.Version != workgen.Version {
+	if e.Workload.Version != work.Version {
 		return nil, fmt.Errorf("oracle: corpus entry has unsupported workload version %d", e.Workload.Version)
 	}
 	return &e, nil
@@ -66,7 +65,7 @@ func Names(vs []Violation) []string {
 // regression (new violations) or a stale entry (recorded violations no
 // longer reproduced).
 func Replay(e *Entry) error {
-	got := Names(Check(e.Workload))
+	got := Names(CheckIR(e.Workload))
 	want := e.Violations
 	if want == nil {
 		want = []string{}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"parbw/internal/sched"
 	"parbw/internal/shrink"
 	"parbw/internal/work"
 	"parbw/internal/workgen"
@@ -29,21 +28,21 @@ func corpusEntries() map[string]*Entry {
 		cfg := pins
 		cfg.Family = fam
 		cfg.Seed = 7
-		w := workgen.Generate(cfg)
+		w := workgen.GenerateIR(cfg)
 		entries["clean-"+string(fam)+".json"] = &Entry{
 			Note:       "generated " + string(fam) + " workload, all oracles clean",
-			Violations: Names(Check(w)),
+			Violations: Names(CheckIR(w)),
 			Workload:   w,
 		}
 	}
 
 	// A lying-totals workload run through the real shrinker: the minimal
 	// counterexample is the empty workload whose declared totals are off.
-	lying := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 4})
+	lying := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 4})
 	lying.TotalFlits += 7
-	want := Names(Check(lying))
-	res := shrink.Minimize(lying, func(c *workgen.Workload) bool {
-		got := Names(Check(c))
+	want := Names(CheckIR(lying))
+	res := shrink.Minimize(lying, func(c *work.IR) bool {
+		got := Names(CheckIR(c))
 		if len(got) != len(want) {
 			return false
 		}
@@ -61,30 +60,30 @@ func corpusEntries() map[string]*Entry {
 	}
 
 	// A structurally invalid workload: destination outside the machine.
-	bad := &workgen.Workload{
-		Version: workgen.Version, Family: workgen.FamilyHRel, Seed: 0,
+	bad := &work.IR{
+		Version: work.Version, Family: string(workgen.FamilyHRel), Seed: 0,
 		P: 1, M: 1, L: 1,
-		Steps:      []workgen.Superstep{{Sends: []sched.SlotSend{{Proc: 0, Slot: 0, Dst: 2}}}},
+		Steps:      []work.Step{{Sends: []work.Send{{Proc: 0, Slot: 0, Dst: 2}}}},
 		TotalSends: 1, TotalFlits: 1,
 	}
 	entries["invalid-dst.json"] = &Entry{
 		Note:       "send to a destination outside the machine",
-		Violations: Names(Check(bad)),
+		Violations: Names(CheckIR(bad)),
 		Workload:   bad,
 	}
 
 	// A scheduled DAG workload whose lowering dropped a dependency message:
 	// the precedence layer demands a send 0 → 1 in superstep 0, but the
 	// schedule carries none — the workload/precedence invariant's shape.
-	missed := &workgen.Workload{
-		Version: workgen.Version, Family: workgen.FamilyDAG, Seed: 0,
+	missed := &work.IR{
+		Version: work.Version, Family: string(workgen.FamilyDAG), Seed: 0,
 		P: 2, M: 1, L: 1,
-		Steps: []workgen.Superstep{{Sends: []sched.SlotSend{}}},
+		Steps: []work.Step{{Sends: []work.Send{}}},
 		Prec:  &work.Prec{Proc: []int{0, 1}, Step: []int{0, 1}, Edges: [][2]int{{0, 1}}},
 	}
 	entries["missed-dependency.json"] = &Entry{
 		Note:       "lowered DAG schedule missing a cross-processor dependency message",
-		Violations: Names(Check(missed)),
+		Violations: Names(CheckIR(missed)),
 		Workload:   missed,
 	}
 	return entries
@@ -151,34 +150,6 @@ func TestCorpusReplay(t *testing.T) {
 			t.Errorf("%s: %v", fi.Name(), err)
 		}
 
-		// The IR converters must be lossless on every corpus entry —
-		// including invalid and lying-totals ones: Workload → IR → Workload
-		// re-encodes byte-identically, and the oracle reaches the same
-		// verdict through either representation.
-		back := workgen.FromIR(e.Workload.IR())
-		b1, err := e.Workload.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := back.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b1) != string(b2) {
-			t.Errorf("%s: Workload -> IR -> Workload changed bytes:\n%s%s", fi.Name(), b1, b2)
-		}
-		irNames := Names(CheckIR(e.Workload.IR()))
-		wNames := Names(Check(e.Workload))
-		if len(irNames) != len(wNames) {
-			t.Errorf("%s: CheckIR names %v != Check names %v", fi.Name(), irNames, wNames)
-		} else {
-			for i := range wNames {
-				if irNames[i] != wNames[i] {
-					t.Errorf("%s: CheckIR names %v != Check names %v", fi.Name(), irNames, wNames)
-					break
-				}
-			}
-		}
 		replayed++
 	}
 	if replayed == 0 {

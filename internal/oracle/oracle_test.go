@@ -12,8 +12,8 @@ import (
 func TestGeneratedWorkloadsSatisfyInvariants(t *testing.T) {
 	for _, fam := range workgen.Families() {
 		for seed := uint64(0); seed < 100; seed++ {
-			w := workgen.Generate(workgen.GenConfig{Family: fam, Seed: seed})
-			if vs := Check(w); len(vs) != 0 {
+			w := workgen.GenerateIR(workgen.GenConfig{Family: fam, Seed: seed})
+			if vs := CheckIR(w); len(vs) != 0 {
 				t.Fatalf("%s seed %d: unexpected violations: %+v", fam, seed, vs)
 			}
 		}
@@ -21,9 +21,9 @@ func TestGeneratedWorkloadsSatisfyInvariants(t *testing.T) {
 }
 
 func TestCheckDeterministic(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 17})
-	a := Check(w)
-	b := Check(w)
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 17})
+	a := CheckIR(w)
+	b := CheckIR(w)
 	if len(a) != len(b) {
 		t.Fatalf("violation counts differ: %d vs %d", len(a), len(b))
 	}
@@ -35,9 +35,9 @@ func TestCheckDeterministic(t *testing.T) {
 }
 
 func TestInvalidWorkloadReportsValidateOnly(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 3, P: 4})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 3, P: 4})
 	w.Steps[0].Sends[0].Dst = 99
-	vs := Check(w)
+	vs := CheckIR(w)
 	if len(vs) != 1 || vs[0].Invariant != "workload/validate" {
 		t.Fatalf("violations = %+v, want exactly workload/validate", vs)
 	}
@@ -47,9 +47,9 @@ func TestInvalidWorkloadReportsValidateOnly(t *testing.T) {
 }
 
 func TestLyingTotalsCaught(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 8})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 8})
 	w.TotalFlits += 5
-	vs := Check(w)
+	vs := CheckIR(w)
 	found := false
 	for _, v := range vs {
 		if v.Invariant == "workload/conserve" {
@@ -67,8 +67,8 @@ func TestLyingTotalsCaught(t *testing.T) {
 func TestAdversarialWorkloadsNeverPanic(t *testing.T) {
 	for _, fam := range workgen.Families() {
 		for seed := uint64(0); seed < 100; seed++ {
-			w := workgen.Generate(workgen.GenConfig{Family: fam, Seed: seed, Adversarial: true})
-			vs := Check(w) // must not panic
+			w := workgen.GenerateIR(workgen.GenConfig{Family: fam, Seed: seed, Adversarial: true})
+			vs := CheckIR(w) // must not panic
 			if len(vs) == 0 {
 				t.Fatalf("%s seed %d: adversarial workload produced no violation", fam, seed)
 			}
@@ -84,11 +84,11 @@ func TestAdversarialWorkloadsNeverPanic(t *testing.T) {
 func TestBreakForTestHook(t *testing.T) {
 	BreakForTest = "workload/conserve"
 	defer func() { BreakForTest = "" }()
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
 	if w.TotalFlits == 0 {
 		t.Skip("seed produced an empty workload")
 	}
-	vs := Check(w)
+	vs := CheckIR(w)
 	names := Names(vs)
 	if len(names) != 1 || names[0] != "workload/conserve" {
 		t.Fatalf("broken oracle reported %v, want exactly workload/conserve", names)
@@ -97,10 +97,10 @@ func TestBreakForTestHook(t *testing.T) {
 
 // dagWorkload generates a dag-family workload that actually carries a
 // precedence layer and at least one cross-processor send.
-func dagWorkload(t *testing.T) *workgen.Workload {
+func dagWorkload(t *testing.T) *work.IR {
 	t.Helper()
 	for seed := uint64(0); seed < 50; seed++ {
-		w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: seed, P: 4, Steps: 3})
+		w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: seed, P: 4, Steps: 3})
 		if w.Prec != nil && w.TotalSends > 0 {
 			return w
 		}
@@ -111,11 +111,11 @@ func dagWorkload(t *testing.T) *workgen.Workload {
 
 func TestPrecedenceInvariantPassesOnLoweredDAGs(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
-		w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: seed})
+		w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: seed})
 		if w.Prec == nil {
 			t.Fatalf("seed %d: dag workload carries no precedence layer", seed)
 		}
-		if vs := Check(w); len(vs) != 0 {
+		if vs := CheckIR(w); len(vs) != 0 {
 			t.Fatalf("seed %d: violations on lowered DAG: %+v", seed, vs)
 		}
 	}
@@ -132,7 +132,7 @@ func TestPrecedenceInvariantCatchesDroppedSend(t *testing.T) {
 		}
 	}
 	w.TotalSends, w.TotalFlits = w.CountSends() // keep conserve quiet
-	names := Names(Check(w))
+	names := Names(CheckIR(w))
 	found := false
 	for _, n := range names {
 		if n == "workload/precedence" {
@@ -200,23 +200,23 @@ func TestCheckIRAcceptsDagschedLowerings(t *testing.T) {
 }
 
 func TestInvariantsListMatchesCheck(t *testing.T) {
-	// Every name Check can emit is in Invariants(); spot-check via the
+	// Every name CheckIR can emit is in Invariants(); spot-check via the
 	// validate and conserve paths.
 	listed := map[string]bool{}
 	for _, n := range Invariants() {
 		listed[n] = true
 	}
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 3, P: 4})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 3, P: 4})
 	w.Steps[0].Sends[0].Dst = 99
-	for _, v := range Check(w) {
+	for _, v := range CheckIR(w) {
 		if !listed[v.Invariant] {
-			t.Fatalf("Check emitted unlisted invariant %q", v.Invariant)
+			t.Fatalf("CheckIR emitted unlisted invariant %q", v.Invariant)
 		}
 	}
 }
 
 func TestCorpusEntryRoundTrip(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: 5})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: 5})
 	e := &Entry{Note: "clean dag workload", Violations: []string{}, Workload: w}
 	enc, err := e.Encode()
 	if err != nil {
@@ -239,7 +239,7 @@ func TestCorpusEntryRoundTrip(t *testing.T) {
 }
 
 func TestReplayDetectsDrift(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 2})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 2})
 	e := &Entry{Violations: []string{"workload/conserve"}, Workload: w}
 	if err := Replay(e); err == nil {
 		t.Fatal("stale entry (recorded violation no longer reproduced) passed replay")

@@ -65,10 +65,7 @@ func (m Mode) String() string {
 // Concurrent reports whether the mode allows concurrent access to a cell.
 func (m Mode) Concurrent() bool { return m != EREW }
 
-// Config configures a Machine. It is the low-level construction surface;
-// most callers should build machines from the cross-machine engine.Options
-// instead (see New). Config remains for the PRAM(m)-specific knobs Options
-// omits (ROM, CellBits).
+// Config configures a Machine.
 type Config struct {
 	P    int  // processors
 	Mem  int  // shared-memory cells; for PRAM(m) this is m
@@ -151,43 +148,8 @@ type shard struct {
 	_       engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
-// New constructs a Machine from either the package-native Config or the
-// cross-machine engine.Options surface (Options.Variant names the memory
-// discipline; Config remains the escape hatch for ROM and CellBits). It
-// panics on invalid configuration.
-func New[C Config | engine.Options](cfg C) *Machine {
-	if o, ok := any(cfg).(engine.Options); ok {
-		return newMachine(Config{
-			P:        o.Procs,
-			Mem:      o.Mem,
-			Mode:     modeFromName(o.Variant),
-			Seed:     o.Seed,
-			Workers:  o.Workers,
-			Observer: o.Observer,
-		})
-	}
-	return newMachine(any(cfg).(Config))
-}
-
-// modeFromName parses an engine.Options.Variant (the Mode.String names,
-// case-sensitive); empty selects EREW, anything else panics.
-func modeFromName(name string) Mode {
-	switch name {
-	case "", "EREW":
-		return EREW
-	case "QRQW":
-		return QRQW
-	case "CRCW-Common":
-		return CRCWCommon
-	case "CRCW-Arbitrary":
-		return CRCWArbitrary
-	case "CRCW-Priority":
-		return CRCWPriority
-	}
-	panic(fmt.Sprintf("pram: unknown variant %q", name))
-}
-
-func newMachine(cfg Config) *Machine {
+// New constructs a Machine. It panics on invalid configuration.
+func New(cfg Config) *Machine {
 	if cfg.P < 1 {
 		panic("pram: P must be >= 1")
 	}

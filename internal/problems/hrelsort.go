@@ -29,7 +29,7 @@ func HRelationRadixCRCW(m *pram.Machine, plan [][]HRelationMsg) ([][]HRelationMs
 		panic("problems: HRelationRadixCRCW needs a concurrent-capable machine")
 	}
 	xbar := 0
-	for i, msgs := range plan {
+	for _, msgs := range plan {
 		if len(msgs) > xbar {
 			xbar = len(msgs)
 		}
@@ -41,7 +41,6 @@ func HRelationRadixCRCW(m *pram.Machine, plan [][]HRelationMsg) ([][]HRelationMs
 				panic("problems: value out of 40-bit range")
 			}
 		}
-		_ = i
 	}
 	if xbar == 0 {
 		return make([][]HRelationMsg, p), 0

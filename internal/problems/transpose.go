@@ -23,11 +23,10 @@ func MatrixTransposeBSP(m *bsp.Machine, rows [][]int64) [][]int64 {
 	if len(rows) != p {
 		panic("problems: need one matrix row per processor")
 	}
-	for i, r := range rows {
+	for _, r := range rows {
 		if len(r) != p {
 			panic("problems: matrix must be p×p")
 		}
-		_ = i
 	}
 	out := make([][]int64, p)
 	for i := range out {

@@ -46,9 +46,8 @@ type Stats struct {
 	Cost     model.Time // phase cost under the machine's model
 }
 
-// Config configures a Machine with an explicit model.Cost. It is the
-// low-level construction surface; most callers should build machines from
-// the cross-machine engine.Options instead (see New).
+// Config configures a Machine with an explicit model.Cost (model.QSMg or
+// model.QSMm).
 type Config struct {
 	P       int        // processors
 	Mem     int        // shared-memory words
@@ -112,26 +111,8 @@ type shard struct {
 	_   engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
-// New constructs a Machine from either the package-native Config or the
-// cross-machine engine.Options surface (engine.Options selects QSM(m) when
-// M > 0, QSM(g) otherwise; see its docs). It panics on invalid
-// configuration.
-func New[C Config | engine.Options](cfg C) *Machine {
-	if o, ok := any(cfg).(engine.Options); ok {
-		return newMachine(Config{
-			P:        o.Procs,
-			Mem:      o.Mem,
-			Cost:     o.QSMCost(),
-			Seed:     o.Seed,
-			Workers:  o.Workers,
-			Trace:    o.Trace,
-			Observer: o.Observer,
-		})
-	}
-	return newMachine(any(cfg).(Config))
-}
-
-func newMachine(cfg Config) *Machine {
+// New constructs a Machine. It panics on invalid configuration.
+func New(cfg Config) *Machine {
 	if !cfg.Cost.SharedMemory() {
 		panic(fmt.Sprintf("qsm: cost model %v is not a QSM kind", cfg.Cost.Kind))
 	}

@@ -1,13 +1,10 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// PlanError reports why a plan or slot schedule failed validation. Proc is
-// the offending processor row and Index the offending entry within it; both
-// are -1 for shape errors that have no single offending entry.
+// PlanError reports why a plan failed validation. Proc is the offending
+// processor row and Index the offending entry within it; both are -1 for
+// shape errors that have no single offending entry.
 type PlanError struct {
 	Proc   int
 	Index  int
@@ -22,7 +19,9 @@ func (e *PlanError) Error() string { return "sched: " + e.Reason }
 // exactly when the schedulers accept the plan; compile panics on the plans
 // CheckPlan rejects. Generated or adversarial plans (internal/workgen) must
 // be gated through CheckPlan so that malformed input surfaces as an error,
-// never a panic.
+// never a panic. A plan projected from a work.IR superstep (Rows) has
+// exactly ir.P rows, so CheckPlan also catches a machine built for a
+// different P.
 func CheckPlan(procs int, plan Plan) error {
 	if procs < 0 {
 		return &PlanError{Proc: -1, Index: -1,
@@ -43,81 +42,6 @@ func CheckPlan(procs int, plan Plan) error {
 					Reason: fmt.Sprintf("proc %d message %d has negative length %d", i, j, msg.Len)}
 			}
 		}
-	}
-	return nil
-}
-
-// SlotSend is one explicitly slot-scheduled injection: processor Proc
-// injects a message of Len flits to Dst starting at slot Slot. It is the
-// exchange format between generated workloads (internal/workgen) and the
-// machine engines — the data bsp.Ctx.SendAt ultimately receives, with the
-// slot chosen by the workload rather than by a scheduler. Len <= 1 occupies
-// one slot, matching bsp.Msg.Flits.
-type SlotSend struct {
-	Proc int `json:"proc"`
-	Slot int `json:"slot"`
-	Dst  int `json:"dst"`
-	Len  int `json:"len,omitempty"`
-}
-
-// Flits returns the number of injection slots the send occupies (>= 1 for
-// any non-negative Len, mirroring bsp.Msg.Flits).
-func (s SlotSend) Flits() int {
-	if s.Len <= 1 {
-		return 1
-	}
-	return s.Len
-}
-
-// CheckSlotSchedule validates an explicit slot schedule without running it.
-// It rejects, with a clean error, everything the engines would panic on:
-// negative slots, out-of-range source or destination processors, negative
-// lengths, and duplicate (slot, proc) injections — including multi-flit
-// sends whose [Slot, Slot+Flits) spans overlap a later send by the same
-// processor. Sends by distinct processors may share a slot; that is
-// contention, which the models price rather than forbid.
-//
-// sends is not modified.
-func CheckSlotSchedule(procs int, sends []SlotSend) error {
-	for i, s := range sends {
-		if s.Proc < 0 || s.Proc >= procs {
-			return &PlanError{Proc: s.Proc, Index: i,
-				Reason: fmt.Sprintf("send %d from invalid proc %d (p=%d)", i, s.Proc, procs)}
-		}
-		if s.Dst < 0 || s.Dst >= procs {
-			return &PlanError{Proc: s.Proc, Index: i,
-				Reason: fmt.Sprintf("proc %d send %d to invalid dst %d (p=%d)", s.Proc, i, s.Dst, procs)}
-		}
-		if s.Slot < 0 {
-			return &PlanError{Proc: s.Proc, Index: i,
-				Reason: fmt.Sprintf("proc %d send %d at negative slot %d", s.Proc, i, s.Slot)}
-		}
-		if s.Len < 0 {
-			return &PlanError{Proc: s.Proc, Index: i,
-				Reason: fmt.Sprintf("proc %d send %d has negative length %d", s.Proc, i, s.Len)}
-		}
-	}
-	// Overlap check per processor: sort (proc, slot) keys and sweep, the
-	// non-destructive error-returning analogue of engine.CheckSchedule.
-	order := make([]int, len(sends))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := sends[order[a]], sends[order[b]]
-		if sa.Proc != sb.Proc {
-			return sa.Proc < sb.Proc
-		}
-		return sa.Slot < sb.Slot
-	})
-	prevProc, prevEnd := -1, 0
-	for _, i := range order {
-		s := sends[i]
-		if s.Proc == prevProc && s.Slot < prevEnd {
-			return &PlanError{Proc: s.Proc, Index: i,
-				Reason: fmt.Sprintf("proc %d injects two flits in slot %d", s.Proc, s.Slot)}
-		}
-		prevProc, prevEnd = s.Proc, s.Slot+s.Flits()
 	}
 	return nil
 }

@@ -46,49 +46,6 @@ func TestCheckPlanTable(t *testing.T) {
 	}
 }
 
-func TestCheckSlotScheduleTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		procs   int
-		sends   []SlotSend
-		wantErr string
-	}{
-		{"empty", 4, nil, ""},
-		{"valid", 4, []SlotSend{{Proc: 0, Slot: 0, Dst: 1}, {Proc: 0, Slot: 1, Dst: 2}, {Proc: 1, Slot: 0, Dst: 0}}, ""},
-		{"shared slot across procs ok", 4, []SlotSend{{Proc: 0, Slot: 3, Dst: 1}, {Proc: 1, Slot: 3, Dst: 1}}, ""},
-		{"long send then gap", 4, []SlotSend{{Proc: 2, Slot: 0, Dst: 0, Len: 3}, {Proc: 2, Slot: 3, Dst: 0}}, ""},
-		{"negative slot", 4, []SlotSend{{Proc: 0, Slot: -1, Dst: 1}}, "negative slot -1"},
-		{"dst out of range", 4, []SlotSend{{Proc: 0, Slot: 0, Dst: 4}}, "invalid dst 4"},
-		{"dst negative", 4, []SlotSend{{Proc: 0, Slot: 0, Dst: -2}}, "invalid dst -2"},
-		{"proc out of range", 4, []SlotSend{{Proc: 4, Slot: 0, Dst: 0}}, "invalid proc 4"},
-		{"proc negative", 4, []SlotSend{{Proc: -1, Slot: 0, Dst: 0}}, "invalid proc -1"},
-		{"negative len", 4, []SlotSend{{Proc: 0, Slot: 0, Dst: 1, Len: -7}}, "negative length -7"},
-		{"duplicate slot-proc", 4, []SlotSend{{Proc: 1, Slot: 5, Dst: 0}, {Proc: 1, Slot: 5, Dst: 2}}, "two flits in slot 5"},
-		{"long send overlap", 4, []SlotSend{{Proc: 1, Slot: 0, Dst: 0, Len: 4}, {Proc: 1, Slot: 3, Dst: 2}}, "two flits in slot 3"},
-		{"unsorted input still caught", 4, []SlotSend{{Proc: 1, Slot: 3, Dst: 2}, {Proc: 1, Slot: 0, Dst: 0, Len: 4}}, "two flits in slot 3"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			before := append([]SlotSend(nil), c.sends...)
-			err := CheckSlotSchedule(c.procs, c.sends)
-			for i := range before {
-				if c.sends[i] != before[i] {
-					t.Fatal("CheckSlotSchedule reordered its input")
-				}
-			}
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("CheckSlotSchedule = %v, want nil", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("CheckSlotSchedule = %v, want error containing %q", err, c.wantErr)
-			}
-		})
-	}
-}
-
 // The contract between CheckPlan and the panicking compile path: a plan
 // passes CheckPlan if and only if every scheduler accepts it.
 func TestCheckPlanMatchesCompile(t *testing.T) {
@@ -111,48 +68,6 @@ func TestCheckPlanMatchesCompile(t *testing.T) {
 			t.Fatalf("plan %d: CheckPlan err=%v but compile panicked=%v", pi, err, panicked)
 		}
 	}
-}
-
-// FuzzCheckSlotSchedule decodes an arbitrary byte string into a slot
-// schedule and checks the rejection contract: CheckSlotSchedule never
-// panics, and any schedule it accepts drives a real BSP machine without
-// panicking (the engines' own schedule validation agrees with ours).
-// Corpus entries shrunk by `bandsim fuzz` feed this harness via
-// testdata/fuzz seeds checked in under this package.
-func FuzzCheckSlotSchedule(f *testing.F) {
-	f.Add(4, []byte{0, 0, 1, 1, 0, 0, 2, 1})
-	f.Add(2, []byte{0, 255, 0, 3})           // negative-ish slot byte patterns
-	f.Add(3, []byte{1, 5, 0, 0, 1, 5, 2, 0}) // duplicate (slot, proc)
-	f.Add(8, []byte{7, 0, 7, 4, 7, 2, 7, 1}) // long send overlap
-	f.Add(1, []byte{0, 0, 0, 0})             // self-send on p=1
-	f.Fuzz(func(t *testing.T, procs int, data []byte) {
-		if procs < 0 || procs > 64 {
-			procs = 1 + (procs&0x7fffffff)%64
-		}
-		var sends []SlotSend
-		for i := 0; i+4 <= len(data) && len(sends) < 256; i += 4 {
-			sends = append(sends, SlotSend{
-				Proc: int(int8(data[i])),
-				Slot: int(int8(data[i+1])),
-				Dst:  int(int8(data[i+2])),
-				Len:  int(int8(data[i+3])),
-			})
-		}
-		err := CheckSlotSchedule(procs, sends) // must never panic
-		if err != nil || procs == 0 || len(sends) == 0 {
-			return
-		}
-		// Accepted schedules must drive the engine cleanly.
-		m := machine(procs, 2, 1, 1)
-		m.Superstep(func(c *bsp.Ctx) {
-			for _, s := range sends {
-				if s.Proc != c.ID() {
-					continue
-				}
-				c.SendAt(s.Slot, s.Dst, bsp.Msg{Dst: int32(s.Dst), Len: int32(s.Len)})
-			}
-		})
-	})
 }
 
 // FuzzCheckPlan is the same contract for scheduler plans: CheckPlan never

@@ -7,38 +7,17 @@ import (
 	"parbw/internal/work"
 )
 
-// This file is the scheduler package's IR frontend: work.IR supersteps
-// compile into the same columnar form (compiled) the Plan fast path uses,
-// so every scheduler body runs unchanged over either representation. The
-// IR path additionally preserves the workload's explicit slot schedule,
-// which Replay injects verbatim — pricing a schedule exactly as lowered
-// (the DAG experiments) rather than re-scheduling it.
+// This file prices a work.IR superstep exactly as scheduled. The
+// schedulers choose their own slots, so they take one superstep's traffic
+// as a Plan — sched.Plan(ir.Rows(step)) — while Replay injects the IR's
+// explicit slot schedule verbatim, pricing a lowered schedule as-is (the
+// DAG experiments) rather than re-scheduling it.
 
-// FromPlan lifts a plan into a single-superstep IR on a machine with
-// bandwidth parameter m and latency l, slots packed densely per processor
-// in row order. The conversion is lossless: ToPlan inverts it exactly,
-// message payloads included.
-func FromPlan(plan Plan, m, l int) (*work.IR, error) {
-	return work.FromRows([][]bsp.Msg(plan), m, l)
-}
-
-// ToPlan projects one IR superstep into the Plan shape, dropping the slot
-// schedule (the randomized schedulers choose their own slots).
-func ToPlan(ir *work.IR, step int) Plan {
-	return Plan(ir.Rows(step))
-}
-
-// compileIR flattens one IR superstep into the scheduler's columnar form:
-// a single counting pass sizes the per-processor rows, then a cursor pass
-// fills messages in stored send order, tallying the same x/y/n columns
-// compile produces — plus the explicit slot column the IR carries.
-// Validation is work.IR.Validate plus the machine-shape match; like
-// compile, it panics, so callers holding adversarial input must Validate
-// first.
-func compileIR(m *bsp.Machine, ir *work.IR, step int) *compiled {
-	if err := ir.Validate(); err != nil {
-		panic(err.Error())
-	}
+// compileIR groups one IR superstep's sends by processor: order lists send
+// indices with processor i's at order[row[i]:row[i+1]], in stored send
+// order. It panics on a machine/IR shape mismatch or an out-of-range step;
+// the IR itself must already have passed work.IR.Validate.
+func compileIR(m *bsp.Machine, ir *work.IR, step int) (row, order []int) {
 	p := m.P()
 	if ir.P != p {
 		panic(fmt.Sprintf("sched: IR built for p=%d but machine has p=%d", ir.P, p))
@@ -47,102 +26,65 @@ func compileIR(m *bsp.Machine, ir *work.IR, step int) *compiled {
 		panic(fmt.Sprintf("sched: superstep %d out of range [0, %d)", step, len(ir.Steps)))
 	}
 	sends := ir.Steps[step].Sends
-	c := &compiled{
-		msgs:  make([]bsp.Msg, len(sends)),
-		row:   make([]int, p+1),
-		off:   make([]int, len(sends)),
-		slots: make([]int, len(sends)),
-		x:     make([]int, p),
-		y:     make([]int, p),
-	}
+	row = make([]int, p+1)
 	for i := range sends {
-		c.row[sends[i].Proc+1]++
+		row[sends[i].Proc+1]++
 	}
 	for i := 0; i < p; i++ {
-		c.row[i+1] += c.row[i]
+		row[i+1] += row[i]
 	}
 	cursor := make([]int, p)
-	copy(cursor, c.row[:p])
+	copy(cursor, row[:p])
+	order = make([]int, len(sends))
 	for i := range sends {
-		s := &sends[i]
-		k := cursor[s.Proc]
-		cursor[s.Proc]++
-		c.msgs[k] = s.Msg()
-		c.off[k] = c.x[s.Proc]
-		c.slots[k] = s.Slot
-		f := s.Flits()
-		c.x[s.Proc] += f
-		c.y[s.Dst] += f
+		order[cursor[sends[i].Proc]] = i
+		cursor[sends[i].Proc]++
 	}
-	for i := 0; i < p; i++ {
-		c.n += c.x[i]
+	return row, order
+}
+
+// mustValidate panics on an IR that fails work.IR.Validate, so callers
+// holding adversarial input must Validate first.
+func mustValidate(ir *work.IR) {
+	if err := ir.Validate(); err != nil {
+		panic(err.Error())
 	}
-	return c
 }
 
 // Replay runs one IR superstep exactly as scheduled: each processor is
 // charged its compute work, then injects every send at the send's explicit
 // slot. This prices a lowered schedule as-is — no re-scheduling — under
-// whatever cost model the machine carries, and is what the oracle's
-// conformance and precedence invariants and the DAG experiments drive.
+// whatever cost model the machine carries, and is what the DAG experiments
+// drive.
 func Replay(m *bsp.Machine, ir *work.IR, step int) bsp.Stats {
-	cp := compileIR(m, ir, step)
+	mustValidate(ir)
+	return replay(m, ir, step)
+}
+
+// ReplayAll replays every superstep of the IR in order and returns the
+// per-superstep stats. The IR is validated once, not once per superstep.
+func ReplayAll(m *bsp.Machine, ir *work.IR) []bsp.Stats {
+	mustValidate(ir)
+	out := make([]bsp.Stats, len(ir.Steps))
+	for step := range ir.Steps {
+		out[step] = replay(m, ir, step)
+	}
+	return out
+}
+
+// replay is Replay over an already validated IR.
+func replay(m *bsp.Machine, ir *work.IR, step int) bsp.Stats {
+	row, order := compileIR(m, ir, step)
+	sends := ir.Steps[step].Sends
 	workVec := ir.Steps[step].Work
 	return m.Superstep(func(c *bsp.Ctx) {
 		i := c.ID()
 		if i < len(workVec) {
 			c.Charge(int(workVec[i]))
 		}
-		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(cp.slots[k], int(cp.msgs[k].Dst), cp.msgs[k])
+		for _, k := range order[row[i]:row[i+1]] {
+			s := &sends[k]
+			c.SendAt(s.Slot, s.Dst, s.Msg())
 		}
 	})
-}
-
-// ReplayAll replays every superstep of the IR in order and returns the
-// per-superstep stats.
-func ReplayAll(m *bsp.Machine, ir *work.IR) []bsp.Stats {
-	out := make([]bsp.Stats, len(ir.Steps))
-	for step := range ir.Steps {
-		out[step] = Replay(m, ir, step)
-	}
-	return out
-}
-
-// UnbalancedSendIR runs Unbalanced-Send (Theorem 6.2) over one IR
-// superstep's traffic, ignoring the IR's own slot schedule — the scheduler
-// draws its own random phases, with the RNG draw order of the Plan entry
-// point.
-func UnbalancedSendIR(m *bsp.Machine, ir *work.IR, step int, opt Options) Result {
-	return unbalancedSendCompiled(m, compileIR(m, ir, step), opt)
-}
-
-// UnbalancedConsecutiveSendIR is UnbalancedConsecutiveSend over one IR
-// superstep's traffic.
-func UnbalancedConsecutiveSendIR(m *bsp.Machine, ir *work.IR, step int, opt Options) Result {
-	return unbalancedConsecutiveSendCompiled(m, compileIR(m, ir, step), opt)
-}
-
-// UnbalancedGranularSendIR is UnbalancedGranularSend over one IR
-// superstep's traffic.
-func UnbalancedGranularSendIR(m *bsp.Machine, ir *work.IR, step int, opt Options) Result {
-	return unbalancedGranularSendCompiled(m, compileIR(m, ir, step), opt)
-}
-
-// NaiveSendIR is NaiveSend over one IR superstep's traffic.
-func NaiveSendIR(m *bsp.Machine, ir *work.IR, step int) Result {
-	return naiveSendCompiled(m, compileIR(m, ir, step))
-}
-
-// OfflineSendIR is OfflineSend over one IR superstep's traffic.
-func OfflineSendIR(m *bsp.Machine, ir *work.IR, step int) Result {
-	return offlineSendCompiled(m, compileIR(m, ir, step))
-}
-
-// TemplateSendIR is TemplateSend over one IR superstep's traffic.
-func TemplateSendIR(m *bsp.Machine, ir *work.IR, step int, sep int, opt Options) Result {
-	if sep < 0 {
-		panic("sched: negative separation")
-	}
-	return templateSendCompiled(m, compileIR(m, ir, step), sep, opt)
 }

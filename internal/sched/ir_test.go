@@ -1,106 +1,58 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
+	"parbw/internal/bsp"
 	"parbw/internal/work"
 	"parbw/internal/xrand"
 )
 
-// The contract of the IR entry points: over the same traffic on
-// identically-seeded machines, each produces a Result identical to its
-// Plan counterpart — same RNG draw order, same costs.
-func TestIREntryPointsMatchPlanEntryPoints(t *testing.T) {
-	rng := xrand.New(3)
-	p, mm, l := 16, 4, 2
-	plan := ZipfPlan(rng, p, 200, 1.2)
-	ir, err := FromPlan(plan, mm, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type pair struct {
-		name     string
-		fromPlan func() Result
-		fromIR   func() Result
-	}
-	const seed = 11
-	opt := Options{Eps: 0.5}
-	pairs := []pair{
-		{"UnbalancedSend",
-			func() Result { return UnbalancedSend(machine(p, mm, l, seed), plan, opt) },
-			func() Result { return UnbalancedSendIR(machine(p, mm, l, seed), ir, 0, opt) }},
-		{"UnbalancedConsecutiveSend",
-			func() Result { return UnbalancedConsecutiveSend(machine(p, mm, l, seed), plan, opt) },
-			func() Result { return UnbalancedConsecutiveSendIR(machine(p, mm, l, seed), ir, 0, opt) }},
-		{"UnbalancedGranularSend",
-			func() Result { return UnbalancedGranularSend(machine(p, mm, l, seed), plan, opt) },
-			func() Result { return UnbalancedGranularSendIR(machine(p, mm, l, seed), ir, 0, opt) }},
-		{"NaiveSend",
-			func() Result { return NaiveSend(machine(p, mm, l, seed), plan) },
-			func() Result { return NaiveSendIR(machine(p, mm, l, seed), ir, 0) }},
-		{"OfflineSend",
-			func() Result { return OfflineSend(machine(p, mm, l, seed), plan) },
-			func() Result { return OfflineSendIR(machine(p, mm, l, seed), ir, 0) }},
-		{"TemplateSend",
-			func() Result { return TemplateSend(machine(p, mm, l, seed), plan, 2, opt) },
-			func() Result { return TemplateSendIR(machine(p, mm, l, seed), ir, 0, 2, opt) }},
-	}
-	for _, pr := range pairs {
-		a, b := pr.fromPlan(), pr.fromIR()
-		if a != b {
-			t.Errorf("%s: Plan result %+v != IR result %+v", pr.name, a, b)
+// planIR records a plan as a single-superstep IR through work.Builder,
+// slots packed densely per processor in row order.
+func planIR(plan Plan, m, l int) *work.IR {
+	b := work.NewBuilder(len(plan), m, l)
+	b.Step()
+	for i, msgs := range plan {
+		for _, msg := range msgs {
+			b.SendMsg(i, work.Send{Dst: int(msg.Dst), Len: int(msg.Len), Tag: msg.Tag, A: msg.A, B: msg.B, C: msg.C})
 		}
 	}
+	return b.MustIR()
 }
 
+// compileIR groups an IR superstep's sends exactly as compile lays out the
+// same traffic projected to a Plan: identical row bounds, and the same
+// message at every position.
 func TestCompileIRMatchesCompile(t *testing.T) {
 	p, mm, l := 8, 2, 1
-	plan := SkewedExchangePlan(p, 2, 4, 1)
-	ir, err := FromPlan(plan, mm, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ir := planIR(SkewedExchangePlan(p, 2, 4, 1), mm, l)
 	m1 := machine(p, mm, l, 1)
-	a := compile(m1, plan)
-	b := compileIR(m1, ir, 0)
-	if a.n != b.n {
-		t.Fatalf("n: %d != %d", a.n, b.n)
-	}
+	a := compile(m1, Plan(ir.Rows(0)))
+	row, order := compileIR(m1, ir, 0)
 	for i := 0; i <= p; i++ {
-		if a.row[i] != b.row[i] {
-			t.Fatalf("row[%d]: %d != %d", i, a.row[i], b.row[i])
+		if a.row[i] != row[i] {
+			t.Fatalf("row[%d]: %d != %d", i, a.row[i], row[i])
 		}
 	}
-	for i := 0; i < p; i++ {
-		if a.x[i] != b.x[i] || a.y[i] != b.y[i] {
-			t.Fatalf("x/y[%d]: %d/%d != %d/%d", i, a.x[i], a.y[i], b.x[i], b.y[i])
-		}
-	}
+	sends := ir.Steps[0].Sends
 	for k := range a.msgs {
-		if a.msgs[k] != b.msgs[k] || a.off[k] != b.off[k] {
-			t.Fatalf("msg %d: %+v off %d != %+v off %d", k, a.msgs[k], a.off[k], b.msgs[k], b.off[k])
-		}
-	}
-	// FromPlan packs densely, so the IR slots must equal the row offsets.
-	for k := range b.slots {
-		if b.slots[k] != b.off[k] {
-			t.Fatalf("slot %d: %d != off %d", k, b.slots[k], b.off[k])
+		if s := sends[order[k]]; a.msgs[k] != s.Msg() || a.off[k] != s.Slot {
+			t.Fatalf("msg %d: %+v off %d != %+v slot %d", k, a.msgs[k], a.off[k], s.Msg(), s.Slot)
 		}
 	}
 }
 
+// A plan recorded as an IR and projected back through Rows is the same
+// plan, message payloads included.
 func TestPlanIRRoundTrip(t *testing.T) {
 	rng := xrand.New(5)
 	p := 8
 	plan := UnbalancedExchangePlan(rng, p, 6)
-	ir, err := FromPlan(plan, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ir.Validate(); err != nil {
-		t.Fatalf("FromPlan produced invalid IR: %v", err)
-	}
-	back := ToPlan(ir, 0)
+	plan[0] = append(plan[0], bsp.Msg{Dst: 1, Len: 2, Tag: 3, A: 41, B: -2, C: 9})
+	ir := planIR(plan, 2, 1)
+	back := Plan(ir.Rows(0))
 	if len(back) != len(plan) {
 		t.Fatalf("procs: %d != %d", len(back), len(plan))
 	}
@@ -163,6 +115,60 @@ func TestReplayPanicsOnInvalidIR(t *testing.T) {
 		}
 	}()
 	Replay(machine(2, 1, 1, 1), ir, 0)
+}
+
+// One superstep's slot schedule is accepted by the IR's validation exactly
+// when Replay drives it through the engine, and the rejections name the
+// offending slot, endpoint or length.
+func TestCheckSlotScheduleTable(t *testing.T) {
+	cases := []struct {
+		name    string
+		sends   []work.Send
+		wantErr string // substring of the error, "" = valid
+	}{
+		{"empty", nil, ""},
+		{"valid", []work.Send{{Proc: 0, Slot: 0, Dst: 1}, {Proc: 0, Slot: 1, Dst: 2}, {Proc: 1, Slot: 0, Dst: 0}}, ""},
+		{"shared slot across procs ok", []work.Send{{Proc: 0, Slot: 3, Dst: 1}, {Proc: 1, Slot: 3, Dst: 1}}, ""},
+		{"long send then gap", []work.Send{{Proc: 2, Slot: 0, Dst: 0, Len: 3}, {Proc: 2, Slot: 3, Dst: 0}}, ""},
+		{"negative slot", []work.Send{{Proc: 0, Slot: -1, Dst: 1}}, "negative slot -1"},
+		{"dst out of range", []work.Send{{Proc: 0, Slot: 0, Dst: 4}}, "invalid dst 4"},
+		{"dst negative", []work.Send{{Proc: 0, Slot: 0, Dst: -2}}, "invalid dst -2"},
+		{"proc out of range", []work.Send{{Proc: 4, Slot: 0, Dst: 0}}, "invalid proc 4"},
+		{"proc negative", []work.Send{{Proc: -1, Slot: 0, Dst: 0}}, "invalid proc -1"},
+		{"negative len", []work.Send{{Proc: 0, Slot: 0, Dst: 1, Len: -7}}, "negative length -7"},
+		{"duplicate slot-proc", []work.Send{{Proc: 1, Slot: 5, Dst: 0}, {Proc: 1, Slot: 5, Dst: 2}}, "two flits in slot 5"},
+		{"long send overlap", []work.Send{{Proc: 1, Slot: 0, Dst: 0, Len: 4}, {Proc: 1, Slot: 3, Dst: 2}}, "two flits in slot 3"},
+		{"unsorted input still caught", []work.Send{{Proc: 1, Slot: 3, Dst: 2}, {Proc: 1, Slot: 0, Dst: 0, Len: 4}}, "two flits in slot 3"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ir := &work.IR{Version: work.Version, P: 4, M: 2, L: 1,
+				Steps: []work.Step{{Sends: append([]work.Send(nil), c.sends...)}}}
+			err := ir.Validate()
+			for i := range c.sends {
+				if ir.Steps[0].Sends[i] != c.sends[i] {
+					t.Fatal("Validate reordered its input")
+				}
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				Replay(machine(4, 2, 1, 1), ir, 0)
+				return
+			}()
+			if (err != nil) != panicked {
+				t.Fatalf("Validate err=%v but Replay panicked=%v", err, panicked)
+			}
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Validate = %v, want error containing %q", err, c.wantErr)
+			}
+		})
+	}
 }
 
 func TestCompileIRPanicsOnMachineMismatch(t *testing.T) {

@@ -34,6 +34,11 @@
 // locally-limited algorithm dropped onto a globally-limited machine) and
 // OfflineSend (the derandomized schedule using exact prefix ranks, which is
 // the optimal offline schedule up to rounding).
+//
+// Each scheduler has one entry point, over a Plan: x_i messages per
+// processor with the slots left to the scheduler. Traffic held in the
+// canonical work.IR enters as Plan(ir.Rows(step)); Replay instead injects an
+// IR superstep's own slot schedule verbatim.
 package sched
 
 import (
@@ -164,11 +169,6 @@ type compiled struct {
 	x    []int     // per-processor flit counts x_i
 	y    []int     // per-destination flit counts y_i
 	n    int       // total flits
-
-	// slots, when non-nil, carries each message's explicit injection slot.
-	// Only compileIR fills it (IR sends are slot-scheduled; plans are not);
-	// Replay injects from it verbatim.
-	slots []int
 }
 
 // compile flattens and validates a plan against machine m. Validation is
@@ -265,14 +265,7 @@ func period(n, m int, eps float64) int {
 // cyclic allocation crosses the period boundary is sent straight through in
 // consecutive steps (additive ℓ̂).
 func UnbalancedSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	return unbalancedSendCompiled(m, compile(m, plan), opt)
-}
-
-// unbalancedSendCompiled is UnbalancedSend's core over a pre-compiled plan —
-// shared by the Plan entry point and the IR entry point (UnbalancedSendIR),
-// which differ only in how they build the compiled form. The scheduler body
-// and its RNG draw order are exactly the pre-IR code.
-func unbalancedSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
+	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	T := period(n, m.Cost().M, opt.eps())
 	st := m.Superstep(func(c *bsp.Ctx) {
@@ -305,10 +298,7 @@ func unbalancedSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
 // from a uniformly random start in [0, T); the expected completion gains an
 // additive x̄' term (x̄' = max x_i over non-overloaded processors).
 func UnbalancedConsecutiveSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	return unbalancedConsecutiveSendCompiled(m, compile(m, plan), opt)
-}
-
-func unbalancedConsecutiveSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
+	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	T := period(n, m.Cost().M, opt.eps())
 	st := m.Superstep(func(c *bsp.Ctx) {
@@ -333,10 +323,7 @@ func unbalancedConsecutiveSendCompiled(m *bsp.Machine, cp *compiled, opt Options
 // (stated requirement p < e^{αm} instead of n < e^{αm}). The period is
 // c·n/m with c = Options.GranularC.
 func UnbalancedGranularSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	return unbalancedGranularSendCompiled(m, compile(m, plan), opt)
-}
-
-func unbalancedGranularSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
+	cp := compile(m, plan)
 	p := m.P()
 	n, tau := learnN(m, cp.x, opt)
 	mm := m.Cost().M
@@ -375,10 +362,7 @@ func unbalancedGranularSendCompiled(m *bsp.Machine, cp *compiled, opt Options) R
 // exponential penalty, is catastrophically slow; it is the ablation baseline
 // for the value of scheduling.
 func NaiveSend(m *bsp.Machine, plan Plan) Result {
-	return naiveSendCompiled(m, compile(m, plan))
-}
-
-func naiveSendCompiled(m *bsp.Machine, cp *compiled) Result {
+	cp := compile(m, plan)
 	st := m.Superstep(func(c *bsp.Ctx) {
 		i := c.ID()
 		for k := cp.row[i]; k < cp.row[i+1]; k++ {
@@ -396,10 +380,7 @@ func naiveSendCompiled(m *bsp.Machine, cp *compiled) Result {
 // models a scheduler with complete advance knowledge, the yardstick of
 // Theorems 6.2–6.4.
 func OfflineSend(m *bsp.Machine, plan Plan) Result {
-	return offlineSendCompiled(m, compile(m, plan))
-}
-
-func offlineSendCompiled(m *bsp.Machine, cp *compiled) Result {
+	cp := compile(m, plan)
 	p := m.P()
 	xb, _ := cp.bars()
 	T := (cp.n + m.Cost().M - 1) / m.Cost().M
@@ -439,10 +420,7 @@ func TemplateSend(m *bsp.Machine, plan Plan, sep int, opt Options) Result {
 	if sep < 0 {
 		panic("sched: negative separation")
 	}
-	return templateSendCompiled(m, compile(m, plan), sep, opt)
-}
-
-func templateSendCompiled(m *bsp.Machine, cp *compiled, sep int, opt Options) Result {
+	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	stride := sep + 1
 	T := period(n*stride, m.Cost().M, opt.eps())

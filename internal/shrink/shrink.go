@@ -12,10 +12,7 @@
 // smuggle a nondeterministic "counterexample" into the corpus.
 package shrink
 
-import (
-	"parbw/internal/sched"
-	"parbw/internal/workgen"
-)
+import "parbw/internal/work"
 
 // Options bounds a minimization run.
 type Options struct {
@@ -35,7 +32,7 @@ func (o Options) maxEvals() int {
 type Result struct {
 	// Workload is the minimal failing workload found (never nil; at worst
 	// the input itself).
-	Workload *workgen.Workload
+	Workload *work.IR
 	// Evals is the number of predicate evaluations spent.
 	Evals int
 	// Nondeterministic counts candidates discarded because the predicate
@@ -49,7 +46,7 @@ type Result struct {
 
 // minimizer carries the shared evaluation state through the phases.
 type minimizer struct {
-	failing    func(*workgen.Workload) bool
+	failing    func(*work.IR) bool
 	budget     int
 	evals      int
 	nondet     int
@@ -68,14 +65,14 @@ type minimizer struct {
 // recomputed after every structural edit and the input's declared-actual
 // delta is re-applied, so both honest workloads and lying-totals
 // counterexamples shrink without the renormalization erasing the bug.
-func Minimize(w *workgen.Workload, failing func(*workgen.Workload) bool, opt Options) Result {
+func Minimize(w *work.IR, failing func(*work.IR) bool, opt Options) Result {
 	m := &minimizer{failing: failing, budget: opt.maxEvals()}
 	sends, flits := w.CountSends()
 	m.deltaSends = w.TotalSends - sends
 	m.deltaFlits = w.TotalFlits - flits
 
 	res := Result{StepsBefore: len(w.Steps), SendsBefore: sends}
-	cur := clone(w)
+	cur := w.Clone()
 	if !m.check(cur) {
 		res.Workload = cur
 		res.Evals = m.evals
@@ -102,7 +99,7 @@ func Minimize(w *workgen.Workload, failing func(*workgen.Workload) bool, opt Opt
 // check evaluates the predicate twice on a renormalized candidate,
 // spending budget; true only if both evaluations agree the candidate
 // fails.
-func (m *minimizer) check(w *workgen.Workload) bool {
+func (m *minimizer) check(w *work.IR) bool {
 	if m.evals+2 > m.budget {
 		return false
 	}
@@ -119,23 +116,11 @@ func (m *minimizer) check(w *workgen.Workload) bool {
 
 // renormalize recomputes the declared totals, preserving the input's
 // declared-vs-actual delta.
-func (m *minimizer) renormalize(w *workgen.Workload) {
+func (m *minimizer) renormalize(w *work.IR) {
 	sends, flits := w.CountSends()
 	w.TotalSends = sends + m.deltaSends
 	w.TotalFlits = flits + m.deltaFlits
 }
-
-func clone(w *workgen.Workload) *workgen.Workload {
-	out := *w
-	out.Steps = make([]workgen.Superstep, len(w.Steps))
-	for i, step := range w.Steps {
-		out.Steps[i].Sends = append([]sendT(nil), step.Sends...)
-	}
-	return &out
-}
-
-// sendT aliases the corpus send type for brevity.
-type sendT = sched.SlotSend
 
 // ddmin is the classic minimizing delta debugger over a list: it returns a
 // sublist, locally 1-minimal under the budget, for which test still
@@ -185,11 +170,11 @@ func ddmin[T any](items []T, test func([]T) bool) []T {
 // a failure that does not need the layer shrinks far better without it. A
 // failure that does need it (a precedence violation) keeps it, and the
 // structural phases then shrink only what the layer's validity allows.
-func (m *minimizer) shrinkPrec(w *workgen.Workload) *workgen.Workload {
+func (m *minimizer) shrinkPrec(w *work.IR) *work.IR {
 	if w.Prec == nil {
 		return w
 	}
-	c := clone(w)
+	c := w.Clone()
 	c.Prec = nil
 	if m.check(c) {
 		return c
@@ -198,10 +183,10 @@ func (m *minimizer) shrinkPrec(w *workgen.Workload) *workgen.Workload {
 }
 
 // shrinkSupersteps drops whole supersteps.
-func (m *minimizer) shrinkSupersteps(w *workgen.Workload) *workgen.Workload {
-	steps := ddmin(w.Steps, func(cand []workgen.Superstep) bool {
-		c := clone(w)
-		c.Steps = append([]workgen.Superstep(nil), cand...)
+func (m *minimizer) shrinkSupersteps(w *work.IR) *work.IR {
+	steps := ddmin(w.Steps, func(cand []work.Step) bool {
+		c := w.Clone()
+		c.Steps = append([]work.Step(nil), cand...)
 		return m.check(c)
 	})
 	w.Steps = steps
@@ -210,11 +195,11 @@ func (m *minimizer) shrinkSupersteps(w *workgen.Workload) *workgen.Workload {
 }
 
 // shrinkSends drops individual messages within each remaining superstep.
-func (m *minimizer) shrinkSends(w *workgen.Workload) *workgen.Workload {
+func (m *minimizer) shrinkSends(w *work.IR) *work.IR {
 	for i := range w.Steps {
-		kept := ddmin(w.Steps[i].Sends, func(cand []sendT) bool {
-			c := clone(w)
-			c.Steps[i].Sends = append([]sendT(nil), cand...)
+		kept := ddmin(w.Steps[i].Sends, func(cand []work.Send) bool {
+			c := w.Clone()
+			c.Steps[i].Sends = append([]work.Send(nil), cand...)
 			return m.check(c)
 		})
 		w.Steps[i].Sends = kept
@@ -245,11 +230,11 @@ func shrinkInt(v, lo int, keep func(int) bool) int {
 
 // shrinkSlots packs every processor's schedule toward slot 0, then shrinks
 // each remaining slot value individually.
-func (m *minimizer) shrinkSlots(w *workgen.Workload) *workgen.Workload {
+func (m *minimizer) shrinkSlots(w *work.IR) *work.IR {
 	// One wholesale candidate first: repack all slots densely per
 	// processor, preserving order. Often this single step does most of the
 	// work.
-	packed := clone(w)
+	packed := w.Clone()
 	for i := range packed.Steps {
 		next := map[int]int{}
 		sends := packed.Steps[i].Sends
@@ -266,7 +251,7 @@ func (m *minimizer) shrinkSlots(w *workgen.Workload) *workgen.Workload {
 		for j := range w.Steps[i].Sends {
 			s := w.Steps[i].Sends[j]
 			got := shrinkInt(s.Slot, 0, func(v int) bool {
-				c := clone(w)
+				c := w.Clone()
 				c.Steps[i].Sends[j].Slot = v
 				return m.check(c)
 			})
@@ -279,12 +264,12 @@ func (m *minimizer) shrinkSlots(w *workgen.Workload) *workgen.Workload {
 
 // shrinkLens lowers message lengths toward 0 (a Len of 0 or 1 is one
 // flit, and 0 is the canonical short form the encoder omits).
-func (m *minimizer) shrinkLens(w *workgen.Workload) *workgen.Workload {
+func (m *minimizer) shrinkLens(w *work.IR) *work.IR {
 	for i := range w.Steps {
 		for j := range w.Steps[i].Sends {
 			s := w.Steps[i].Sends[j]
 			got := shrinkInt(s.Len, 0, func(v int) bool {
-				c := clone(w)
+				c := w.Clone()
 				c.Steps[i].Sends[j].Len = v
 				return m.check(c)
 			})
@@ -297,20 +282,20 @@ func (m *minimizer) shrinkLens(w *workgen.Workload) *workgen.Workload {
 
 // shrinkShape lowers every processor id toward 0, compacts the survivors,
 // and lowers p, m, and l.
-func (m *minimizer) shrinkShape(w *workgen.Workload) *workgen.Workload {
+func (m *minimizer) shrinkShape(w *work.IR) *work.IR {
 	// Pull each send's endpoints toward processor 0 (self-sends are legal),
 	// so the machine below can shrink to a single processor.
 	for i := range w.Steps {
 		for j := range w.Steps[i].Sends {
 			s := w.Steps[i].Sends[j]
 			w.Steps[i].Sends[j].Proc = shrinkInt(s.Proc, 0, func(v int) bool {
-				c := clone(w)
+				c := w.Clone()
 				c.Steps[i].Sends[j].Proc = v
 				return m.check(c)
 			})
 			s = w.Steps[i].Sends[j]
 			w.Steps[i].Sends[j].Dst = shrinkInt(s.Dst, 0, func(v int) bool {
-				c := clone(w)
+				c := w.Clone()
 				c.Steps[i].Sends[j].Dst = v
 				return m.check(c)
 			})
@@ -333,7 +318,7 @@ func (m *minimizer) shrinkShape(w *workgen.Workload) *workgen.Workload {
 				next++
 			}
 		}
-		c := clone(w)
+		c := w.Clone()
 		for i := range c.Steps {
 			for j := range c.Steps[i].Sends {
 				c.Steps[i].Sends[j].Proc = remap[c.Steps[i].Sends[j].Proc]
@@ -361,7 +346,7 @@ func (m *minimizer) shrinkShape(w *workgen.Workload) *workgen.Workload {
 		}
 	}
 	w.P = shrinkInt(w.P, minP, func(v int) bool {
-		c := clone(w)
+		c := w.Clone()
 		c.P = v
 		if c.M > v {
 			c.M = v
@@ -372,12 +357,12 @@ func (m *minimizer) shrinkShape(w *workgen.Workload) *workgen.Workload {
 		w.M = w.P
 	}
 	w.M = shrinkInt(w.M, 1, func(v int) bool {
-		c := clone(w)
+		c := w.Clone()
 		c.M = v
 		return m.check(c)
 	})
 	w.L = shrinkInt(w.L, 1, func(v int) bool {
-		c := clone(w)
+		c := w.Clone()
 		c.L = v
 		return m.check(c)
 	})

@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"parbw/internal/oracle"
-	"parbw/internal/sched"
+	"parbw/internal/work"
 	"parbw/internal/workgen"
 )
 
 // sameNames reports whether the oracle violation names of w equal want.
-func sameNames(w *workgen.Workload, want []string) bool {
-	got := oracle.Names(oracle.Check(w))
+func sameNames(w *work.IR, want []string) bool {
+	got := oracle.Names(oracle.CheckIR(w))
 	if len(got) != len(want) {
 		return false
 	}
@@ -31,15 +31,15 @@ func TestShrinkBrokenInvariantToMinimal(t *testing.T) {
 	defer func() { oracle.BreakForTest = "" }()
 
 	for _, seed := range []uint64{1, 7, 23} {
-		w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: seed})
+		w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: seed})
 		if w.TotalFlits == 0 {
 			continue
 		}
-		want := oracle.Names(oracle.Check(w))
+		want := oracle.Names(oracle.CheckIR(w))
 		if len(want) == 0 {
 			t.Fatalf("seed %d: hook did not break the oracle", seed)
 		}
-		res := Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
+		res := Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
 		got := res.Workload
 		if len(got.Steps) > 3 {
 			t.Fatalf("seed %d: shrunk to %d supersteps, want <= 3", seed, len(got.Steps))
@@ -67,10 +67,10 @@ func TestShrinkBrokenInvariantToMinimal(t *testing.T) {
 // empty workload — zero sends still violates conserve when the declared
 // totals are off.
 func TestShrinkPreservesTotalsDelta(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 4})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 4})
 	w.TotalFlits += 7
-	want := oracle.Names(oracle.Check(w))
-	res := Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
+	want := oracle.Names(oracle.CheckIR(w))
+	res := Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
 	got := res.Workload
 	if !sameNames(got, want) {
 		t.Fatal("shrunk workload no longer fails the same way")
@@ -81,9 +81,9 @@ func TestShrinkPreservesTotalsDelta(t *testing.T) {
 }
 
 func TestNonFailingInputReturnedUnchanged(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 5})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 5})
 	enc, _ := w.Encode()
-	res := Minimize(w, func(c *workgen.Workload) bool { return len(oracle.Check(c)) > 0 }, Options{})
+	res := Minimize(w, func(c *work.IR) bool { return len(oracle.CheckIR(c)) > 0 }, Options{})
 	enc2, _ := res.Workload.Encode()
 	if string(enc) != string(enc2) {
 		t.Fatal("non-failing input was modified")
@@ -93,10 +93,10 @@ func TestNonFailingInputReturnedUnchanged(t *testing.T) {
 func TestInputNotMutated(t *testing.T) {
 	oracle.BreakForTest = "workload/conserve"
 	defer func() { oracle.BreakForTest = "" }()
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
 	enc, _ := w.Encode()
-	want := oracle.Names(oracle.Check(w))
-	Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
+	want := oracle.Names(oracle.CheckIR(w))
+	Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
 	enc2, _ := w.Encode()
 	if string(enc) != string(enc2) {
 		t.Fatal("Minimize mutated its input workload")
@@ -104,9 +104,9 @@ func TestInputNotMutated(t *testing.T) {
 }
 
 func TestNondeterministicPredicateRejected(t *testing.T) {
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 9})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 9})
 	flip := false
-	res := Minimize(w, func(c *workgen.Workload) bool {
+	res := Minimize(w, func(c *work.IR) bool {
 		flip = !flip
 		return flip
 	}, Options{})
@@ -124,8 +124,8 @@ func TestNondeterministicPredicateRejected(t *testing.T) {
 func TestEvalBudgetRespected(t *testing.T) {
 	oracle.BreakForTest = "workload/conserve"
 	defer func() { oracle.BreakForTest = "" }()
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
-	res := Minimize(w, func(c *workgen.Workload) bool {
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
+	res := Minimize(w, func(c *work.IR) bool {
 		return sameNames(c, []string{"workload/conserve"})
 	}, Options{MaxEvals: 10})
 	if res.Evals > 10 {
@@ -168,15 +168,13 @@ func TestShrinkKeepsSlotSchedulesConsistent(t *testing.T) {
 	// candidate that breaks validation fails differently and is rejected).
 	oracle.BreakForTest = "workload/conserve"
 	defer func() { oracle.BreakForTest = "" }()
-	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: 2})
+	w := workgen.GenerateIR(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: 2})
 	if w.TotalFlits == 0 {
 		t.Skip("empty workload")
 	}
-	want := oracle.Names(oracle.Check(w))
-	res := Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
-	for si, step := range res.Workload.Steps {
-		if err := sched.CheckSlotSchedule(res.Workload.P, step.Sends); err != nil {
-			t.Fatalf("superstep %d of shrunk workload invalid: %v", si, err)
-		}
+	want := oracle.Names(oracle.CheckIR(w))
+	res := Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
+	if err := res.Workload.Validate(); err != nil {
+		t.Fatalf("shrunk workload invalid: %v", err)
 	}
 }

@@ -5,25 +5,24 @@
 // with an optional precedence layer recording the computational DAG a
 // schedule was lowered from.
 //
-// Before the IR, the repo carried three disjoint workload representations:
-// sched.Plan (ragged per-processor message rows, slots chosen by the
-// schedulers), workgen.Workload (explicit slot schedules for the fuzzing
-// oracles), and ad-hoc plan builders inside harness experiment bodies. Every
-// new workload family had to be implemented three times, and nothing could
-// flow between the pipelines. The IR collapses them: sched compiles IR
-// supersteps straight into its flat message arrays, workgen families emit IR
-// and project it into the corpus encoding, the oracle invariants take IR,
-// and harness bodies assemble IR through Builder. work/dagsched lowers
-// computational DAGs into the same representation.
+// The IR is the one workload type for generated and serialized traffic:
+// workgen families emit it, the fuzzing corpus stores it, the oracle
+// invariants and the shrinker take it, harness bodies assemble it through
+// Builder, and work/dagsched lowers computational DAGs into it. The
+// schedulers read one superstep's traffic as per-processor message rows
+// (Rows, the sched.Plan shape) and replay explicit slot schedules verbatim
+// (sched.Replay).
 //
-// Like the corpus format it subsumes, the IR encodes byte-stably: compact
-// JSON in struct declaration order, newline-terminated, so identical IRs
-// encode to identical bytes on every platform.
+// The IR encodes byte-stably: compact JSON in struct declaration order,
+// newline-terminated, so identical IRs encode to identical bytes on every
+// platform.
 package work
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"parbw/internal/bsp"
 )
@@ -33,8 +32,8 @@ import (
 const Version = 1
 
 // Hard resource caps enforced by Validate so adversarial or corrupted input
-// cannot allocate an unbounded machine. They are shared with the workgen
-// corpus format, which aliases them.
+// (fuzz corpus entries, generator pins) cannot allocate an unbounded
+// machine.
 const (
 	MaxP          = 1 << 10
 	MaxSteps      = 1 << 6
@@ -46,8 +45,8 @@ const (
 // Send is one slot-scheduled injection: processor Proc injects a message of
 // Len flits to Dst with its first flit entering the network at slot Slot.
 // Len <= 1 occupies one slot, mirroring bsp.Msg.Flits. Tag/A/B/C carry the
-// algorithm payload of plan-style messages so Plan ⇄ IR round trips are
-// lossless; generated workloads leave them zero.
+// algorithm payload of plan-style messages so Rows hands the schedulers the
+// exact messages a Builder recorded; generated workloads leave them zero.
 type Send struct {
 	Proc int   `json:"proc"`
 	Slot int   `json:"slot"`
@@ -119,8 +118,8 @@ func (pr *Prec) Clone() *Prec {
 // that order, making Encode byte-stable.
 type IR struct {
 	Version int    `json:"version"`
-	Family  string `json:"family,omitempty"` // provenance label (workgen family, "plan", "dag", ...)
-	Seed    uint64 `json:"seed,omitempty"`
+	Family  string `json:"family"` // provenance label (workgen family, "dag", ...)
+	Seed    uint64 `json:"seed"`
 	P       int    `json:"p"`
 	M       int    `json:"m"`
 	L       int    `json:"l"`
@@ -174,8 +173,8 @@ func shapeErr(format string, args ...any) error {
 }
 
 // Validate checks that the IR is structurally sound and small enough to
-// simulate. It subsumes the rejection semantics of sched.CheckPlan and
-// sched.CheckSlotSchedule: machine shape in range, step/send counts under
+// simulate — everything the engines would panic on is rejected with a
+// clean error instead: machine shape in range, step/send counts under
 // the resource caps, every send's endpoints inside the machine with
 // non-negative slot and length, no processor injecting two flits in the
 // same slot (multi-flit spans included), work vectors no longer than P with
@@ -218,10 +217,7 @@ func (ir *IR) Validate() error {
 			return err
 		}
 	}
-	if err := ir.validatePrec(); err != nil {
-		return err
-	}
-	return nil
+	return checkPrec(ir.P, len(ir.Steps), ir.Prec)
 }
 
 // checkStepSends validates one superstep's sends: endpoint ranges, slot and
@@ -274,31 +270,23 @@ func checkStepSends(p, si int, sends []Send) error {
 	return nil
 }
 
-// sortByProcSlot stable-sorts the index slice by (Proc, Slot) with an
-// insertion sort — validation-path only, and send lists per step are small.
+// sortByProcSlot stable-sorts the index slice by (Proc, Slot), so of two
+// sends at the same (Proc, Slot) Validate reports the later one in input
+// order. O(n log n): one step may carry MaxSendsTotal untrusted sends.
 func sortByProcSlot(order []int, sends []Send) {
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := sends[order[j-1]], sends[order[j]]
-			if a.Proc < b.Proc || (a.Proc == b.Proc && a.Slot <= b.Slot) {
-				break
-			}
-			order[j-1], order[j] = order[j], order[j-1]
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(sends[a].Proc, sends[b].Proc); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(sends[a].Slot, sends[b].Slot)
+	})
 }
 
-// validatePrec checks the optional precedence layer. CheckPrec is the
-// reusable core, shared with the corpus format's validation.
-func (ir *IR) validatePrec() error {
-	return CheckPrec(ir.P, len(ir.Steps), ir.Prec)
-}
-
-// CheckPrec validates a precedence layer against a machine of p processors
+// checkPrec validates a precedence layer against a machine of p processors
 // and nsteps communication supersteps (nil is valid: no layer). Node step
 // indices may equal nsteps — the compute phase after the final
 // communication superstep.
-func CheckPrec(p, nsteps int, pr *Prec) error {
+func checkPrec(p, nsteps int, pr *Prec) error {
 	if pr == nil {
 		return nil
 	}
@@ -378,35 +366,6 @@ func (ir *IR) Rows(step int) [][]bsp.Msg {
 		rows[s.Proc] = append(rows[s.Proc], s.Msg())
 	}
 	return rows
-}
-
-// FromRows lifts per-processor message rows (the sched.Plan shape) into a
-// single-superstep IR, assigning each processor's messages consecutive
-// slots from 0 in row order — the canonical dense schedule, which Validate
-// accepts by construction for any plan sched.CheckPlan accepts. The machine
-// bandwidth m and latency l are recorded on the IR (they are not part of a
-// plan). The conversion is lossless: Rows(0) returns equal rows, message
-// payloads included.
-func FromRows(rows [][]bsp.Msg, m, l int) (*IR, error) {
-	p := len(rows)
-	ir := &IR{Version: Version, Family: "plan", P: p, M: m, L: l, Steps: []Step{{}}}
-	for proc, msgs := range rows {
-		slot := 0
-		for _, msg := range msgs {
-			if int(msg.Dst) < 0 || int(msg.Dst) >= p {
-				return nil, shapeErr("row %d: message to invalid dst %d (p=%d)", proc, msg.Dst, p)
-			}
-			if msg.Len < 0 {
-				return nil, shapeErr("row %d: message has negative length %d", proc, msg.Len)
-			}
-			s := Send{Proc: proc, Slot: slot, Dst: int(msg.Dst), Len: int(msg.Len),
-				Tag: msg.Tag, A: msg.A, B: msg.B, C: msg.C}
-			slot += s.Flits()
-			ir.Steps[0].Sends = append(ir.Steps[0].Sends, s)
-		}
-	}
-	ir.SealTotals()
-	return ir, nil
 }
 
 // Clone returns a deep copy of the IR.

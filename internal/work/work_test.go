@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"parbw/internal/bsp"
 )
@@ -36,6 +37,15 @@ func TestValidateAccepts(t *testing.T) {
 	if ir.TotalFlits != 2+1+1+4 {
 		t.Fatalf("TotalFlits = %d, want 8", ir.TotalFlits)
 	}
+	for name, sends := range map[string][]Send{
+		"empty step":         nil,
+		"long send then gap": {{Proc: 2, Slot: 0, Dst: 0, Len: 3}, {Proc: 2, Slot: 3, Dst: 0}},
+	} {
+		ir := &IR{Version: Version, P: 4, M: 2, L: 1, Steps: []Step{{Sends: sends}}}
+		if err := ir.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+	}
 }
 
 func TestValidateDoesNotCrossCheckTotals(t *testing.T) {
@@ -64,6 +74,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad proc", func(ir *IR) { ir.Steps[0].Sends[0].Proc = 4 }, "invalid proc"},
 		{"negative proc", func(ir *IR) { ir.Steps[0].Sends[0].Proc = -1 }, "invalid proc"},
 		{"bad dst", func(ir *IR) { ir.Steps[0].Sends[0].Dst = -2 }, "invalid dst"},
+		{"dst out of range", func(ir *IR) { ir.Steps[0].Sends[0].Dst = 4 }, "invalid dst 4"},
 		{"negative slot", func(ir *IR) { ir.Steps[1].Sends[0].Slot = -1 }, "negative slot"},
 		{"slot over cap", func(ir *IR) { ir.Steps[1].Sends[0].Slot = MaxSlot + 1 }, "exceeds cap"},
 		{"negative len", func(ir *IR) { ir.Steps[0].Sends[2].Len = -3 }, "negative length"},
@@ -75,11 +86,23 @@ func TestValidateRejects(t *testing.T) {
 			// Proc 0's Len=2 send covers slots [0,2); slot 1 collides.
 			ir.Steps[0].Sends = append(ir.Steps[0].Sends, Send{Proc: 0, Slot: 1, Dst: 3})
 		}, "two flits in slot"},
+		{"unsorted overlap", func(ir *IR) {
+			// The later-listed send starts first and spans the earlier one.
+			ir.Steps[1].Sends = append(ir.Steps[1].Sends, Send{Proc: 3, Slot: 2, Dst: 1, Len: 4})
+		}, "two flits in slot 5"},
 	}
 	for _, tc := range cases {
 		ir := validIR()
 		tc.mut(ir)
+		before := ir.Clone()
 		err := ir.Validate()
+		for si := range ir.Steps {
+			for i := range ir.Steps[si].Sends {
+				if ir.Steps[si].Sends[i] != before.Steps[si].Sends[i] {
+					t.Fatalf("%s: Validate reordered its input", tc.name)
+				}
+			}
+		}
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -179,7 +202,8 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 
 func TestEncodeStableGolden(t *testing.T) {
 	// The canonical encoding is part of the corpus contract: field order is
-	// struct declaration order, zero-valued optional fields are omitted.
+	// struct declaration order, zero-valued optional fields are omitted, and
+	// family and seed are always present.
 	ir := &IR{Version: Version, Family: "g", Seed: 3, P: 2, M: 1, L: 1,
 		Steps: []Step{{Sends: []Send{{Proc: 0, Slot: 0, Dst: 1, Len: 2}}}}}
 	ir.SealTotals()
@@ -190,6 +214,14 @@ func TestEncodeStableGolden(t *testing.T) {
 	want := `{"version":1,"family":"g","seed":3,"p":2,"m":1,"l":1,"steps":[{"sends":[{"proc":0,"slot":0,"dst":1,"len":2}]}],"total_sends":1,"total_flits":2}` + "\n"
 	if string(b) != want {
 		t.Fatalf("canonical encoding drifted:\ngot  %s\nwant %s", b, want)
+	}
+	ir.Seed = 0
+	b, err = ir.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"family":"g","seed":0,`)) {
+		t.Fatalf("zero seed omitted: %s", b)
 	}
 }
 
@@ -209,51 +241,6 @@ func TestHist(t *testing.T) {
 	}
 	if got := ir.Hist(1); len(got) != 9 || got[5] != 1 || got[8] != 1 {
 		t.Fatalf("step-1 hist = %v", got)
-	}
-}
-
-func TestRowsFromRowsRoundTrip(t *testing.T) {
-	rows := [][]bsp.Msg{
-		{{Dst: 1, Len: 2, Tag: 3, A: 41, B: -2, C: 9}, {Dst: 2, A: 5}},
-		nil,
-		{{Dst: 0, Len: 1}},
-	}
-	ir, err := FromRows(rows, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.P != 3 || ir.M != 2 || ir.L != 4 {
-		t.Fatalf("shape = p%d m%d l%d", ir.P, ir.M, ir.L)
-	}
-	if err := ir.Validate(); err != nil {
-		t.Fatalf("FromRows produced invalid IR: %v", err)
-	}
-	// Dense packing: proc 0's second send starts after the first's 2 flits.
-	if ir.Steps[0].Sends[1].Slot != 2 {
-		t.Fatalf("second send slot = %d, want 2", ir.Steps[0].Sends[1].Slot)
-	}
-	back := ir.Rows(0)
-	if len(back) != len(rows) {
-		t.Fatalf("rows len = %d", len(back))
-	}
-	for p := range rows {
-		if len(back[p]) != len(rows[p]) {
-			t.Fatalf("proc %d: %d msgs, want %d", p, len(back[p]), len(rows[p]))
-		}
-		for i := range rows[p] {
-			if back[p][i] != rows[p][i] {
-				t.Fatalf("proc %d msg %d: %+v != %+v", p, i, back[p][i], rows[p][i])
-			}
-		}
-	}
-}
-
-func TestFromRowsRejects(t *testing.T) {
-	if _, err := FromRows([][]bsp.Msg{{{Dst: 5}}}, 1, 1); err == nil {
-		t.Fatal("accepted out-of-range dst")
-	}
-	if _, err := FromRows([][]bsp.Msg{{{Dst: 0, Len: -1}}}, 1, 1); err == nil {
-		t.Fatal("accepted negative length")
 	}
 }
 
@@ -309,6 +296,49 @@ func TestBuilder(t *testing.T) {
 	}
 }
 
+// Per-processor message rows recorded through Builder.SendMsg and projected
+// back through Rows are the same rows, payloads included, with each
+// processor's sends packed densely from slot 0.
+func TestRowsFromRowsRoundTrip(t *testing.T) {
+	rows := [][]bsp.Msg{
+		{{Dst: 1, Len: 2, Tag: 3, A: 41, B: -2, C: 9}, {Dst: 2, A: 5}},
+		nil,
+		{{Dst: 0, Len: 1}},
+	}
+	b := NewBuilder(len(rows), 2, 4)
+	b.Step()
+	for p, msgs := range rows {
+		for _, msg := range msgs {
+			b.SendMsg(p, Send{Dst: int(msg.Dst), Len: int(msg.Len), Tag: msg.Tag, A: msg.A, B: msg.B, C: msg.C})
+		}
+	}
+	ir := b.IR()
+	if ir.P != 3 || ir.M != 2 || ir.L != 4 {
+		t.Fatalf("shape = p%d m%d l%d", ir.P, ir.M, ir.L)
+	}
+	if err := ir.Validate(); err != nil {
+		t.Fatalf("rows produced invalid IR: %v", err)
+	}
+	// Dense packing: proc 0's second send starts after the first's 2 flits.
+	if ir.Steps[0].Sends[1].Slot != 2 {
+		t.Fatalf("second send slot = %d, want 2", ir.Steps[0].Sends[1].Slot)
+	}
+	back := ir.Rows(0)
+	if len(back) != len(rows) {
+		t.Fatalf("rows len = %d", len(back))
+	}
+	for p := range rows {
+		if len(back[p]) != len(rows[p]) {
+			t.Fatalf("proc %d: %d msgs, want %d", p, len(back[p]), len(rows[p]))
+		}
+		for i := range rows[p] {
+			if back[p][i] != rows[p][i] {
+				t.Fatalf("proc %d msg %d: %+v != %+v", p, i, back[p][i], rows[p][i])
+			}
+		}
+	}
+}
+
 func TestBuilderSendBeforeStepPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -331,5 +361,31 @@ func TestErrorType(t *testing.T) {
 	}
 	if !strings.HasPrefix(we.Error(), "work: ") {
 		t.Fatalf("error %q lacks package prefix", we.Error())
+	}
+	// Of two sends in the same (proc, slot), the later one is reported.
+	ir = validIR()
+	ir.Steps[0].Sends = append(ir.Steps[0].Sends, Send{Proc: 0, Slot: 2, Dst: 3})
+	if we, ok := ir.Validate().(*Error); !ok || we.Step != 0 || we.Index != 3 {
+		t.Fatalf("duplicate slot reported as %+v, want step 0 index 3", ir.Validate())
+	}
+}
+
+// Validation is O(n log n) in the sends of a step: a step at the send cap,
+// listed in descending processor order (the worst case for an insertion
+// sort), validates well within a second.
+func TestValidateLargeStepFast(t *testing.T) {
+	ir := &IR{Version: Version, P: MaxP, M: 1, L: 1, Steps: []Step{{}}}
+	per := MaxSendsTotal / MaxP
+	for proc := MaxP - 1; proc >= 0; proc-- {
+		for slot := 0; slot < per; slot++ {
+			ir.Steps[0].Sends = append(ir.Steps[0].Sends, Send{Proc: proc, Slot: slot, Dst: 0})
+		}
+	}
+	start := time.Now()
+	if err := ir.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("validating %d sends took %v, want < 1s", MaxSendsTotal, d)
 	}
 }

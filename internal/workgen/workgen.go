@@ -1,13 +1,14 @@
 // Package workgen generates random-but-reproducible workloads for the
-// fuzzing subsystem. A workload is an explicit slot-scheduled communication
-// pattern — which processor injects which message at which slot in which
-// superstep — that the invariant oracles (internal/oracle) can drive through
-// the BSP(m)/QSM(m)/PRAM(m) engines and price against the cost models.
+// fuzzing subsystem. A workload is a work.IR: an explicit slot-scheduled
+// communication pattern — which processor injects which message at which
+// slot in which superstep — that the invariant oracles (internal/oracle) can
+// drive through the BSP(m)/QSM(m)/PRAM(m) engines and price against the
+// cost models.
 //
 // Determinism is the load-bearing property: the same (family, seed, config)
-// yields a byte-identical workload on every platform and Go version, so a
-// failing seed reported by CI reproduces locally and a shrunk counterexample
-// checked into testdata/corpus/ replays forever. Following wazero's modgen,
+// yields a byte-identical workload (work.IR.Encode) on every platform and Go
+// version, so a failing seed reported by CI reproduces locally and a shrunk
+// counterexample checked into the oracle's testdata/corpus/ replays forever. Following wazero's modgen,
 // one seed fans out into independent xrand sub-streams via xrand.Derive —
 // one stream per decision axis (shape, slot schedule, injection rates, DAG
 // edges) — so that tweaking how one axis consumes randomness does not
@@ -15,20 +16,13 @@
 package workgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
-	"parbw/internal/bsp"
-	"parbw/internal/sched"
 	"parbw/internal/work"
 	"parbw/internal/work/dagsched"
 	"parbw/internal/xrand"
 )
-
-// Version is the corpus format version stamped into every workload. Bump it
-// when the encoding changes incompatibly; Decode rejects unknown versions.
-const Version = 1
 
 // Family names a workload generator family.
 type Family string
@@ -64,18 +58,6 @@ func ParseFamily(s string) (Family, error) {
 	return "", fmt.Errorf("workgen: unknown family %q (want hrel, dag, or balls)", s)
 }
 
-// Hard resource caps enforced by Validate so that adversarial or corrupted
-// corpus input cannot allocate an unbounded machine. They alias the work
-// IR's caps — the corpus format is a projection of the IR, so the two
-// formats bound the same machine sizes.
-const (
-	MaxP          = work.MaxP
-	MaxSteps      = work.MaxSteps
-	MaxSendsTotal = work.MaxSendsTotal
-	MaxSlot       = work.MaxSlot
-	MaxMsgLen     = work.MaxMsgLen
-)
-
 // GenConfig sizes a generated workload. The zero value of every field means
 // "draw from the shape stream"; pinning a field narrows the family without
 // breaking determinism of the remaining axes.
@@ -94,206 +76,9 @@ type GenConfig struct {
 	// seed-determined way (negative slot, out-of-range destination,
 	// duplicate (slot, proc) entry, negative length, or a lying total), for
 	// exercising rejection paths. Corrupted workloads must be rejected by
-	// Validate / sched.CheckSlotSchedule with a clean error, never a panic.
+	// work.IR.Validate or the oracle's conservation check with a clean
+	// error, never a panic.
 	Adversarial bool
-}
-
-// Superstep is one communication phase of a workload.
-type Superstep struct {
-	Sends []sched.SlotSend `json:"sends"`
-}
-
-// Workload is a generated, explicitly slot-scheduled communication pattern
-// plus the machine shape it targets. Fields are exported and JSON-tagged in
-// declaration order; encoding/json preserves that order, making Encode
-// byte-stable.
-type Workload struct {
-	Version int         `json:"version"`
-	Family  Family      `json:"family"`
-	Seed    uint64      `json:"seed"`
-	P       int         `json:"p"`
-	M       int         `json:"m"`
-	L       int         `json:"l"`
-	Steps   []Superstep `json:"steps"`
-
-	// Prec, when present, is the precedence layer of a scheduled DAG
-	// workload — the computational DAG the supersteps were lowered from,
-	// in the work IR's representation. The oracle's precedence invariant
-	// replays it against the sends. omitempty keeps prec-free workloads
-	// (hrel, balls, all pre-IR corpus entries) byte-identical.
-	Prec *work.Prec `json:"prec,omitempty"`
-
-	// Declared totals, written by the generator. The oracles recompute both
-	// from the sends and flag any disagreement, so corruption anywhere in
-	// the pipeline (generator bug, shrink bug, corpus rot) is detectable;
-	// Validate deliberately does not cross-check them.
-	TotalSends int `json:"total_sends"`
-	TotalFlits int `json:"total_flits"`
-}
-
-// Encode returns the canonical byte encoding of w: compact JSON in struct
-// declaration order, terminated by a newline. Identical workloads encode to
-// identical bytes.
-func (w *Workload) Encode() ([]byte, error) {
-	b, err := json.Marshal(w)
-	if err != nil {
-		return nil, fmt.Errorf("workgen: encode: %w", err)
-	}
-	return append(b, '\n'), nil
-}
-
-// Decode parses an encoded workload. It validates only JSON well-formedness
-// and the format version; run Validate before driving the workload through
-// a machine.
-func Decode(data []byte) (*Workload, error) {
-	var w Workload
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("workgen: decode: %w", err)
-	}
-	if w.Version != Version {
-		return nil, fmt.Errorf("workgen: unsupported corpus version %d (have %d)", w.Version, Version)
-	}
-	return &w, nil
-}
-
-// Validate checks that the workload is structurally sound and small enough
-// to simulate: machine shape in range, step and send counts under the
-// resource caps, and every superstep a valid slot schedule per
-// sched.CheckSlotSchedule. It never panics, whatever the input.
-func (w *Workload) Validate() error {
-	if w.Version != Version {
-		return fmt.Errorf("workgen: unsupported corpus version %d", w.Version)
-	}
-	if _, err := ParseFamily(string(w.Family)); err != nil {
-		return err
-	}
-	if w.P < 1 || w.P > MaxP {
-		return fmt.Errorf("workgen: p=%d out of range [1, %d]", w.P, MaxP)
-	}
-	if w.M < 1 || w.M > w.P {
-		return fmt.Errorf("workgen: m=%d out of range [1, p=%d]", w.M, w.P)
-	}
-	// The BSP cost models require L >= 1, so workloads declare at least that.
-	if w.L < 1 || w.L > MaxSlot {
-		return fmt.Errorf("workgen: l=%d out of range [1, %d]", w.L, MaxSlot)
-	}
-	if len(w.Steps) > MaxSteps {
-		return fmt.Errorf("workgen: %d supersteps exceeds cap %d", len(w.Steps), MaxSteps)
-	}
-	total := 0
-	for si, step := range w.Steps {
-		total += len(step.Sends)
-		if total > MaxSendsTotal {
-			return fmt.Errorf("workgen: more than %d sends total", MaxSendsTotal)
-		}
-		for _, s := range step.Sends {
-			if s.Slot > MaxSlot {
-				return fmt.Errorf("workgen: superstep %d: slot %d exceeds cap %d", si, s.Slot, MaxSlot)
-			}
-			if s.Len > MaxMsgLen {
-				return fmt.Errorf("workgen: superstep %d: len %d exceeds cap %d", si, s.Len, MaxMsgLen)
-			}
-		}
-		if err := sched.CheckSlotSchedule(w.P, step.Sends); err != nil {
-			return fmt.Errorf("workgen: superstep %d: %w", si, err)
-		}
-	}
-	if err := work.CheckPrec(w.P, len(w.Steps), w.Prec); err != nil {
-		return fmt.Errorf("workgen: %w", err)
-	}
-	return nil
-}
-
-// IR lifts the workload into the canonical work IR. The conversion is
-// lossless — every send field, the precedence layer, and the declared
-// totals (verbatim, even when they lie) carry over — so FromIR(w.IR())
-// re-encodes byte-identically to w.
-func (w *Workload) IR() *work.IR {
-	ir := &work.IR{
-		Version: work.Version,
-		Family:  string(w.Family),
-		Seed:    w.Seed,
-		P:       w.P, M: w.M, L: w.L,
-		Steps:      make([]work.Step, len(w.Steps)),
-		Prec:       w.Prec.Clone(),
-		TotalSends: w.TotalSends,
-		TotalFlits: w.TotalFlits,
-	}
-	for si, step := range w.Steps {
-		sends := make([]work.Send, len(step.Sends))
-		for i, s := range step.Sends {
-			sends[i] = work.Send{Proc: s.Proc, Slot: s.Slot, Dst: s.Dst, Len: s.Len}
-		}
-		ir.Steps[si].Sends = sends
-	}
-	return ir
-}
-
-// FromIR projects an IR into the corpus Workload format. Compute-work
-// vectors and message payloads (Tag/A/B/C) do not exist in the corpus
-// format and are dropped; sends, precedence layer, and declared totals
-// carry over verbatim, so an IR that came from a Workload round-trips
-// byte-identically.
-func FromIR(ir *work.IR) *Workload {
-	w := &Workload{
-		Version: Version,
-		Family:  Family(ir.Family),
-		Seed:    ir.Seed,
-		P:       ir.P, M: ir.M, L: ir.L,
-		Steps:      make([]Superstep, len(ir.Steps)),
-		Prec:       ir.Prec.Clone(),
-		TotalSends: ir.TotalSends,
-		TotalFlits: ir.TotalFlits,
-	}
-	for si := range ir.Steps {
-		sends := make([]sched.SlotSend, len(ir.Steps[si].Sends))
-		for i, s := range ir.Steps[si].Sends {
-			sends[i] = sched.SlotSend{Proc: s.Proc, Slot: s.Slot, Dst: s.Dst, Len: s.Len}
-		}
-		w.Steps[si].Sends = sends
-	}
-	return w
-}
-
-// CountSends returns the actual (sends, flits) totals recomputed from the
-// step data, ignoring the declared TotalSends/TotalFlits.
-func (w *Workload) CountSends() (sends, flits int) {
-	for _, step := range w.Steps {
-		sends += len(step.Sends)
-		for _, s := range step.Sends {
-			flits += s.Flits()
-		}
-	}
-	return sends, flits
-}
-
-// Plan converts one superstep into a sched.Plan (rows by processor, slots
-// dropped) for the randomized schedulers, which choose their own slots.
-func (w *Workload) Plan(step int) sched.Plan {
-	plan := make(sched.Plan, w.P)
-	for _, s := range w.Steps[step].Sends {
-		plan[s.Proc] = append(plan[s.Proc], bsp.Msg{Dst: int32(s.Dst), Len: int32(s.Len)})
-	}
-	return plan
-}
-
-// Hist returns the per-slot injection histogram of one superstep: hist[t] is
-// the number of flits entering the network at slot t, the m_t the cost
-// models price.
-func (w *Workload) Hist(step int) []int {
-	maxEnd := 0
-	for _, s := range w.Steps[step].Sends {
-		if end := s.Slot + s.Flits(); end > maxEnd {
-			maxEnd = end
-		}
-	}
-	hist := make([]int, maxEnd)
-	for _, s := range w.Steps[step].Sends {
-		for f := 0; f < s.Flits(); f++ {
-			hist[s.Slot+f]++
-		}
-	}
-	return hist
 }
 
 // streams bundles the per-axis random sub-streams. One seed fans out into
@@ -324,18 +109,20 @@ func orDraw(pinned int, rng *xrand.Source, lo, hi int) int {
 	return lo + rng.Intn(hi-lo+1)
 }
 
-// GenerateIR emits the canonical-IR form of the workload for cfg — the
-// family frontends build IR directly; the corpus Workload is a projection
-// of it (see Generate). Deterministic in (cfg.Family, cfg.Seed, pinned
-// fields). Panics only on an invalid GenConfig (unknown family, negative
-// pins); everything drawn is in range by construction, and the returned IR
-// passes work.IR.Validate.
+// GenerateIR emits the workload for cfg, deterministic in (cfg.Family,
+// cfg.Seed, pinned fields): same inputs, same bytes from Encode. Generated
+// workloads are communication-only — no compute-work vectors, which no
+// invariant prices — and every superstep's send list is non-nil, so an
+// empty one encodes as []. The returned IR passes work.IR.Validate unless
+// cfg.Adversarial is set, in which case it is corrupted in one
+// seed-determined way. Panics only on an invalid GenConfig (unknown family,
+// negative pins); everything drawn is in range by construction.
 func GenerateIR(cfg GenConfig) *work.IR {
 	if _, err := ParseFamily(string(cfg.Family)); err != nil {
 		panic(err)
 	}
-	if cfg.P < 0 || cfg.P > MaxP || cfg.M < 0 || cfg.L < 0 || cfg.Steps < 0 ||
-		cfg.Steps > MaxSteps || cfg.MaxLen < 0 || cfg.MaxLen > MaxMsgLen ||
+	if cfg.P < 0 || cfg.P > work.MaxP || cfg.M < 0 || cfg.L < 0 || cfg.Steps < 0 ||
+		cfg.Steps > work.MaxSteps || cfg.MaxLen < 0 || cfg.MaxLen > work.MaxMsgLen ||
 		cfg.Load < 0 || cfg.Skew < 0 {
 		panic(fmt.Sprintf("workgen: invalid GenConfig %+v", cfg))
 	}
@@ -368,21 +155,17 @@ func GenerateIR(cfg GenConfig) *work.IR {
 		genBalls(ir, st, steps, load, skew)
 	}
 
-	ir.SealTotals()
-	return ir
-}
-
-// Generate emits the corpus-format workload for cfg: GenerateIR projected
-// through FromIR. The result is deterministic in (cfg.Family, cfg.Seed,
-// pinned fields): same inputs, same bytes from Encode. The returned
-// workload passes Validate unless cfg.Adversarial is set, in which case it
-// is corrupted in one seed-determined way.
-func Generate(cfg GenConfig) *Workload {
-	w := FromIR(GenerateIR(cfg))
-	if cfg.Adversarial {
-		corrupt(w, xrand.Derive(cfg.Seed, "workgen/"+string(cfg.Family)+"/corrupt"))
+	for i := range ir.Steps {
+		ir.Steps[i].Work = nil
+		if ir.Steps[i].Sends == nil {
+			ir.Steps[i].Sends = []work.Send{}
+		}
 	}
-	return w
+	ir.SealTotals()
+	if cfg.Adversarial {
+		corrupt(ir, xrand.Derive(cfg.Seed, "workgen/"+string(cfg.Family)+"/corrupt"))
+	}
+	return ir
 }
 
 // slotPacker assigns non-overlapping slots within one processor's schedule
@@ -409,9 +192,9 @@ func (sp *slotPacker) reset() {
 	}
 }
 
-// capSends keeps the generator under the global send cap however extreme
-// the drawn shape is.
-func perStepBudget(steps int) int { return MaxSendsTotal / steps }
+// perStepBudget keeps the generator under the global send cap however
+// extreme the drawn shape is.
+func perStepBudget(steps int) int { return work.MaxSendsTotal / steps }
 
 func genHRel(ir *work.IR, st streams, steps, maxLen int, load float64) {
 	pack := newPacker(ir.P, st.slots)
@@ -451,14 +234,14 @@ func genDAG(ir *work.IR, st streams, steps, maxLen int) {
 	// work and edge lengths from the inject stream, dependency draws from
 	// the edges stream — the per-axis stream discipline of the package.
 	nLevels := steps + 1
-	if nLevels > MaxSteps {
-		nLevels = MaxSteps
+	if nLevels > work.MaxSteps {
+		nLevels = work.MaxSteps
 	}
 	d := &dagsched.DAG{}
 	levelNodes := make([][]int, nLevels)
-	for lv := 0; lv < nLevels && len(d.Nodes) < MaxSendsTotal; lv++ {
+	for lv := 0; lv < nLevels && len(d.Nodes) < work.MaxSendsTotal; lv++ {
 		width := 1 + st.shape.Intn(ir.P)
-		for k := 0; k < width && len(d.Nodes) < MaxSendsTotal; k++ {
+		for k := 0; k < width && len(d.Nodes) < work.MaxSendsTotal; k++ {
 			levelNodes[lv] = append(levelNodes[lv], len(d.Nodes))
 			d.Nodes = append(d.Nodes, dagsched.Node{Work: int64(1 + st.inject.Intn(4))})
 		}
@@ -467,7 +250,7 @@ func genDAG(ir *work.IR, st streams, steps, maxLen int) {
 		prev := levelNodes[lv-1]
 		for _, v := range levelNodes[lv] {
 			deps := 1 + st.edges.Intn(3)
-			for dd := 0; dd < deps && len(d.Edges) < MaxSendsTotal-1; dd++ {
+			for dd := 0; dd < deps && len(d.Edges) < work.MaxSendsTotal-1; dd++ {
 				u := prev[st.edges.Intn(len(prev))]
 				d.Edges = append(d.Edges, dagsched.Edge{U: u, V: v, Len: 1 + st.inject.Intn(maxLen)})
 			}
@@ -526,20 +309,19 @@ func genBalls(ir *work.IR, st streams, steps int, load, skew float64) {
 // corrupt applies one seed-determined malformation so rejection paths can
 // be exercised deterministically. If the workload has no sends it falls
 // back to lying about the totals, which is always possible.
-func corrupt(w *Workload, rng *xrand.Source) {
+func corrupt(ir *work.IR, rng *xrand.Source) {
 	type mutation func() bool // returns false if inapplicable
-	pick := func() (int, int, *sched.SlotSend) {
-		for si, step := range w.Steps {
+	pick := func() (int, *work.Send) {
+		for si, step := range ir.Steps {
 			if len(step.Sends) > 0 {
-				k := rng.Intn(len(step.Sends))
-				return si, k, &w.Steps[si].Sends[k]
+				return si, &ir.Steps[si].Sends[rng.Intn(len(step.Sends))]
 			}
 		}
-		return -1, -1, nil
+		return -1, nil
 	}
 	muts := []mutation{
 		func() bool { // negative slot
-			_, _, s := pick()
+			_, s := pick()
 			if s == nil {
 				return false
 			}
@@ -547,23 +329,23 @@ func corrupt(w *Workload, rng *xrand.Source) {
 			return true
 		},
 		func() bool { // out-of-range destination
-			_, _, s := pick()
+			_, s := pick()
 			if s == nil {
 				return false
 			}
-			s.Dst = w.P + rng.Intn(4)
+			s.Dst = ir.P + rng.Intn(4)
 			return true
 		},
 		func() bool { // duplicate (slot, proc) entry
-			si, _, s := pick()
+			si, s := pick()
 			if s == nil {
 				return false
 			}
-			w.Steps[si].Sends = append(w.Steps[si].Sends, *s)
+			ir.Steps[si].Sends = append(ir.Steps[si].Sends, *s)
 			return true
 		},
 		func() bool { // negative length
-			_, _, s := pick()
+			_, s := pick()
 			if s == nil {
 				return false
 			}
@@ -571,7 +353,7 @@ func corrupt(w *Workload, rng *xrand.Source) {
 			return true
 		},
 		func() bool { // lying declared totals
-			w.TotalFlits += 1 + rng.Intn(100)
+			ir.TotalFlits += 1 + rng.Intn(100)
 			return true
 		},
 	}
