@@ -1,8 +1,12 @@
 package async
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parbw/internal/xrand"
 )
@@ -158,7 +162,6 @@ func TestSendValidation(t *testing.T) {
 // tracks the global bound for both balanced and skewed loads.
 func TestAsyncTracksGlobalBoundAcrossSkew(t *testing.T) {
 	p, m := 32, 8
-	rng := xrand.New(3)
 	for _, skew := range []int{1, 4, 16} {
 		heavy := p / skew
 		if heavy < 1 {
@@ -171,7 +174,7 @@ func TestAsyncTracksGlobalBoundAcrossSkew(t *testing.T) {
 		for k := 0; k < n; k++ {
 			recvCount[(k+1)%p]++
 		}
-		mach := New(Config{P: p, M: m, Latency: 2, Buffer: n + 8})
+		mach := New(Config{P: p, M: m, Latency: 2})
 		kseq := make([][]int, p)
 		idx := 0
 		for s := 0; s < heavy; s++ {
@@ -193,7 +196,6 @@ func TestAsyncTracksGlobalBoundAcrossSkew(t *testing.T) {
 		if done < lb || done > 2.5*lb+float64(xbar) {
 			t.Fatalf("skew %d: completion %v vs bound %v", skew, done, lb)
 		}
-		_ = rng
 	}
 }
 
@@ -205,4 +207,169 @@ func maxOf(xs []int64) int64 {
 		}
 	}
 	return m
+}
+
+// backpressure is the async/backpressure experiment's program: every
+// processor sends per messages round-robin, then receives per. got[i]
+// collects processor i's received messages in order.
+func backpressure(p, per int, got [][]Msg) func(*Proc) {
+	return func(pr *Proc) {
+		for k := 0; k < per; k++ {
+			pr.Send((pr.ID()+1+k)%p, int64(k))
+		}
+		for k := 0; k < per; k++ {
+			msg := pr.Recv()
+			got[pr.ID()] = append(got[pr.ID()], msg)
+		}
+	}
+}
+
+// The schedule is a function of the program alone: completion time and
+// every processor's received (Src, A, Arrival) sequence are identical
+// across repeats and core counts.
+func TestDeterministicAcrossCoreCounts(t *testing.T) {
+	p, m, per := 32, 16, 8
+	run := func() (float64, [][]Msg) {
+		got := make([][]Msg, p)
+		done := New(Config{P: p, M: m, Latency: 4}).Run(backpressure(p, per, got))
+		return done, got
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	wantDone, want := run()
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 20; rep++ {
+			done, got := run()
+			if done != wantDone {
+				t.Fatalf("GOMAXPROCS=%d rep %d: completion %v, want %v", procs, rep, done, wantDone)
+			}
+			for i := range want {
+				if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+					t.Fatalf("GOMAXPROCS=%d rep %d: processor %d received %v, want %v", procs, rep, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for i := range want {
+		for k := 1; k < len(want[i]); k++ {
+			if want[i][k].Arrival() < want[i][k-1].Arrival() {
+				t.Fatalf("processor %d received arrival %v after %v", i, want[i][k].Arrival(), want[i][k-1].Arrival())
+			}
+		}
+	}
+}
+
+// The package doc's bound, over random send-then-receive workloads with
+// skewed senders and receivers: max(n/m, x̄+L, ȳ+L) <= T <= n/m + x̄ + ȳ + L.
+func TestSendThenReceiveBound(t *testing.T) {
+	for seed := uint64(1); seed <= 250; seed++ {
+		rng := xrand.New(seed)
+		p := 2 + rng.Intn(63)
+		m := 1 + rng.Intn(16)
+		lat := float64(rng.Intn(9))
+		heavy := 1 + rng.Intn(p) // senders with the large load
+		hot := rng.Float64() / 2 // share of messages sent to processor 0
+		dsts := make([][]int, p)
+		recvs := make([]int, p)
+		n := 0
+		for i := 0; i < p; i++ {
+			load := rng.Intn(4)
+			if i < heavy {
+				load = 1 + rng.Intn(32)
+			}
+			for k := 0; k < load; k++ {
+				d := rng.Intn(p)
+				if rng.Float64() < hot {
+					d = 0
+				}
+				dsts[i] = append(dsts[i], d)
+				recvs[d]++
+				n++
+			}
+		}
+		xbar, ybar := 0, 0
+		for i := 0; i < p; i++ {
+			xbar, ybar = max(xbar, len(dsts[i])), max(ybar, recvs[i])
+		}
+		done := New(Config{P: p, M: m, Latency: lat}).Run(func(pr *Proc) {
+			for _, d := range dsts[pr.ID()] {
+				pr.Send(d, 1)
+			}
+			for k := 0; k < recvs[pr.ID()]; k++ {
+				pr.Recv()
+			}
+		})
+		nm := float64(n) / float64(m)
+		lo := max(nm, float64(xbar)+lat, float64(ybar)+lat)
+		hi := nm + float64(xbar+ybar) + lat
+		if done < lo || done > hi {
+			t.Errorf("seed %d (p=%d m=%d L=%v n=%d x̄=%d ȳ=%d): completion %v outside [%v, %v]",
+				seed, p, m, lat, n, xbar, ybar, done, lo, hi)
+		}
+	}
+}
+
+// runRecovering runs program on mach and returns the value Run panicked
+// with, after checking that every goroutine Run started has exited.
+func runRecovering(t *testing.T, mach *Machine, program func(*Proc)) (v any) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	defer func() {
+		v = recover()
+		// A goroutine is counted until its last deferred call returns, a
+		// moment after Run has seen it finish.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines outlive Run (baseline %d)", runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
+	}()
+	mach.Run(program)
+	return nil
+}
+
+type boom struct{ id int }
+
+// A panic in one processor's program reaches Run's caller with its value,
+// while the others are parked in Send and Recv, and no goroutine leaks —
+// also when a parked program's deferred call tries to Send on the way out.
+func TestProgramPanicReachesCaller(t *testing.T) {
+	p := 16
+	v := runRecovering(t, New(Config{P: p, M: 2, Latency: 1}), func(pr *Proc) {
+		pr.Send((pr.ID()+1)%p, 1)
+		if pr.ID() == 5 {
+			panic(boom{5})
+		}
+		defer pr.Send(pr.ID(), 3)
+		pr.Recv()
+		pr.Send((pr.ID()+2)%p, 2)
+		pr.Recv()
+	})
+	if v != (boom{5}) {
+		t.Fatalf("Run panicked with %v, want boom{5}", v)
+	}
+	v = runRecovering(t, New(Config{P: 4, M: 1}), func(pr *Proc) {
+		if pr.ID() == 2 {
+			runtime.Goexit()
+		}
+	})
+	if s, _ := v.(string); !strings.Contains(s, "processor 2 called runtime.Goexit") {
+		t.Fatalf("Goexit: Run panicked with %v", v)
+	}
+}
+
+// A Recv no message will ever match ends Run with a panic naming the
+// waiting processors instead of hanging.
+func TestUnmatchedRecvDeadlocks(t *testing.T) {
+	v := runRecovering(t, New(Config{P: 6, M: 2, Latency: 1}), func(pr *Proc) {
+		if pr.ID()%2 == 0 {
+			pr.Send(pr.ID()+1, 1)
+		}
+		pr.Recv()
+	})
+	if s, _ := v.(string); !strings.Contains(s, "deadlock") || !strings.Contains(s, "[0 2 4]") {
+		t.Fatalf("Run panicked with %v, want a deadlock naming [0 2 4]", v)
+	}
 }

@@ -498,7 +498,7 @@ func runAsync(rec *Recorder) {
 
 	// 3. Asynchronous machine with token-bucket backpressure, naive
 	// injection: the flow control self-schedules.
-	ma := async.New(async.Config{P: p, M: mm, Latency: float64(l), Buffer: n})
+	ma := async.New(async.Config{P: p, M: mm, Latency: float64(l)})
 	done := ma.Run(func(pr *async.Proc) {
 		for k := 0; k < per; k++ {
 			pr.Send((pr.ID()+1+k)%p, int64(k))

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -110,6 +111,29 @@ func TestGoldenStructuredDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Core count is a test axis: every registered experiment's canonical JSON
+// at Quick+Seed 1 is byte-identical at GOMAXPROCS 1 and 4, the worker
+// counts the machines' pools default to. Not parallel, since GOMAXPROCS is
+// process-wide.
+func TestCoreCountDeterminism(t *testing.T) {
+	cfg := Config{Seed: 1, Params: QuickParams()}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, e := range All() {
+		var out [2][]byte
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			b, err := e.Run(io.Discard, cfg).CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b
+		}
+		if !bytes.Equal(out[0], out[1]) {
+			t.Errorf("%s: canonical JSON differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", e.ID, out[0], out[1])
+		}
 	}
 }
 
