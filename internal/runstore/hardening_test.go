@@ -34,9 +34,9 @@ func TestFooterRoundTripAndOnDiskFormat(t *testing.T) {
 	if len(raw) != len(want)+footerLen {
 		t.Fatalf("on-disk size %d, want payload %d + footer %d", len(raw), len(want), footerLen)
 	}
-	payload, hasFooter, ok := splitFooter(raw)
-	if !hasFooter || !ok || !bytes.Equal(payload, want) {
-		t.Fatalf("footer split: hasFooter=%v ok=%v", hasFooter, ok)
+	payload, ok := splitFooter(raw)
+	if !ok || !bytes.Equal(payload, want) {
+		t.Fatalf("footer split: ok=%v", ok)
 	}
 
 	// Cold read (fresh store, memory empty) strips the footer.
@@ -50,33 +50,81 @@ func TestFooterRoundTripAndOnDiskFormat(t *testing.T) {
 	}
 }
 
-// Acceptance: entries written before the footer existed (raw canonical
-// JSON, no footer) still read back byte-identical.
-func TestLegacyFooterlessEntryReadsBackByteIdentical(t *testing.T) {
+// The footer's on-disk bytes are pinned: a fixed payload always gets the
+// same footer, zero-padded to 8 lowercase hex digits, and splits back into
+// exactly that payload.
+func TestFooterBytesPinnedOnFixedPayload(t *testing.T) {
+	for _, c := range []struct{ payload, disk string }{
+		{`{"a":1}`, "{\"a\":1}\n#crc32 561bacaf\n"},
+		{`{"seed":81}`, "{\"seed\":81}\n#crc32 00e412cd\n"},
+		{``, "\n#crc32 00000000\n"},
+	} {
+		disk := appendFooter([]byte(c.payload))
+		if string(disk) != c.disk {
+			t.Fatalf("appendFooter(%q) = %q, want %q", c.payload, disk, c.disk)
+		}
+		payload, ok := splitFooter(disk)
+		if !ok || string(payload) != c.payload {
+			t.Fatalf("splitFooter(%q) = %q, %v; want %q, true", disk, payload, ok, c.payload)
+		}
+	}
+	// A footer that is not exactly 8 hex digits, or whose checksum does not
+	// match, does not verify.
+	for _, bad := range []string{
+		"{\"a\":1}\n#crc32 561BACAG\n",
+		"{\"a\":1}\n#crc32 561bacae\n",
+		"{\"a\":1}\n#crc32 561baca\n",
+		"{\"a\":1}\n#crc32 561bacaf",
+		"{\"a\":1}",
+	} {
+		if _, ok := splitFooter([]byte(bad)); ok {
+			t.Fatalf("splitFooter(%q) verified", bad)
+		}
+	}
+}
+
+// A file without a CRC footer (raw canonical JSON, the format of stores
+// that predate the footer) does not verify: a read reports a miss and
+// quarantines it, Scrub does the same, and the key can be recomputed.
+func TestFooterlessEntryQuarantinedAndRecomputable(t *testing.T) {
 	s := testStore(t, 8)
-	key := Key(KeySpec{Experiment: "fake/exp", Seed: 3, Params: "quick=true", Version: "t"})
-	legacy, err := fakeResult(3).CanonicalJSON()
+	key, bare := putFake(t, s, 3)
+	path := s.path(key)
+	// Strip the footer, and read through a fresh store so the memory layer
+	// cannot answer.
+	if err := os.WriteFile(path, bare, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(s.Dir(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write the pre-footer format directly, as the old store did.
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
+	if data, ok, err := s2.GetBytes(key); err != nil || ok || data != nil {
+		t.Fatalf("footer-less entry served: ok=%v err=%v", ok, err)
 	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
+	if st := s2.Stats(); st.Quarantined != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 quarantine + 1 miss", st)
+	}
+	qpath := filepath.Join(s.Dir(), QuarantineDir, key+".json")
+	if got, err := os.ReadFile(qpath); err != nil || !bytes.Equal(got, bare) {
+		t.Fatalf("quarantine file: %v", err)
 	}
 
-	got, ok, err := s.GetBytes(key)
-	if err != nil || !ok {
-		t.Fatalf("legacy entry not served: ok=%v err=%v", ok, err)
+	if err := os.WriteFile(path, bare, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, legacy) {
-		t.Fatalf("legacy bytes changed:\n%s\n---\n%s", legacy, got)
+	if rep, err := s2.Scrub(); err != nil || rep.Checked != 1 || rep.Quarantined != 1 {
+		t.Fatalf("Scrub = %+v, %v; want 1 checked, 1 quarantined", rep, err)
 	}
-	if st := s.Stats(); st.Quarantined != 0 {
-		t.Fatalf("legacy entry quarantined: %+v", st)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("footer-less file still in place after Scrub: %v", err)
+	}
+
+	if _, err := s2.Put(key, fakeResult(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s2.GetBytes(key); err != nil || !ok || !bytes.Equal(got, bare) {
+		t.Fatalf("recomputed entry: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -11,12 +11,10 @@
 // Layout: one file per run, <dir>/<first two key hex chars>/<key>.json,
 // written atomically (temp file + rename) through a filesystem seam
 // (fault.FS) so chaos tests can inject disk faults. Every file written by
-// this version carries a CRC32 footer line; reads verify it and legacy
-// footer-less files are verified by decoding instead, so entries written
-// before the footer existed still read back byte-identical. A file that
-// fails verification is moved to <dir>/quarantine/ and reported as a miss —
-// a corrupt entry costs one recompute, never a wedged key. Orphaned temp
-// files from torn writes are swept on Open and by Scrub (scrub.go).
+// the store carries a CRC32 footer line, and reads verify it. A file
+// without a valid footer is moved to <dir>/quarantine/ and reported as a
+// miss — a corrupt entry costs one recompute, never a wedged key. Orphaned
+// temp files from torn writes are swept on Open and by Scrub (scrub.go).
 //
 // A bounded in-memory LRU layer fronts the disk so hot keys — the "serve
 // the same sweep again" case — are returned without touching the
@@ -28,6 +26,7 @@ import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -168,7 +167,7 @@ func (s *Store) path(key string) string {
 
 // The integrity footer: "\n#crc32 " + 8 lowercase hex digits + "\n",
 // appended after the canonical JSON payload. Canonical JSON is a single
-// line, so the footer is unambiguous; files without one are legacy entries.
+// line, so the footer is unambiguous.
 const (
 	footerPrefix = "\n#crc32 "
 	footerLen    = len(footerPrefix) + 8 + 1
@@ -177,44 +176,28 @@ const (
 func appendFooter(data []byte) []byte {
 	out := make([]byte, 0, len(data)+footerLen)
 	out = append(out, data...)
-	out = append(out, fmt.Sprintf("%s%08x\n", footerPrefix, crc32.ChecksumIEEE(data))...)
-	return out
+	out = append(out, footerPrefix...)
+	out = hex.AppendEncode(out, binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(data)))
+	return append(out, '\n')
 }
 
-// splitFooter splits a stored file into payload and footer state.
-// hasFooter reports whether an integrity footer is present; ok whether its
-// checksum matches the payload.
-func splitFooter(data []byte) (payload []byte, hasFooter, ok bool) {
+// splitFooter splits a stored file into its payload (the exact bytes Put was
+// given) and reports whether it ends in an integrity footer whose checksum
+// matches that payload.
+func splitFooter(data []byte) (payload []byte, ok bool) {
 	if len(data) < footerLen || data[len(data)-1] != '\n' {
-		return data, false, false
+		return nil, false
 	}
 	foot := data[len(data)-footerLen:]
 	if !bytes.HasPrefix(foot, []byte(footerPrefix)) {
-		return data, false, false
+		return nil, false
 	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(foot[len(footerPrefix):footerLen-1]), "%08x", &sum); err != nil {
-		return data, false, false
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], foot[len(footerPrefix):footerLen-1]); err != nil {
+		return nil, false
 	}
 	payload = data[:len(data)-footerLen]
-	return payload, true, crc32.ChecksumIEEE(payload) == sum
-}
-
-// verify checks one stored file and returns its payload (the exact bytes
-// Put was given). Footer present ⇒ CRC check; footer absent ⇒ legacy entry,
-// verified by decoding.
-func verify(data []byte) ([]byte, error) {
-	payload, hasFooter, ok := splitFooter(data)
-	if hasFooter {
-		if !ok {
-			return nil, errors.New("crc32 footer mismatch")
-		}
-		return payload, nil
-	}
-	if _, err := result.Decode(data); err != nil {
-		return nil, fmt.Errorf("legacy entry does not decode: %w", err)
-	}
-	return data, nil
+	return payload, crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(sum[:])
 }
 
 // GetBytes returns the stored canonical JSON for key, reporting whether it
@@ -250,8 +233,8 @@ func (s *Store) GetBytes(key string) ([]byte, bool, error) {
 		s.mu.Unlock()
 		return nil, false, fmt.Errorf("runstore: read %s: %w", key, err)
 	}
-	payload, verr := verify(data)
-	if verr != nil {
+	payload, ok := splitFooter(data)
+	if !ok {
 		s.quarantine(key)
 		s.mu.Lock()
 		s.stats.Misses++

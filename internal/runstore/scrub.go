@@ -62,26 +62,15 @@ type ScrubReport struct {
 	TmpSwept    int `json:"tmp_swept"`   // orphaned temp files removed
 }
 
-// Scrub re-verifies every disk entry (CRC footer, or decode for legacy
-// files), quarantines the ones that fail, and sweeps orphaned temp files.
+// Scrub re-verifies every disk entry's CRC footer, quarantines the ones
+// that fail (a file without a footer fails), and sweeps orphaned temp files.
 // It returns what it found; the error is non-nil only if the store
 // directory itself cannot be listed.
 func (s *Store) Scrub() (ScrubReport, error) {
 	rep := ScrubReport{TmpSwept: s.sweepTmp()}
-	var keys []string
-	err := s.eachShard(func(shard string, entries []os.DirEntry) error {
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			if key, found := strings.CutSuffix(e.Name(), ".json"); found && ValidKey(key) {
-				keys = append(keys, key)
-			}
-		}
-		return nil
-	})
+	keys, err := s.DiskKeys()
 	if err != nil {
-		return rep, fmt.Errorf("runstore: scrub: %w", err)
+		return rep, err
 	}
 	for _, key := range keys {
 		data, err := s.fs.ReadFile(s.path(key))
@@ -95,7 +84,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 			continue
 		}
 		rep.Checked++
-		if _, verr := verify(data); verr != nil {
+		if _, ok := splitFooter(data); !ok {
 			s.quarantine(key)
 			rep.Quarantined++
 		}

@@ -119,13 +119,14 @@ type bus struct {
 
 	mu     sync.Mutex
 	nextID uint64
-	// Replay ring of lifecycle events: a circular buffer of the most recent
-	// ringCap non-step events. evictedThrough is the highest id ever pushed
-	// out (or skipped as a step event never enters the ring — those don't
-	// count as evicted; resume never replays steps).
+	// Replay ring of lifecycle events: the most recent ringCap non-step
+	// events. It grows on demand, so a job's ring costs what the job
+	// publishes, and turns circular only once it holds ringCap events —
+	// until then ringStart stays 0. evictedThrough is the highest id ever
+	// pushed out (step events never enter the ring and don't count as
+	// evicted; resume never replays steps).
 	ring           []Event
 	ringStart      int
-	ringLen        int
 	evictedThrough uint64
 	subs           map[*subscriber]struct{}
 	closed         bool
@@ -136,10 +137,14 @@ func newBus(ringCap, subMax int, m *busMetrics) *bus {
 		metrics: m,
 		ringCap: ringCap,
 		subMax:  subMax,
-		ring:    make([]Event, ringCap),
 		subs:    map[*subscriber]struct{}{},
 	}
 }
+
+// reserve preallocates the replay ring for n lifecycle events, capped at
+// ringCap — the events its job normally publishes. Called before the first
+// publish; a job that publishes more grows the ring on demand.
+func (b *bus) reserve(n int) { b.ring = make([]Event, 0, min(n, b.ringCap)) }
 
 // HasSubscribers reports whether anyone is listening — the cheap gate the
 // executor checks before doing per-event work (engine tagging, remote event
@@ -164,13 +169,17 @@ func (b *bus) publish(ev Event) uint64 {
 	ev.ID = b.nextID
 	b.metrics.published.Add(1)
 	if ev.Type != EventStep {
-		if b.ringLen == b.ringCap {
+		if len(b.ring) < b.ringCap {
+			if len(b.ring) == cap(b.ring) {
+				// Double, clamped at ringCap: append alone would overshoot it.
+				b.ring = append(make([]Event, 0, min(2*len(b.ring)+1, b.ringCap)), b.ring...)
+			}
+			b.ring = append(b.ring, ev)
+		} else {
 			b.evictedThrough = b.ring[b.ringStart].ID
-			b.ringStart = (b.ringStart + 1) % b.ringCap
-			b.ringLen--
+			b.ring[b.ringStart] = ev
+			b.ringStart = (b.ringStart + 1) % len(b.ring)
 		}
-		b.ring[(b.ringStart+b.ringLen)%b.ringCap] = ev
-		b.ringLen++
 	}
 	var woken []*subscriber
 	for sub := range b.subs {
@@ -267,8 +276,8 @@ func (b *bus) subscribe(lastID uint64) *subscriber {
 		// Last-Event-ID monotone.
 		sub.pending = append(sub.pending, Event{ID: b.evictedThrough, Type: EventGap, Task: -1, From: lastID + 1, To: b.evictedThrough})
 	}
-	for i := 0; i < b.ringLen; i++ {
-		ev := b.ring[(b.ringStart+i)%b.ringCap]
+	for i := range b.ring {
+		ev := b.ring[(b.ringStart+i)%len(b.ring)]
 		if ev.ID > lastID {
 			sub.offer(ev)
 		}

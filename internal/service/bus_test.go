@@ -223,3 +223,98 @@ func TestBusConcurrentPublishersAndSubscribers(t *testing.T) {
 		}
 	}
 }
+
+// The replay ring grows by append until it holds ringCap events, then turns
+// circular. At every publish along growth → full → wrap, a resume from every
+// lastID must replay exactly what a reference model keeping the last ringCap
+// lifecycle events would: a gap marker for the evicted part of the suffix,
+// then the retained events past lastID, in order. Step events are
+// interleaved and never enter the ring.
+func TestBusRingGrowthWrapMatchesReference(t *testing.T) {
+	const ringCap, published = 5, 24
+	b := newBus(ringCap, 64, &busMetrics{})
+	var lifecycleIDs []uint64 // every lifecycle id published, oldest first
+	for n := 1; n <= published; n++ {
+		ev := lifecycle(n)
+		if n%3 == 0 {
+			ev = Event{Type: EventStep, Task: n}
+		}
+		id := b.publish(ev)
+		if ev.Type != EventStep {
+			lifecycleIDs = append(lifecycleIDs, id)
+		}
+		retained := lifecycleIDs[max(len(lifecycleIDs)-ringCap, 0):]
+		var evictedThrough uint64
+		if k := len(lifecycleIDs) - len(retained); k > 0 {
+			evictedThrough = lifecycleIDs[k-1]
+		}
+		if c := cap(b.ring); c > ringCap {
+			t.Fatalf("after %d publishes ring capacity %d exceeds %d", n, c, ringCap)
+		}
+		for lastID := uint64(0); lastID <= id; lastID++ {
+			var want []Event
+			if lastID < evictedThrough {
+				want = append(want, Event{ID: evictedThrough, Type: EventGap, Task: -1, From: lastID + 1, To: evictedThrough})
+			}
+			for _, rid := range retained {
+				if rid > lastID {
+					want = append(want, Event{ID: rid, Type: EventStarted})
+				}
+			}
+			sub := b.subscribe(lastID)
+			got := collect(sub)
+			b.unsubscribe(sub)
+			if len(got) != len(want) {
+				t.Fatalf("after %d publishes, resume from %d replayed %d events, want %d: %+v", n, lastID, len(got), len(want), got)
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.ID != w.ID || g.Type != w.Type || g.From != w.From || g.To != w.To {
+					t.Fatalf("after %d publishes, resume from %d: event %d = %+v, want %+v", n, lastID, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// A job's replay ring costs what the job publishes: a cached 8-cell sweep
+// publishes 3·8+3 lifecycle events, and its ring holds no more slots than
+// that — nor do the rings of all the finished jobs the server retains.
+func TestBusRingSizedByPublishedEvents(t *testing.T) {
+	const cells, jobs = 8, 600
+	const perJob = 3*cells + 3
+	s := newTestServer(t, Options{})
+	req := RunRequest{Experiments: []string{"table1/broadcast"}, Quick: true}
+	for seed := uint64(1); seed <= cells; seed++ {
+		req.Seeds = append(req.Seeds, seed)
+	}
+	for i := 0; i < jobs; i++ {
+		job, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		if i == 1 {
+			job.bus.mu.Lock()
+			c := cap(job.bus.ring)
+			job.bus.mu.Unlock()
+			if c > perJob {
+				t.Fatalf("cached %d-cell job keeps a %d-slot replay ring, want <= %d", cells, c, perJob)
+			}
+		}
+	}
+	s.mu.Lock()
+	retained, slots := len(s.jobs), 0
+	for _, job := range s.jobs {
+		job.bus.mu.Lock()
+		slots += cap(job.bus.ring)
+		job.bus.mu.Unlock()
+	}
+	s.mu.Unlock()
+	if retained != maxRetainedJobs {
+		t.Fatalf("server retains %d jobs, want %d", retained, maxRetainedJobs)
+	}
+	if slots > maxRetainedJobs*perJob {
+		t.Fatalf("%d retained jobs keep %d replay slots, want <= %d", retained, slots, maxRetainedJobs*perJob)
+	}
+}

@@ -98,10 +98,13 @@ type Options struct {
 
 	// Live streaming (GET /v1/runs/{id}/events). SubscriberBuffer bounds each
 	// subscriber's pending-event queue — a slower client loses events (with a
-	// gap marker) instead of back-pressuring the executor. ReplayEvents bounds
-	// the per-job ring that serves Last-Event-ID resume. Heartbeat paces the
-	// SSE keepalive comments. StepSample publishes every Nth committed engine
-	// superstep of a task as a lossy "step" event while anyone is subscribed.
+	// gap marker) instead of back-pressuring the executor. ReplayEvents caps
+	// the per-job ring that serves Last-Event-ID resume: a cap, not a
+	// preallocation — each job's ring holds only what it published, up to
+	// ReplayEvents lifecycle events, then evicts oldest-first. Heartbeat
+	// paces the SSE keepalive comments. StepSample publishes every Nth
+	// committed engine superstep of a task as a lossy "step" event while
+	// anyone is subscribed.
 	SubscriberBuffer int           // <=0 → 4096
 	ReplayEvents     int           // <=0 → 4096
 	Heartbeat        time.Duration // 0 → 15s; <0 → no heartbeats
@@ -710,6 +713,10 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 		done:    make(chan struct{}),
 		bus:     newBus(s.opts.ReplayEvents, s.opts.SubscriberBuffer, &s.streamM),
 	}
+	// A job normally publishes three lifecycle events per task (admitted,
+	// started, terminal) and three job events (queued, running, final);
+	// retries and forwards grow the ring past that on demand.
+	job.bus.reserve(3*len(tasks) + 3)
 
 	// Admission events: one per cell, carrying the full resolved identity so
 	// a stream consumer needs no side lookups. They are published before the
