@@ -77,15 +77,17 @@ bench-scale:
 	$(GO) run ./cmd/bandsim bench -run '^superstep/bsp/p' -baseline BENCH_baseline.json -out -
 	$(GO) test -run TestScaleMillionProcessors -count=1 .
 
-# One benchmark per paper table/figure; simulated model time reported as
-# custom metrics (simtime-*, sep-x).
+# One benchmark per registered experiment (BenchmarkExperiment/<id>, quick
+# preset, seed 1); each reports the run's simulated model time and superstep
+# count as custom metrics (simtime, supersteps) beside ns/op.
 bench-tables:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench=Experiment -benchmem .
 
-# Engine benchmark smoke: one iteration of each machine's superstep-merge
-# benchmark, proving the bench harness compiles and runs (CI runs this).
+# Benchmark smoke: one iteration of each machine's superstep benchmarks and
+# of every experiment's sub-benchmark, proving the bench harnesses compile
+# and run (CI runs this).
 bench-smoke:
-	$(GO) test -run '^$$' -bench=Superstep -benchtime=1x -benchmem ./...
+	$(GO) test -run '^$$' -bench='Superstep|Experiment' -benchtime=1x -benchmem ./...
 
 # DAG lowering conformance (CI runs this): the work IR and dagsched unit
 # suites, the oracle's precedence-invariant tests, and a 200-seed
@@ -123,11 +125,6 @@ fuzz-smoke:
 	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -json > /tmp/parbw_fuzz1.json
 	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -json > /tmp/parbw_fuzz2.json
 	cmp /tmp/parbw_fuzz1.json /tmp/parbw_fuzz2.json
-
-# The capture files the repo ships with.
-outputs:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf results

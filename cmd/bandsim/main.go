@@ -10,6 +10,8 @@
 //	bandsim run <id>...          run selected experiments
 //	bandsim run all              run everything (this regenerates Table 1
 //	                             and every per-theorem table)
+//	bandsim trace <id>           per-superstep timeline of one experiment
+//	                             (quick preset, -set applies on top)
 //	bandsim serve                HTTP run service (see serve.go)
 //	bandsim watch <job-id>       follow a job's live event stream (see watch.go)
 //	bandsim fuzz                 seeded workload fuzzing with invariant
@@ -67,10 +69,10 @@ func main() {
 	switch args[0] {
 	case "trace":
 		if len(args) < 2 {
-			fmt.Fprintln(os.Stderr, "bandsim: trace needs a target (broadcast|prefix|unbalanced|listrank|sort, or any experiment id)")
+			fmt.Fprintln(os.Stderr, "bandsim: trace needs an experiment id ('bandsim list')")
 			os.Exit(2)
 		}
-		if err := runTrace(os.Stdout, args[1], *seed, *csv); err != nil {
+		if err := runTrace(os.Stdout, args[1], *seed, sets, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, "bandsim:", err)
 			os.Exit(1)
 		}
@@ -134,7 +136,7 @@ func main() {
 				if *jsonOut {
 					writeErrorEnvelope(os.Stdout, service.UnknownExperimentEnvelope(id))
 				} else {
-					fmt.Fprint(os.Stderr, unknownIDMessage(id))
+					fmt.Fprintln(os.Stderr, "bandsim:", unknownIDMessage(id))
 				}
 				os.Exit(1)
 			}
@@ -234,17 +236,18 @@ func writeErrorEnvelope(w io.Writer, env service.ErrorEnvelope) {
 }
 
 // unknownIDMessage formats the error for a mistyped experiment id, with the
-// registry's closest matches when there are any.
+// registry's closest matches when there are any. `run` and `trace` both
+// print it.
 func unknownIDMessage(id string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "bandsim: unknown experiment %q\n", id)
+	fmt.Fprintf(&b, "unknown experiment %q\n", id)
 	if sug := harness.Suggest(id); len(sug) > 0 {
-		b.WriteString("did you mean:\n")
+		b.WriteString("did you mean:")
 		for _, s := range sug {
-			fmt.Fprintf(&b, "  %s\n", s)
+			fmt.Fprintf(&b, "\n  %s", s)
 		}
 	} else {
-		b.WriteString("run 'bandsim list' for all experiment ids\n")
+		b.WriteString("run 'bandsim list' for all experiment ids")
 	}
 	return b.String()
 }
@@ -257,9 +260,9 @@ usage:
   bandsim [flags] run <id>... | all
   bandsim [flags] export [dir]    write every experiment as CSV (default dir: results/)
   bandsim [flags] verify          run the reproduction checklist (PASS/FAIL per claim)
-  bandsim [flags] trace <target>  per-superstep timeline: an algorithm name or
-                                  any experiment id (engine observer over every
-                                  machine the experiment drives)
+  bandsim [flags] trace <id>      per-superstep timeline of one experiment at the
+                                  quick preset (-set applies on top): every step
+                                  of every machine the experiment drives
   bandsim serve [serve flags]     HTTP run service: job queue + sweep executor over
                                   a content-addressed run store ('serve -h' for flags)
   bandsim watch [flags] <job-id>  follow a job's live event stream (SSE) from a

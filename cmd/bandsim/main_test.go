@@ -10,32 +10,38 @@ import (
 	"parbw/internal/harness"
 )
 
+// Every registered experiment is a trace target. Each drives at least one
+// engine machine except validate/channels, whose packet-level network
+// simulator has no supersteps.
 func TestRunTraceTargets(t *testing.T) {
-	for name := range traceTargets {
+	for _, e := range harness.All() {
 		var buf bytes.Buffer
-		if err := runTrace(&buf, name, 1, false); err != nil {
-			t.Fatalf("trace %s: %v", name, err)
+		if err := runTrace(&buf, e.ID, 1, nil, false); err != nil {
+			t.Fatalf("trace %s: %v", e.ID, err)
 		}
 		out := buf.String()
-		if !strings.Contains(out, "superstep timeline") || !strings.Contains(out, "total simulated time") {
-			t.Fatalf("trace %s output malformed:\n%s", name, out)
+		if !strings.Contains(out, "superstep timeline: "+e.ID) || !strings.Contains(out, "total simulated time") {
+			t.Fatalf("trace %s output malformed:\n%s", e.ID, out)
+		}
+		if empty := strings.Contains(out, " over 0 machine steps"); empty != (e.ID == "validate/channels") {
+			t.Fatalf("trace %s: empty timeline = %v:\n%s", e.ID, empty, out)
 		}
 	}
 }
 
 func TestRunTraceCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTrace(&buf, "broadcast", 1, true); err != nil {
+	if err := runTrace(&buf, "table1/broadcast", 1, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "superstep,") {
+	if !strings.HasPrefix(buf.String(), "#,machine,step,work,h,msgs,steps,maxload,overloads,c_m,cost,cum time\n") {
 		t.Fatalf("CSV trace missing header: %q", buf.String()[:40])
 	}
 }
 
 func TestRunTraceUnknown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTrace(&buf, "nope", 1, false); err == nil {
+	if err := runTrace(&buf, "nope", 1, nil, false); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -44,7 +50,7 @@ func TestRunTraceUnknown(t *testing.T) {
 // records every superstep of every machine the experiment drives.
 func TestRunTraceExperimentID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTrace(&buf, "table1/broadcast", 1, false); err != nil {
+	if err := runTrace(&buf, "table1/broadcast", 1, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -61,24 +67,63 @@ func TestRunTraceExperimentID(t *testing.T) {
 	}
 }
 
-// Mistyped trace targets suggest close matches from both the legacy
-// algorithm names and the experiment registry, and the error is non-nil so
-// main exits non-zero.
+// A mistyped trace target is an error carrying the registry's closest
+// matches, the same message `bandsim run` prints, so main exits non-zero.
 func TestRunTraceUnknownSuggests(t *testing.T) {
 	var buf bytes.Buffer
-	err := runTrace(&buf, "brodcast", 1, false)
+	err := runTrace(&buf, "sort", 1, nil, false)
 	if err == nil {
-		t.Fatal("mistyped target accepted")
+		t.Fatal("bare algorithm name accepted")
 	}
-	if !strings.Contains(err.Error(), "did you mean") || !strings.Contains(err.Error(), "broadcast") {
-		t.Fatalf("missing suggestion: %v", err)
+	if err.Error() != unknownIDMessage("sort") {
+		t.Fatalf("error %q is not run's unknown-id message", err)
 	}
-	err = runTrace(&buf, "table1/brodcast", 1, false)
+	for _, want := range []string{"did you mean", "table1/sort", "ablation/sort"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("missing %q: %v", want, err)
+		}
+	}
+	err = runTrace(&buf, "table1/brodcast", 1, nil, false)
 	if err == nil {
 		t.Fatal("mistyped experiment id accepted")
 	}
 	if !strings.Contains(err.Error(), "table1/broadcast") {
 		t.Fatalf("missing registry suggestion: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected targets wrote output:\n%s", buf.String())
+	}
+}
+
+// -set assignments apply on top of the quick preset, and are validated
+// against the experiment's schema before anything runs.
+func TestRunTraceAppliesSet(t *testing.T) {
+	trace := func(sets map[string]string) (string, error) {
+		var buf bytes.Buffer
+		err := runTrace(&buf, "table1/broadcast", 1, sets, false)
+		return buf.String(), err
+	}
+	def, err := trace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, err := trace(harness.QuickParams()); err != nil || same != def {
+		t.Fatalf("restating the quick preset changed the trace (err %v)", err)
+	}
+	small, err := trace(map[string]string{"p": "64"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small == def {
+		t.Fatal("-set p=64 did not change the trace")
+	}
+	for _, bad := range []map[string]string{{"nosuch": "3"}, {"p": "banana"}} {
+		if out, err := trace(bad); err == nil || out != "" {
+			t.Fatalf("sets %v: err %v, output %d bytes", bad, err, len(out))
+		}
+	}
+	if _, err := trace(map[string]string{"quik": "true"}); err == nil || !strings.Contains(err.Error(), "did you mean [quick]") {
+		t.Fatalf("misspelled param: %v", err)
 	}
 }
 

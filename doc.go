@@ -18,10 +18,12 @@
 //	internal/lower      — every predicted bound as a closed-form function
 //	internal/harness    — the experiment registry behind cmd/bandsim
 //
-// The benchmarks in bench_test.go regenerate every table of the paper's
-// evaluation; run them with
+// BenchmarkExperiment in bench_test.go runs every registered experiment,
+// one sub-benchmark per id at the quick preset, and reports each run's
+// simulated time and superstep count; run it with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=Experiment -benchmem .
 //
-// and see EXPERIMENTS.md for the measured-versus-paper comparison.
+// `bandsim run all` regenerates every table of the paper's evaluation; see
+// EXPERIMENTS.md for the measured-versus-paper comparison.
 package parbw

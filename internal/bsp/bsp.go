@@ -21,7 +21,7 @@
 // which the ternary broadcast of the paper's Section 4.2 exploits.
 //
 // The superstep loop itself — context lifecycle, worker-pool fan-out, clock
-// and trace commit, observer fan-out — lives in internal/engine; this
+// commit, observer fan-out — lives in internal/engine; this
 // package contributes the BSP-specific merge strategy (schedule validation,
 // message routing, cost accounting).
 package bsp
@@ -83,8 +83,6 @@ type Config struct {
 	// Workers bounds the host-CPU parallelism used to execute processor
 	// programs; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Trace, if true, retains the Stats of every superstep (Machine.Trace).
-	Trace bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every superstep (Machine.Attach adds more).
 	Observer engine.Observer
@@ -152,7 +150,7 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		p:        cfg.P,
 		cost:     cfg.Cost,
-		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Workers, cfg.Trace),
+		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Workers),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		inOff:    make([]int32, cfg.P+1),
 		spareOff: make([]int32, cfg.P+1),
@@ -195,12 +193,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Supersteps returns the number of supersteps executed.
 func (m *Machine) Supersteps() int { return m.core.Steps() }
-
-// Last returns the Stats of the most recent superstep.
-func (m *Machine) Last() Stats { return m.core.Last() }
-
-// Trace returns the retained per-superstep Stats (nil unless Config.Trace).
-func (m *Machine) Trace() []Stats { return m.core.Trace() }
 
 // Attach registers an observer for this machine's supersteps.
 func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
@@ -606,7 +598,7 @@ func (m *Machine) Deliver(msgs []Msg) {
 	m.inOff = newOff
 }
 
-// Reset clears inboxes, time and trace, preserving processors and RNG state.
+// Reset clears inboxes and time, preserving processors and RNG state.
 func (m *Machine) Reset() {
 	m.inbox = nil
 	for i := range m.inOff {

@@ -75,12 +75,11 @@ func TestBSPgCost(t *testing.T) {
 
 func TestBSPgReceiveSideH(t *testing.T) {
 	m := newBSPg(4, 2, 1)
-	m.Superstep(func(c *Ctx) {
+	st := m.Superstep(func(c *Ctx) {
 		if c.ID() != 3 {
 			c.Send(3, 0, 1)
 		}
 	})
-	st := m.Last()
 	// proc 3 receives 3 messages: h = 3, cost = 6.
 	if st.HRecv != 3 || st.Cost != 6 {
 		t.Fatalf("stats = %+v, want HRecv=3 Cost=6", st)
@@ -237,15 +236,6 @@ func TestReset(t *testing.T) {
 	m.Reset()
 	if m.Time() != 0 || m.Supersteps() != 0 || len(m.Inbox(0)) != 0 {
 		t.Fatal("Reset incomplete")
-	}
-}
-
-func TestTraceRetention(t *testing.T) {
-	m := New(Config{P: 2, Cost: model.BSPg(1, 1), Seed: 1, Trace: true})
-	m.Superstep(func(c *Ctx) {})
-	m.Superstep(func(c *Ctx) {})
-	if len(m.Trace()) != 2 {
-		t.Fatalf("trace length = %d, want 2", len(m.Trace()))
 	}
 }
 

@@ -1,12 +1,15 @@
 package collective
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parbw/internal/bsp"
+	"parbw/internal/engine"
 	"parbw/internal/model"
 	"parbw/internal/qsm"
 )
@@ -17,6 +20,26 @@ func bspMachine(p int, cost model.Cost) *bsp.Machine {
 
 func qsmMachine(p int, cost model.Cost) *qsm.Machine {
 	return qsm.New(qsm.Config{P: p, Mem: 2 * p, Cost: cost, Seed: 7})
+}
+
+// stepLog returns an observer that appends every committed step to *log,
+// its histogram copied out of the engine's recycled buffer.
+func stepLog(log *[]engine.StepStats) engine.Observer {
+	return engine.ObserverFunc(func(st engine.StepStats) {
+		st.Hist = slices.Clone(st.Hist)
+		*log = append(*log, st)
+	})
+}
+
+// noOverload fails t if any logged step of the named run overloaded the
+// network.
+func noOverload(t *testing.T, run string, log []engine.StepStats) {
+	t.Helper()
+	for i, st := range log {
+		if st.Overload != 0 {
+			t.Fatalf("%s: step %d overloaded: %+v", run, i, st)
+		}
+	}
 }
 
 func qsmmLin(m int) model.Cost {
@@ -44,15 +67,16 @@ func TestBroadcastBSPAllModels(t *testing.T) {
 	for _, cost := range bspCosts {
 		for _, p := range []int{1, 2, 3, 16, 33, 64} {
 			for _, root := range []int{0, p / 2, p - 1} {
-				m := bspMachine(p, cost)
+				var log []engine.StepStats
+				m := bsp.New(bsp.Config{P: p, Cost: cost, Seed: 7, Observer: stepLog(&log)})
 				out := BroadcastBSP(m, root, 42)
 				for i, v := range out {
 					if v != 42 {
 						t.Fatalf("%v p=%d root=%d: proc %d got %d", cost.Kind, p, root, i, v)
 					}
 				}
-				if cost.Global() && m.Last().Overload > 0 {
-					t.Fatalf("%v p=%d: broadcast overloaded the network", cost.Kind, p)
+				if cost.Global() {
+					noOverload(t, fmt.Sprintf("%v p=%d root=%d broadcast", cost.Kind, p, root), log)
 				}
 			}
 		}
@@ -63,13 +87,10 @@ func TestBroadcastBSPNoOverloadEver(t *testing.T) {
 	// Under the exponential penalty, a correct BSP(m) broadcast must never
 	// exceed m injections in a step, or time explodes.
 	cost := model.BSPm(4, 4)
-	m := bsp.New(bsp.Config{P: 128, Cost: cost, Seed: 3, Trace: true})
+	var log []engine.StepStats
+	m := bsp.New(bsp.Config{P: 128, Cost: cost, Seed: 3, Observer: stepLog(&log)})
 	BroadcastBSP(m, 5, 9)
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("superstep %d overloaded: %+v", i, st)
-		}
-	}
+	noOverload(t, "broadcast", log)
 }
 
 func TestBroadcastBSPSeparation(t *testing.T) {
@@ -232,17 +253,14 @@ func TestPrefixSumBSPProperty(t *testing.T) {
 }
 
 func TestPrefixNoOverload(t *testing.T) {
-	m := bsp.New(bsp.Config{P: 200, Cost: model.BSPm(8, 4), Seed: 1, Trace: true})
+	var log []engine.StepStats
+	m := bsp.New(bsp.Config{P: 200, Cost: model.BSPm(8, 4), Seed: 1, Observer: stepLog(&log)})
 	vals := make([]int64, 200)
 	for i := range vals {
 		vals[i] = 1
 	}
 	PrefixSumBSP(m, vals, Sum, 0)
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("superstep %d overloaded: %+v", i, st)
-		}
-	}
+	noOverload(t, "prefix sum", log)
 }
 
 func TestBroadcastQSMAllModels(t *testing.T) {
@@ -262,13 +280,10 @@ func TestBroadcastQSMAllModels(t *testing.T) {
 }
 
 func TestBroadcastQSMNoOverload(t *testing.T) {
-	m := qsm.New(qsm.Config{P: 100, Mem: 200, Cost: model.QSMm(4), Seed: 2, Trace: true})
+	var log []engine.StepStats
+	m := qsm.New(qsm.Config{P: 100, Mem: 200, Cost: model.QSMm(4), Seed: 2, Observer: stepLog(&log)})
 	BroadcastQSM(m, 0, 5)
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("phase %d overloaded: %+v", i, st)
-		}
-	}
+	noOverload(t, "QSM broadcast", log)
 }
 
 func TestBroadcastQSMSeparation(t *testing.T) {
@@ -550,13 +565,10 @@ func TestBroadcastVecPipelines(t *testing.T) {
 
 func TestBroadcastVecNoOverload(t *testing.T) {
 	p, k := 128, 16
-	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(8, 4), Seed: 1, Trace: true})
+	var log []engine.StepStats
+	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(8, 4), Seed: 1, Observer: stepLog(&log)})
 	BroadcastVecBSP(m, 0, make([]int64, k))
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("superstep %d overloaded: %+v", i, st)
-		}
-	}
+	noOverload(t, "vector broadcast", log)
 }
 
 func TestBroadcastVecEmpty(t *testing.T) {
@@ -593,7 +605,7 @@ func TestBroadcastVecWorkerCountEquivalence(t *testing.T) {
 		out   []int64
 		time  model.Time
 		steps int
-		trace []bsp.Stats
+		trace []engine.StepStats
 	}
 	cost := model.BSPm(8, 4)
 	for _, p := range []int{2, 9, 32, 1000} {
@@ -604,9 +616,10 @@ func TestBroadcastVecWorkerCountEquivalence(t *testing.T) {
 			}
 			var want run
 			for _, w := range []int{1, 2, 4} {
-				m := bsp.New(bsp.Config{P: p, Cost: cost, Seed: 7, Workers: w, Trace: true})
+				var log []engine.StepStats
+				m := bsp.New(bsp.Config{P: p, Cost: cost, Seed: 7, Workers: w, Observer: stepLog(&log)})
 				out := BroadcastVecBSP(m, p/3+1, vec)
-				got := run{out, m.Time(), m.Supersteps(), m.Trace()}
+				got := run{out, m.Time(), m.Supersteps(), log}
 				if w == 1 {
 					if !reflect.DeepEqual(out, vec) {
 						t.Fatalf("p=%d k=%d: got %v, want %v", p, k, out, vec)

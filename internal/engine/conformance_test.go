@@ -195,7 +195,7 @@ func TestConformanceCostMonotoneInOverload(t *testing.T) {
 
 // Observer contract: the observer given at construction fires before any
 // attached later, once per committed step, in superstep order, with the
-// stats the machine itself retains.
+// stats Superstep itself returns.
 func TestObserverCallbackOrdering(t *testing.T) {
 	type event struct {
 		scope string
@@ -203,7 +203,7 @@ func TestObserverCallbackOrdering(t *testing.T) {
 	}
 	var events []event
 	m := bsp.New(bsp.Config{
-		P: 8, Cost: model.BSPm(4, 1), Seed: 1, Trace: true,
+		P: 8, Cost: model.BSPm(4, 1), Seed: 1,
 		Observer: engine.ObserverFunc(func(st engine.StepStats) {
 			events = append(events, event{"config", st})
 		}),
@@ -213,17 +213,17 @@ func TestObserverCallbackOrdering(t *testing.T) {
 	}))
 
 	const steps = 5
+	var trace []bsp.Stats
 	for s := 0; s < steps; s++ {
-		m.Superstep(func(c *bsp.Ctx) {
+		trace = append(trace, m.Superstep(func(c *bsp.Ctx) {
 			c.Charge(s + 1)
 			c.Send((c.ID()+1)%8, 1, int64(s))
-		})
+		}))
 	}
 
 	if len(events) != 2*steps {
 		t.Fatalf("saw %d events, want %d", len(events), 2*steps)
 	}
-	trace := m.Trace()
 	for s := 0; s < steps; s++ {
 		first, second := events[2*s], events[2*s+1]
 		if first.scope != "config" || second.scope != "attached" {
@@ -234,7 +234,7 @@ func TestObserverCallbackOrdering(t *testing.T) {
 				t.Fatalf("step %d: got machine %q index %d", s, ev.st.Machine, ev.st.Index)
 			}
 			if ev.st.Cost != trace[s].Cost || ev.st.N != trace[s].N || ev.st.W != trace[s].W {
-				t.Fatalf("step %d: observer stats %+v diverge from trace %+v", s, ev.st, trace[s])
+				t.Fatalf("step %d: observer stats %+v diverge from Superstep %+v", s, ev.st, trace[s])
 			}
 		}
 	}

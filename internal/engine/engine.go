@@ -3,24 +3,26 @@
 // abstract loop — reset per-processor contexts, fan the per-processor
 // programs out over a bounded worker pool, run a model-specific merge that
 // validates schedules and computes the step's cost, then commit: advance the
-// simulated clock, retain the step's statistics, and notify observers.
+// simulated clock and notify observers.
 // Before this package existed that loop was implemented once per machine;
 // Core implements it exactly once, parameterized by the machine's native
 // per-step Stats type S and its merge strategy.
 //
 // Core also owns the recycled scratch buffers the merge strategies share
-// (the per-step injection histogram and a per-processor ledger), the
-// retained trace, a fixed-size ring of recent steps that is always on, and
-// the observability layer of observer.go: normalized per-step callbacks to
-// the observers the machine was constructed with, plus cheap process-wide
+// (the per-step injection histogram and a per-processor ledger) and the
+// observability layer of observer.go: normalized per-step callbacks to the
+// observers the machine was constructed with, plus cheap process-wide
 // atomic counters that aggregate across every machine in the process
-// (surfaced by `bandsim serve` on /statsz).
+// (surfaced by `bandsim serve` on /statsz). Core keeps no per-step record
+// of its own: a step is seen through an observer or through the native
+// Stats value Step returns.
 //
 // The merge strategy returns both the machine's native Stats value and a
-// normalized StepStats view; Core commits the former and publishes the
-// latter. Costs are computed entirely inside the merge strategy, so moving a
-// machine onto Core cannot change any simulated time: Core only adds the
-// returned cost to the clock, exactly as the per-machine loops did.
+// normalized StepStats view; Core returns the former to the machine and
+// publishes the latter. Costs are computed entirely inside the merge
+// strategy, so moving a machine onto Core cannot change any simulated time:
+// Core only adds the returned cost to the clock, exactly as the per-machine
+// loops did.
 package engine
 
 import (
@@ -30,9 +32,6 @@ import (
 	"parbw/internal/workpool"
 )
 
-// ringCap is the capacity of the always-on recent-step ring.
-const ringCap = 64
-
 // Core is the generic superstep driver. S is the machine's native per-step
 // statistics type (bsp.Stats, qsm.Stats, pram.Stats). Methods must be called
 // from a single driver goroutine, mirroring the machines' contract.
@@ -40,15 +39,9 @@ type Core[S any] struct {
 	label string
 	p     int
 	pool  *workpool.Pool
-	keep  bool
 
 	time  model.Time
 	steps int
-	last  S
-	trace []S
-
-	ring  [ringCap]StepStats
-	ringN int
 
 	hist    []int // recycled per-step injection/request histogram
 	ledger  []int // recycled per-processor counter, length p
@@ -60,14 +53,12 @@ type Core[S any] struct {
 
 // NewCore constructs a Core for a machine with p simulated processors.
 // label names the machine family in StepStats ("bsp", "qsm", "pram");
-// workers bounds host parallelism (<= 0 selects GOMAXPROCS); keepTrace
-// retains every step's native Stats for Trace.
-func NewCore[S any](label string, p, workers int, keepTrace bool) *Core[S] {
+// workers bounds host parallelism (<= 0 selects GOMAXPROCS).
+func NewCore[S any](label string, p, workers int) *Core[S] {
 	return &Core[S]{
 		label: label,
 		p:     p,
 		pool:  workpool.New(workers),
-		keep:  keepTrace,
 	}
 }
 
@@ -82,12 +73,6 @@ func (c *Core[S]) Time() model.Time { return c.time }
 
 // Steps returns the number of supersteps committed.
 func (c *Core[S]) Steps() int { return c.steps }
-
-// Last returns the native Stats of the most recent superstep.
-func (c *Core[S]) Last() S { return c.last }
-
-// Trace returns the retained per-superstep Stats (nil unless keepTrace).
-func (c *Core[S]) Trace() []S { return c.trace }
 
 // ChargeTime adds t units of simulated time outside any superstep.
 func (c *Core[S]) ChargeTime(t model.Time) { c.time += t }
@@ -126,30 +111,16 @@ func (c *Core[S]) Ledger() []int {
 	return c.ledger
 }
 
-// Recent returns the normalized stats of up to the last 64 committed steps,
-// oldest first. The ring is always on (histogram snapshots excluded), so a
-// machine can be inspected after the fact without configuring a trace.
-func (c *Core[S]) Recent() []StepStats {
-	start := 0
-	if c.ringN > ringCap {
-		start = c.ringN - ringCap
-	}
-	out := make([]StepStats, 0, c.ringN-start)
-	for i := start; i < c.ringN; i++ {
-		out = append(out, c.ring[i%ringCap])
-	}
-	return out
-}
-
 // Step drives one superstep: body runs once per contiguous processor chunk
 // on the worker pool (reset each chunk processor's state and execute its
 // program — chunk boundaries follow ChunkPlan, so live goroutine and
 // closure state is O(cores), never O(p)), then merge — the model-specific
 // strategy — validates schedules, routes traffic, and prices the step,
 // returning the machine's native Stats together with the normalized
-// StepStats view. Core commits the result: clock, counters, trace, ring,
-// observers. A panicking processor program panics Step on the driver
-// goroutine, with the lowest-numbered chunk's value as a serial run would.
+// StepStats view. Core commits the result — clock, counters, observers —
+// and returns the native Stats. A panicking processor program panics Step
+// on the driver goroutine, with the lowest-numbered chunk's value as a
+// serial run would.
 func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
 	c.pool.ForChunks(c.p, body)
 	st, view := merge()
@@ -157,14 +128,6 @@ func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
 	view.Index = c.steps
 	c.time += view.Cost
 	c.steps++
-	c.last = st
-	if c.keep {
-		c.trace = append(c.trace, st)
-	}
-	ringView := view
-	ringView.Hist = nil // ring entries outlive the recycled histogram
-	c.ring[c.ringN%ringCap] = ringView
-	c.ringN++
 	countStep(view)
 	for _, obs := range c.observers {
 		obs.OnStep(view)
@@ -172,16 +135,12 @@ func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
 	return st
 }
 
-// ResetClock clears time, step count, last stats, trace, and the recent
-// ring. Scratch buffers and observers are preserved, matching the machines'
-// Reset semantics (processor RNG state lives in the machines).
+// ResetClock clears time and step count. Scratch buffers and observers are
+// preserved, matching the machines' Reset semantics (processor RNG state
+// lives in the machines).
 func (c *Core[S]) ResetClock() {
-	var zero S
 	c.time = 0
 	c.steps = 0
-	c.last = zero
-	c.trace = nil
-	c.ringN = 0
 }
 
 // CheckSchedule validates a per-processor injection schedule: items are

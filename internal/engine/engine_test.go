@@ -7,53 +7,54 @@ import (
 )
 
 // step drives one trivial superstep on c whose merge reports the given cost
-// and traffic.
-func step(c *Core[int], cost float64, n, maxSlot, overload int) {
-	c.Step(func(lo, hi int) {}, func() (int, StepStats) {
+// and traffic, and returns the native Stats Step committed.
+func step(c *Core[int], cost float64, n, maxSlot, overload int) int {
+	return c.Step(func(lo, hi int) {}, func() (int, StepStats) {
 		return c.Steps() + 1, StepStats{N: n, MaxSlot: maxSlot, Overload: overload, Cost: cost}
 	})
 }
 
+// Step returns the merge's native Stats, and the attached observer is the
+// step record: it sees each committed step's normalized view in order.
 func TestCoreClockAndTrace(t *testing.T) {
-	c := NewCore[int]("test", 4, 1, true)
+	c := NewCore[int]("test", 4, 1)
 	if c.P() != 4 || c.Label() != "test" {
 		t.Fatalf("P/Label = %d/%q", c.P(), c.Label())
 	}
-	step(c, 3, 1, 1, 0)
-	step(c, 5, 2, 1, 0)
+	var trace []StepStats
+	c.Attach(ObserverFunc(func(st StepStats) { trace = append(trace, st) }))
+	if got := step(c, 3, 1, 1, 0); got != 1 {
+		t.Fatalf("first Step returned %d, want 1", got)
+	}
+	if got := step(c, 5, 2, 1, 0); got != 2 {
+		t.Fatalf("second Step returned %d, want 2", got)
+	}
 	if c.Time() != 8 {
 		t.Fatalf("Time = %v, want 8", c.Time())
 	}
 	if c.Steps() != 2 {
 		t.Fatalf("Steps = %d, want 2", c.Steps())
 	}
-	if c.Last() != 2 {
-		t.Fatalf("Last = %d, want 2", c.Last())
-	}
-	if got := c.Trace(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Trace = %v", got)
+	if len(trace) != 2 || trace[0].Cost != 3 || trace[1].Cost != 5 || trace[0].Index != 0 || trace[1].Index != 1 {
+		t.Fatalf("observed trace = %+v", trace)
 	}
 	c.ChargeTime(10)
 	if c.Time() != 18 {
 		t.Fatalf("Time after ChargeTime = %v", c.Time())
 	}
 	c.ResetClock()
-	if c.Time() != 0 || c.Steps() != 0 || c.Trace() != nil || len(c.Recent()) != 0 {
+	if c.Time() != 0 || c.Steps() != 0 {
 		t.Fatal("ResetClock did not clear state")
 	}
-}
-
-func TestCoreNoTraceByDefault(t *testing.T) {
-	c := NewCore[int]("test", 2, 1, false)
 	step(c, 1, 0, 0, 0)
-	if c.Trace() != nil {
-		t.Fatal("trace retained without keepTrace")
+	if last := trace[len(trace)-1]; len(trace) != 3 || last.Index != 0 {
+		t.Fatalf("after ResetClock the next step is %+v of %d", last, len(trace))
 	}
 }
 
 func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 	const p = 100
-	c := NewCore[int]("test", p, 4, false)
+	c := NewCore[int]("test", p, 4)
 	hits := make([]int, p)
 	var mu sync.Mutex
 	c.Step(func(lo, hi int) {
@@ -71,7 +72,7 @@ func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 }
 
 func TestHistRecycled(t *testing.T) {
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, 1)
 	h1 := c.Hist(8)
 	if len(h1) != 8 {
 		t.Fatalf("len = %d", len(h1))
@@ -94,7 +95,7 @@ func TestHistRecycled(t *testing.T) {
 }
 
 func TestLedgerRecycled(t *testing.T) {
-	c := NewCore[int]("test", 5, 1, false)
+	c := NewCore[int]("test", 5, 1)
 	l1 := c.Ledger()
 	if len(l1) != 5 {
 		t.Fatalf("len = %d", len(l1))
@@ -109,63 +110,8 @@ func TestLedgerRecycled(t *testing.T) {
 	}
 }
 
-func TestRecentRing(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
-	for i := 0; i < ringCap+10; i++ {
-		step(c, float64(i), 0, 0, 0)
-	}
-	rec := c.Recent()
-	if len(rec) != ringCap {
-		t.Fatalf("Recent returned %d entries, want %d", len(rec), ringCap)
-	}
-	// Oldest first; the last entry is the most recent step.
-	if rec[len(rec)-1].Index != ringCap+9 {
-		t.Fatalf("last ring entry index = %d", rec[len(rec)-1].Index)
-	}
-	for i := 1; i < len(rec); i++ {
-		if rec[i].Index != rec[i-1].Index+1 {
-			t.Fatalf("ring not in order at %d: %d then %d", i, rec[i-1].Index, rec[i].Index)
-		}
-		if rec[i].Hist != nil {
-			t.Fatal("ring entry retained a histogram alias")
-		}
-	}
-}
-
-// TestRecentAtRingBoundary pins Recent's behavior at the wraparound edge:
-// exactly ringCap committed steps must return all of them in order, and one
-// more must drop exactly the oldest.
-func TestRecentAtRingBoundary(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
-	for i := 0; i < ringCap; i++ {
-		step(c, float64(i), 0, 0, 0)
-	}
-	rec := c.Recent()
-	if len(rec) != ringCap {
-		t.Fatalf("at %d steps Recent returned %d entries", ringCap, len(rec))
-	}
-	if rec[0].Index != 0 || rec[ringCap-1].Index != ringCap-1 {
-		t.Fatalf("at %d steps Recent spans [%d, %d]", ringCap, rec[0].Index, rec[ringCap-1].Index)
-	}
-
-	step(c, 0, 0, 0, 0) // step ringCap+1 evicts exactly index 0
-	rec = c.Recent()
-	if len(rec) != ringCap {
-		t.Fatalf("at %d steps Recent returned %d entries", ringCap+1, len(rec))
-	}
-	if rec[0].Index != 1 || rec[ringCap-1].Index != ringCap {
-		t.Fatalf("at %d steps Recent spans [%d, %d], want [1, %d]",
-			ringCap+1, rec[0].Index, rec[ringCap-1].Index, ringCap)
-	}
-	for i := 1; i < len(rec); i++ {
-		if rec[i].Index != rec[i-1].Index+1 {
-			t.Fatalf("ring not in order at %d", i)
-		}
-	}
-}
-
 func TestObserverSeesCommittedSteps(t *testing.T) {
-	c := NewCore[int]("obs", 3, 1, false)
+	c := NewCore[int]("obs", 3, 1)
 	var got []StepStats
 	c.Attach(ObserverFunc(func(st StepStats) { got = append(got, st) }))
 	step(c, 2, 5, 3, 1)
@@ -184,7 +130,7 @@ func TestObserverSeesCommittedSteps(t *testing.T) {
 }
 
 func TestAttachNilObserverIgnored(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
+	c := NewCore[int]("test", 1, 1)
 	c.Attach(nil)
 	step(c, 1, 0, 0, 0) // must not panic
 }
@@ -192,7 +138,7 @@ func TestAttachNilObserverIgnored(t *testing.T) {
 // A machine's observers run in attachment order on every committed step and
 // survive ResetClock, like the machine's other configuration.
 func TestAttachedObserversRunInOrder(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
+	c := NewCore[int]("test", 1, 1)
 	var got []string
 	c.Attach(ObserverFunc(func(StepStats) { got = append(got, "a") }))
 	c.Attach(ObserverFunc(func(StepStats) { got = append(got, "b") }))
@@ -210,7 +156,7 @@ func TestAttachedObserversRunInOrder(t *testing.T) {
 func TestObserversScopedPerMachine(t *testing.T) {
 	drive := func(label string, steps int, wg *sync.WaitGroup, got *[]StepStats) {
 		defer wg.Done()
-		c := NewCore[int](label, 2, 1, false)
+		c := NewCore[int](label, 2, 1)
 		if got != nil {
 			c.Attach(ObserverFunc(func(st StepStats) { *got = append(*got, st) }))
 		}
@@ -243,7 +189,7 @@ func TestObserversScopedPerMachine(t *testing.T) {
 
 // The commit path allocates nothing per step, observed or not.
 func TestStepIsZeroAllocs(t *testing.T) {
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, 1)
 	step(c, 1, 0, 0, 0) // warm scratch
 	if allocs := testing.AllocsPerRun(100, func() { step(c, 1, 0, 0, 0) }); allocs != 0 {
 		t.Fatalf("unobserved step costs %v allocs, want 0", allocs)
@@ -257,7 +203,7 @@ func TestStepIsZeroAllocs(t *testing.T) {
 
 func TestGlobalCountersAdvance(t *testing.T) {
 	before := GlobalCounters()
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, 1)
 	step(c, 1, 10, 3, 2)
 	step(c, 1, 5, 1, 0)
 	after := GlobalCounters()

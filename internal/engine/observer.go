@@ -30,8 +30,8 @@ type StepStats struct {
 	CM       model.Time // c_m = Σ_t f_m(m_t) (globally-limited models only)
 	Cost     model.Time // simulated time charged for the step
 	// Hist is the per-step load histogram snapshot. It aliases an
-	// engine-owned recycled buffer: valid only inside the observer callback,
-	// and nil in ring entries and for machines without slot schedules.
+	// engine-owned recycled buffer: valid only inside the observer callback
+	// (copy it to keep it), and nil for machines without slot schedules.
 	Hist []int
 }
 

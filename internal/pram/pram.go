@@ -169,7 +169,7 @@ func New(cfg Config) *Machine {
 		rom:      cfg.ROM,
 		mode:     cfg.Mode,
 		cellBits: bits,
-		core:     engine.NewCore[Stats]("pram", cfg.P, cfg.Workers, false),
+		core:     engine.NewCore[Stats]("pram", cfg.P, cfg.Workers),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		rdCount:  make([]int, cfg.Mem),
 		wrCount:  make([]int, cfg.Mem),
@@ -226,9 +226,6 @@ func (m *Machine) BitsMoved() int { return m.bits }
 
 // ROMReads returns the total number of ROM reads issued (uncharged).
 func (m *Machine) ROMReads() int { return m.romRead }
-
-// Last returns the Stats of the most recent step.
-func (m *Machine) Last() Stats { return m.core.Last() }
 
 // Attach registers an observer for this machine's steps.
 func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }

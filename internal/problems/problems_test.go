@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"parbw/internal/bsp"
+	"parbw/internal/engine"
 	"parbw/internal/model"
 	"parbw/internal/qsm"
 	"parbw/internal/xrand"
@@ -451,11 +452,16 @@ func TestColumnsortQSMScalesWithM(t *testing.T) {
 		keys[i] = int64(rng.Intn(100))
 	}
 	run := func(mm int) float64 {
-		m := qsm.New(qsm.Config{P: p, Mem: n, Cost: model.QSMm(mm), Seed: 8, Trace: true})
+		var phases []engine.StepStats
+		m := qsm.New(qsm.Config{P: p, Mem: n, Cost: model.QSMm(mm), Seed: 8,
+			Observer: engine.ObserverFunc(func(st engine.StepStats) {
+				st.Hist = nil
+				phases = append(phases, st)
+			})})
 		// q = 32 keeps the per-processor request count n/q = 16 below n/m
 		// for both m values, so the aggregate term is what scales.
 		ColumnsortQSM(m, keys, 32)
-		for i, st := range m.Trace() {
+		for i, st := range phases {
 			if st.MaxSlot > 4*mm {
 				t.Fatalf("m=%d phase %d badly overloaded: %+v", mm, i, st)
 			}

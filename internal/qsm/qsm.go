@@ -17,8 +17,8 @@
 // histogram (processors schedule requests into steps via ReadAt/WriteAt, at
 // most one request per processor per step).
 //
-// The phase loop itself — context lifecycle, worker-pool fan-out, clock and
-// trace commit, observer fan-out — lives in internal/engine; this package
+// The phase loop itself — context lifecycle, worker-pool fan-out, clock
+// commit, observer fan-out — lives in internal/engine; this package
 // contributes the QSM-specific merge strategy (request validation,
 // contention accounting, write resolution, cost accounting).
 package qsm
@@ -54,7 +54,6 @@ type Config struct {
 	Cost    model.Cost // must be a QSM kind
 	Seed    uint64
 	Workers int
-	Trace   bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every phase (Machine.Attach adds more).
 	Observer engine.Observer
@@ -126,7 +125,7 @@ func New(cfg Config) *Machine {
 		p:       cfg.P,
 		mem:     make([]int64, cfg.Mem),
 		cost:    cfg.Cost,
-		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Workers, cfg.Trace),
+		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Workers),
 		cols:    engine.NewCols(cfg.P, cfg.Seed),
 		rdCount: make([]int, cfg.Mem),
 		wrCount: make([]int, cfg.Mem),
@@ -169,12 +168,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Phases returns the number of phases executed.
 func (m *Machine) Phases() int { return m.core.Steps() }
-
-// Last returns the Stats of the most recent phase.
-func (m *Machine) Last() Stats { return m.core.Last() }
-
-// Trace returns retained per-phase Stats (nil unless Config.Trace).
-func (m *Machine) Trace() []Stats { return m.core.Trace() }
 
 // Attach registers an observer for this machine's phases.
 func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
@@ -426,7 +419,7 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	}
 }
 
-// Reset clears memory, time and trace, preserving processor RNG state.
+// Reset clears memory and time, preserving processor RNG state.
 func (m *Machine) Reset() {
 	for i := range m.mem {
 		m.mem[i] = 0

@@ -187,14 +187,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	m := New(Config{P: 2, Mem: 2, Cost: model.QSMg(1), Seed: 1, Trace: true})
-	m.Phase(func(c *Ctx) {})
-	if len(m.Trace()) != 1 {
-		t.Fatal("trace not retained")
-	}
-}
-
 // Property: concurrent reads return the stored value for all readers, and κ
 // equals the reader count when all processors read one cell.
 func TestConcurrentReadConsistency(t *testing.T) {
