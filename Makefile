@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-cluster stream-chaos bench bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
+.PHONY: all build vet test race chaos chaos-cluster stream-chaos bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
 
 all: build test
 
@@ -59,22 +59,12 @@ stream-chaos:
 	$(GO) test -race -count=1 -run 'TestReadSSE|TestFormatEvent|TestWatch' ./cmd/bandsim
 	$(GO) test -race -count=1 -run 'Writer' ./internal/fault
 
-# The fixed hot-path suite via the bench-regression harness: superstep
-# merge per model, the static scheduling sweep, and quick Table 1 runs.
-# Fails when any case regresses >20% ns/op against the checked-in baseline
-# or any model fingerprint drifts (CI runs this with -benchtime 100ms).
-bench:
-	$(GO) run ./cmd/bandsim bench -baseline BENCH_baseline.json -out -
-
-# Regenerate the checked-in baseline (run on a quiet machine).
-bench-baseline:
-	$(GO) run ./cmd/bandsim bench -out BENCH_baseline.json
-
-# The p-scaling block only (columnar engine at p = 10k / 100k / 2^20),
-# gated against the checked-in baseline, plus the million-processor heap
-# ceiling test. Divide a case's ns/op by its p for the per-processor cost.
+# The p-scaling workload (columnar engine at p = 10k / 100k / 2^20) plus the
+# million-processor heap ceiling test. Divide a size's ns/op by its p for
+# the per-processor cost; TestSuperstepFingerprint pins each size's model
+# outcome.
 bench-scale:
-	$(GO) run ./cmd/bandsim bench -run '^superstep/bsp/p' -baseline BENCH_baseline.json -out -
+	$(GO) test -run '^$$' -bench SuperstepScale -benchmem ./internal/bsp
 	$(GO) test -run TestScaleMillionProcessors -count=1 .
 
 # One benchmark per registered experiment (BenchmarkExperiment/<id>, quick

@@ -30,6 +30,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -106,11 +107,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bandsim:", err)
 			os.Exit(1)
 		}
-	case "bench":
-		if err := runBench(args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "bandsim:", err)
-			os.Exit(1)
-		}
 	case "fuzz":
 		if err := runFuzz(args[1:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "bandsim:", err)
@@ -121,36 +117,22 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bandsim: run needs experiment ids (or 'all')")
 			os.Exit(2)
 		}
-		ids := args[1:]
-		if len(ids) == 1 && ids[0] == "all" {
-			ids = nil
-			for _, e := range harness.All() {
-				ids = append(ids, e.ID)
-			}
-		}
 		// Validate the whole selection — ids and parameter assignments —
 		// before running any of it.
-		for _, id := range ids {
-			e, ok := harness.ByID(id)
-			if !ok {
-				if *jsonOut {
-					writeErrorEnvelope(os.Stdout, service.UnknownExperimentEnvelope(id))
-				} else {
-					fmt.Fprintln(os.Stderr, "bandsim:", unknownIDMessage(id))
-				}
-				os.Exit(1)
+		exps, err := selectExperiments(args[1:], cfg.Params)
+		if err != nil {
+			var uid unknownIDError
+			switch {
+			case !*jsonOut:
+				fmt.Fprintln(os.Stderr, "bandsim:", err)
+			case errors.As(err, &uid):
+				writeErrorEnvelope(os.Stdout, service.UnknownExperimentEnvelope(string(uid)))
+			default:
+				writeErrorEnvelope(os.Stdout, service.ParamErrorEnvelope(err))
 			}
-			if _, err := e.Resolve(cfg.Params); err != nil {
-				if *jsonOut {
-					writeErrorEnvelope(os.Stdout, service.ParamErrorEnvelope(err))
-				} else {
-					fmt.Fprintln(os.Stderr, "bandsim:", err)
-				}
-				os.Exit(1)
-			}
+			os.Exit(1)
 		}
-		for _, id := range ids {
-			e, _ := harness.ByID(id)
+		for _, e := range exps {
 			if *jsonOut {
 				res := e.Run(nil, cfg)
 				data, err := res.CanonicalJSON()
@@ -173,12 +155,12 @@ func main() {
 // parseArgs parses the command line allowing global flags before or after
 // the subcommand and ids ("bandsim run table1/broadcast -set p=64"), which
 // the stdlib parser alone does not: it stops at the first positional, so the
-// remainder is re-parsed until only positionals are left. The serve and
-// bench subcommands own their trailing flags and are left untouched.
+// remainder is re-parsed until only positionals are left. The serve, fuzz
+// and watch subcommands own their trailing flags and are left untouched.
 func parseArgs() []string {
 	flag.Parse()
 	rest := flag.Args()
-	if len(rest) > 0 && (rest[0] == "serve" || rest[0] == "bench" || rest[0] == "fuzz" || rest[0] == "watch") {
+	if len(rest) > 0 && (rest[0] == "serve" || rest[0] == "fuzz" || rest[0] == "watch") {
 		return rest
 	}
 	var out []string
@@ -235,6 +217,36 @@ func writeErrorEnvelope(w io.Writer, env service.ErrorEnvelope) {
 	}
 }
 
+// unknownIDError is selectExperiments' error for an id the registry does
+// not know; its text is unknownIDMessage.
+type unknownIDError string
+
+func (id unknownIDError) Error() string { return unknownIDMessage(string(id)) }
+
+// selectExperiments looks up ids ("all" alone selects every experiment) and
+// resolves params against each one's schema, so that `run` and `export`
+// reject a bad selection before they run or write any of it.
+func selectExperiments(ids []string, params map[string]string) ([]harness.Experiment, error) {
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = nil
+		for _, e := range harness.All() {
+			ids = append(ids, e.ID)
+		}
+	}
+	exps := make([]harness.Experiment, 0, len(ids))
+	for _, id := range ids {
+		e, ok := harness.ByID(id)
+		if !ok {
+			return nil, unknownIDError(id)
+		}
+		if _, err := e.Resolve(params); err != nil {
+			return nil, err
+		}
+		exps = append(exps, e)
+	}
+	return exps, nil
+}
+
 // unknownIDMessage formats the error for a mistyped experiment id, with the
 // registry's closest matches when there are any. `run` and `trace` both
 // print it.
@@ -267,8 +279,6 @@ usage:
                                   a content-addressed run store ('serve -h' for flags)
   bandsim watch [flags] <job-id>  follow a job's live event stream (SSE) from a
                                   running serve instance ('watch -h' for flags)
-  bandsim bench [bench flags]     fixed hot-path benchmark suite; emits a canonical
-                                  BENCH_<timestamp>.json report ('bench -h' for flags)
   bandsim fuzz [fuzz flags]       seeded workload fuzzing: generate workloads, check
                                   the invariant oracles, ddmin-shrink any failure
                                   ('fuzz -h' for flags)
@@ -278,16 +288,18 @@ flags:
 	flag.PrintDefaults()
 }
 
-// exportAll writes one CSV file per experiment into dir.
+// exportAll writes one CSV file per experiment into dir. An assignment
+// some experiment rejects fails before dir is created.
 func exportAll(dir string, cfg harness.Config) error {
+	exps, err := selectExperiments([]string{"all"}, cfg.Params)
+	if err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	cfg.CSV = true
-	for _, e := range harness.All() {
-		if _, err := e.Resolve(cfg.Params); err != nil {
-			return err
-		}
+	for _, e := range exps {
 		name := strings.ReplaceAll(e.ID, "/", "_") + ".csv"
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {

@@ -195,3 +195,23 @@ func TestExportAllRejectsBadParams(t *testing.T) {
 		t.Fatal("exportAll accepted an undeclared param")
 	}
 }
+
+// An assignment one experiment rejects fails the export before anything is
+// written: ablation/listrank has no p, so quick + p=8 must leave neither
+// the directory nor any CSV behind, and the error is that experiment's.
+func TestExportAllBadSetWritesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	params := harness.QuickParams()
+	params["p"] = "8"
+	err := exportAll(dir, harness.Config{Seed: 1, Params: params})
+	if err == nil {
+		t.Fatal("exportAll accepted p, which ablation/listrank does not declare")
+	}
+	e, _ := harness.ByID("ablation/listrank")
+	if _, want := e.Resolve(params); want == nil || err.Error() != want.Error() {
+		t.Fatalf("error %q, want ablation/listrank's %v", err, want)
+	}
+	if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+		t.Fatalf("export left %s behind (stat: %v)", dir, serr)
+	}
+}

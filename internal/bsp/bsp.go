@@ -84,7 +84,7 @@ type Config struct {
 	// programs; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
-	// after every superstep (Machine.Attach adds more).
+	// after every superstep. It is the only way to observe the machine.
 	Observer engine.Observer
 }
 
@@ -193,9 +193,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Supersteps returns the number of supersteps executed.
 func (m *Machine) Supersteps() int { return m.core.Steps() }
-
-// Attach registers an observer for this machine's supersteps.
-func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
 
 // ChargeTime adds t units of simulated time outside any superstep. It is
 // used by protocols whose analysis charges fixed terms (for example a known

@@ -193,24 +193,17 @@ func TestConformanceCostMonotoneInOverload(t *testing.T) {
 	}
 }
 
-// Observer contract: the observer given at construction fires before any
-// attached later, once per committed step, in superstep order, with the
-// stats Superstep itself returns.
+// Observer contract: the observer given at construction fires once per
+// committed step, in superstep order, with the stats Superstep itself
+// returns.
 func TestObserverCallbackOrdering(t *testing.T) {
-	type event struct {
-		scope string
-		st    engine.StepStats
-	}
-	var events []event
+	var events []engine.StepStats
 	m := bsp.New(bsp.Config{
 		P: 8, Cost: model.BSPm(4, 1), Seed: 1,
 		Observer: engine.ObserverFunc(func(st engine.StepStats) {
-			events = append(events, event{"config", st})
+			events = append(events, st)
 		}),
 	})
-	m.Attach(engine.ObserverFunc(func(st engine.StepStats) {
-		events = append(events, event{"attached", st})
-	}))
 
 	const steps = 5
 	var trace []bsp.Stats
@@ -221,21 +214,15 @@ func TestObserverCallbackOrdering(t *testing.T) {
 		}))
 	}
 
-	if len(events) != 2*steps {
-		t.Fatalf("saw %d events, want %d", len(events), 2*steps)
+	if len(events) != steps {
+		t.Fatalf("saw %d events, want %d", len(events), steps)
 	}
-	for s := 0; s < steps; s++ {
-		first, second := events[2*s], events[2*s+1]
-		if first.scope != "config" || second.scope != "attached" {
-			t.Fatalf("step %d: order = (%s, %s), want (config, attached)", s, first.scope, second.scope)
+	for s, ev := range events {
+		if ev.Machine != "bsp" || ev.Index != s {
+			t.Fatalf("step %d: got machine %q index %d", s, ev.Machine, ev.Index)
 		}
-		for _, ev := range []event{first, second} {
-			if ev.st.Machine != "bsp" || ev.st.Index != s {
-				t.Fatalf("step %d: got machine %q index %d", s, ev.st.Machine, ev.st.Index)
-			}
-			if ev.st.Cost != trace[s].Cost || ev.st.N != trace[s].N || ev.st.W != trace[s].W {
-				t.Fatalf("step %d: observer stats %+v diverge from Superstep %+v", s, ev.st, trace[s])
-			}
+		if ev.Cost != trace[s].Cost || ev.N != trace[s].N || ev.W != trace[s].W {
+			t.Fatalf("step %d: observer stats %+v diverge from Superstep %+v", s, ev, trace[s])
 		}
 	}
 }

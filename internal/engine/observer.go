@@ -37,8 +37,8 @@ type StepStats struct {
 
 // Observer receives a callback after every committed superstep of the
 // machine it was given to (the Observer field of bsp.Config, qsm.Config and
-// pram.Config, or Attach); a run that wants to see its machines
-// passes its observer to each one it constructs. Callbacks run on the
+// pram.Config); a run that wants to see its machines passes its observer to
+// each one it constructs. Callbacks run on the
 // machine's driver goroutine; they must not call back into the machine and
 // should be cheap — a slow observer stalls the simulation.
 type Observer interface {

@@ -114,7 +114,7 @@ func (r *Recorder) IntSweep(name string, full, quick []int) []int {
 
 // Emit records a finished table into the run's structured result.
 func (r *Recorder) Emit(t *tablefmt.Table) {
-	r.res.AddTable(result.Table{Title: t.Title(), Columns: t.Header(), Rows: t.Rows()})
+	r.res.AddTable(*t)
 }
 
 // Notef records a free-form note line.
@@ -267,19 +267,6 @@ func (e Experiment) Run(w io.Writer, cfg Config) *result.Result {
 		res.Render(w, cfg.CSV)
 	}
 	return res
-}
-
-// RunAll executes every experiment in ID order and returns their structured
-// results.
-func RunAll(w io.Writer, cfg Config) []*result.Result {
-	out := make([]*result.Result, 0, len(registry))
-	for _, e := range All() {
-		if w != nil {
-			fmt.Fprintf(w, "\n### %s — %s (%s)\n\n", e.ID, e.Title, e.Source)
-		}
-		out = append(out, e.Run(w, cfg))
-	}
-	return out
 }
 
 // pick returns full unless quick.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -133,6 +134,27 @@ func TestCoreCountDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(out[0], out[1]) {
 			t.Errorf("%s: canonical JSON differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", e.ID, out[0], out[1])
+		}
+	}
+}
+
+// Three Table 1 rows' model outcomes at the quick preset, seed 1, are
+// pinned with their resolved parameters, so a drifted schema default moves
+// the string even when the model time survives it.
+func TestModelFingerprints(t *testing.T) {
+	for id, want := range map[string]string{
+		"table1/onetoall":  "params{g=16,l=8,p=0,quick=true} model_time=10876",
+		"table1/broadcast": "params{g=8,l=32,p=0,quick=true} model_time=494",
+		"table1/parity":    "params{g=16,l=16,p=0,quick=true} model_time=908",
+	} {
+		e, _ := ByID(id)
+		vals, err := e.Resolve(QuickParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := e.Run(nil, Config{Seed: 1, Params: QuickParams()})
+		if got := fmt.Sprintf("params{%s} model_time=%g", vals.Canonical(), res.ModelTime); got != want {
+			t.Errorf("%s fingerprint %q, want %q", id, got, want)
 		}
 	}
 }

@@ -79,7 +79,7 @@ type Config struct {
 	Seed     uint64
 	Workers  int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
-	// after every step (Machine.Attach adds more).
+	// after every step. It is the only way to observe the machine.
 	Observer engine.Observer
 }
 
@@ -226,9 +226,6 @@ func (m *Machine) BitsMoved() int { return m.bits }
 
 // ROMReads returns the total number of ROM reads issued (uncharged).
 func (m *Machine) ROMReads() int { return m.romRead }
-
-// Attach registers an observer for this machine's steps.
-func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
 
 // Load reads shared memory directly, free of charge (tests and drivers).
 func (m *Machine) Load(addr int) int64 { return m.mem[addr] }

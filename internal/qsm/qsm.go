@@ -55,7 +55,7 @@ type Config struct {
 	Seed    uint64
 	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
-	// after every phase (Machine.Attach adds more).
+	// after every phase. It is the only way to observe the machine.
 	Observer engine.Observer
 }
 
@@ -168,9 +168,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Phases returns the number of phases executed.
 func (m *Machine) Phases() int { return m.core.Steps() }
-
-// Attach registers an observer for this machine's phases.
-func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
 
 // ChargeTime adds simulated time outside any phase.
 func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }

@@ -60,7 +60,7 @@ func (p Params) Get(name string) (string, bool) {
 }
 
 // Canonical renders the parameter set as "k=v,k=v" in name order — the form
-// folded into run-store cache keys and bench fingerprints. The seed is not
+// folded into run-store cache keys and model fingerprints. The seed is not
 // included; it is a separate key component.
 func (p Params) Canonical() string {
 	var b strings.Builder
@@ -73,15 +73,6 @@ func (p Params) Canonical() string {
 		b.WriteString(kv.Value)
 	}
 	return b.String()
-}
-
-// Table is one named-column table of an experiment report. Cells are kept as
-// the formatted strings the live run produced, so re-rendering is exact and
-// serialization is trivially deterministic.
-type Table struct {
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
 }
 
 // Verdict is a pass/fail judgment an experiment attaches to its own output
@@ -99,15 +90,15 @@ type Verdict struct {
 // experiment must serialize to byte-identical JSON, and wall time is the one
 // field that never repeats.
 type Result struct {
-	Schema     int       `json:"schema"`
-	Experiment string    `json:"experiment"`
-	Title      string    `json:"title,omitempty"`
-	Source     string    `json:"source,omitempty"`
-	Params     Params    `json:"params"`
-	Tables     []Table   `json:"tables"`
-	Notes      []string  `json:"notes,omitempty"`
-	Verdicts   []Verdict `json:"verdicts,omitempty"`
-	ModelTime  float64   `json:"model_time"`
+	Schema     int              `json:"schema"`
+	Experiment string           `json:"experiment"`
+	Title      string           `json:"title,omitempty"`
+	Source     string           `json:"source,omitempty"`
+	Params     Params           `json:"params"`
+	Tables     []tablefmt.Table `json:"tables"`
+	Notes      []string         `json:"notes,omitempty"`
+	Verdicts   []Verdict        `json:"verdicts,omitempty"`
+	ModelTime  float64          `json:"model_time"`
 
 	WallNS int64 `json:"-"`
 }
@@ -120,12 +111,13 @@ func New(experiment, title, source string, params Params) *Result {
 		Title:      title,
 		Source:     source,
 		Params:     params,
-		Tables:     []Table{},
+		Tables:     []tablefmt.Table{},
 	}
 }
 
-// AddTable appends a table.
-func (r *Result) AddTable(t Table) { r.Tables = append(r.Tables, t) }
+// AddTable appends a table. Its cells are the formatted strings the live
+// run produced, so re-rendering is exact.
+func (r *Result) AddTable(t tablefmt.Table) { r.Tables = append(r.Tables, t) }
 
 // Notef appends a free-form note.
 func (r *Result) Notef(format string, args ...any) {
@@ -181,11 +173,10 @@ func Decode(data []byte) (*Result, error) {
 // pre-refactor harness emitted directly, followed by any verdict lines.
 func (r *Result) Render(w io.Writer, csv bool) {
 	for _, t := range r.Tables {
-		ft := tablefmt.FromData(t.Title, t.Columns, t.Rows)
 		if csv {
-			fmt.Fprint(w, ft.CSV())
+			fmt.Fprint(w, t.CSV())
 		} else {
-			fmt.Fprintln(w, ft.String())
+			fmt.Fprintln(w, t.String())
 		}
 	}
 	if !csv {

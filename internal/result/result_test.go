@@ -10,7 +10,7 @@ import (
 
 func sample() *Result {
 	r := New("table1/demo", "Demo", "Table 1", NewParams(7, map[string]string{"quick": "true"}))
-	r.AddTable(Table{
+	r.AddTable(tablefmt.Table{
 		Title:   "demo table",
 		Columns: []string{"p", "measured", "predicted"},
 		Rows:    [][]string{{"64", "128", "100"}, {"256", "512", "400"}},
@@ -70,7 +70,9 @@ func TestFinalizeModelTime(t *testing.T) {
 // tablefmt with a blank separator line (text) or raw CSV.
 func TestRenderMatchesTablefmt(t *testing.T) {
 	r := sample()
-	ft := tablefmt.FromData(r.Tables[0].Title, r.Tables[0].Columns, r.Tables[0].Rows)
+	ft := tablefmt.New("demo table", "p", "measured", "predicted")
+	ft.Row(64, 128, 100)
+	ft.Row(256, 512, 400)
 
 	var text bytes.Buffer
 	r.Render(&text, false)

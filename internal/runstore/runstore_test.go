@@ -8,6 +8,7 @@ import (
 
 	"parbw/internal/harness"
 	"parbw/internal/result"
+	"parbw/internal/tablefmt"
 )
 
 func testStore(t *testing.T, maxMem int) *Store {
@@ -21,7 +22,7 @@ func testStore(t *testing.T, maxMem int) *Store {
 
 func fakeResult(seed uint64) *result.Result {
 	r := result.New("fake/exp", "Fake", "nowhere", result.NewParams(seed, map[string]string{"quick": "true"}))
-	r.AddTable(result.Table{Title: "t", Columns: []string{"p", "measured"}, Rows: [][]string{{"4", "16"}}})
+	r.AddTable(tablefmt.Table{Title: "t", Columns: []string{"p", "measured"}, Rows: [][]string{{"4", "16"}}})
 	r.Finalize()
 	return r
 }

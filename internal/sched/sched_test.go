@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -433,5 +434,29 @@ func TestTemplateSendRespectsSeparation(t *testing.T) {
 	// (5-1)*3+1 slots for every processor.
 	if r.Send.Steps < (5-1)*(sep+1)+1 {
 		t.Fatalf("superstep spans %d steps, separation not honored", r.Send.Steps)
+	}
+}
+
+// Unbalanced-Send's model outcome on the Section 6 skew shapes at the
+// sched/static experiment's scale (p=256, m=64, L=8, ε=0.25, scale 16) is
+// pinned: summed simulated time and flit count over the four plans.
+func TestUnbalancedSendFingerprint(t *testing.T) {
+	const p, m, l, scale = 256, 64, 8, 16
+	rng := xrand.New(1)
+	plans := []Plan{
+		UniformPlan(rng, p, scale),
+		ZipfPlan(rng, p, p*scale, 1.2),
+		HalfHalfPlan(rng, p, 2*scale, scale/4+1),
+		PointPlan(p, p*scale/4),
+	}
+	var total model.Time
+	n := 0
+	for _, plan := range plans {
+		r := UnbalancedSend(machine(p, m, l, 1), plan, Options{Eps: 0.25})
+		total += r.Time
+		n += r.N
+	}
+	if got, want := fmt.Sprintf("time=%g n=%d", total, n), "time=2482 n=13952"; got != want {
+		t.Errorf("fingerprint %q, want %q", got, want)
 	}
 }

@@ -7,43 +7,19 @@ import (
 	"strings"
 )
 
-// Table accumulates rows under a header.
+// Table is one named-column table: a title, column headers and rows of
+// formatted cells. Experiments fill it with Row; a structured result
+// (internal/result) carries it as is, which keeps its JSON trivially
+// deterministic, and String and CSV render it.
 type Table struct {
-	title  string
-	header []string
-	rows   [][]string
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
 }
 
 // New creates a table with the given title and column headers.
 func New(title string, header ...string) *Table {
-	return &Table{title: title, header: header}
-}
-
-// FromData reconstructs a table from already-formatted cells. It is the
-// inverse of Title/Header/Rows and lets structured results (internal/result)
-// re-render the exact table a live run would have printed.
-func FromData(title string, header []string, rows [][]string) *Table {
-	t := &Table{title: title, header: append([]string(nil), header...)}
-	t.rows = make([][]string, len(rows))
-	for i, r := range rows {
-		t.rows[i] = append([]string(nil), r...)
-	}
-	return t
-}
-
-// Title returns the table title.
-func (t *Table) Title() string { return t.title }
-
-// Header returns a copy of the column headers.
-func (t *Table) Header() []string { return append([]string(nil), t.header...) }
-
-// Rows returns a copy of the formatted data rows.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
+	return &Table{Title: title, Columns: header, Rows: [][]string{}}
 }
 
 // Row appends a row; values are formatted with %v (floats compactly).
@@ -52,7 +28,7 @@ func (t *Table) Row(cells ...any) {
 	for i, c := range cells {
 		row[i] = format(c)
 	}
-	t.rows = append(t.rows, row)
+	t.Rows = append(t.Rows, row)
 }
 
 func format(c any) string {
@@ -77,11 +53,11 @@ func format(c any) string {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
+	widths := make([]int, len(t.Columns))
+	for i, h := range t.Columns {
 		widths[i] = len([]rune(h))
 	}
-	for _, row := range t.rows {
+	for _, row := range t.Rows {
 		for i, c := range row {
 			if i < len(widths) && len([]rune(c)) > widths[i] {
 				widths[i] = len([]rune(c))
@@ -89,8 +65,8 @@ func (t *Table) String() string {
 		}
 	}
 	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", t.title)
+	if t.Title != "" {
+		fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	}
 	writeRow := func(cells []string) {
 		for i, c := range cells {
@@ -104,14 +80,14 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.header)
+	writeRow(t.Columns)
 	total := 0
 	for _, w := range widths {
 		total += w + 2
 	}
 	b.WriteString(strings.Repeat("-", total))
 	b.WriteByte('\n')
-	for _, row := range t.rows {
+	for _, row := range t.Rows {
 		writeRow(row)
 	}
 	return b.String()
@@ -136,12 +112,9 @@ func (t *Table) CSV() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.header)
-	for _, row := range t.rows {
+	writeRow(t.Columns)
+	for _, row := range t.Rows {
 		writeRow(row)
 	}
 	return b.String()
 }
-
-// NRows returns the number of data rows.
-func (t *Table) NRows() int { return len(t.rows) }

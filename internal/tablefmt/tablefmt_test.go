@@ -1,6 +1,7 @@
 package tablefmt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,15 +55,18 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestNRows(t *testing.T) {
-	tb := New("", "a")
-	if tb.NRows() != 0 {
-		t.Fatal("empty table has rows")
+// Row appends one row of formatted cells; New starts with none, and a table
+// with no rows still encodes them as [] rather than null.
+func TestRowAppends(t *testing.T) {
+	tb := New("", "a", "b")
+	if tb.Rows == nil || len(tb.Rows) != 0 {
+		t.Fatalf("new table rows = %#v, want empty and non-nil", tb.Rows)
 	}
-	tb.Row(1)
-	tb.Row(2)
-	if tb.NRows() != 2 {
-		t.Fatal("NRows wrong")
+	tb.Row(1, 2.5)
+	tb.Row("x", 0.0)
+	want := [][]string{{"1", "2.5"}, {"x", "0"}}
+	if !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("rows = %q, want %q", tb.Rows, want)
 	}
 }
 

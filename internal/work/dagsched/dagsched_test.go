@@ -1,9 +1,14 @@
 package dagsched
 
 import (
+	"fmt"
 	"testing"
 
+	"parbw/internal/bsp"
+	"parbw/internal/model"
+	"parbw/internal/sched"
 	"parbw/internal/work"
+	"parbw/internal/xrand"
 )
 
 // diamond: 0 -> {1, 2} -> 3
@@ -248,5 +253,39 @@ func TestLowerRejects(t *testing.T) {
 	}
 	if _, err := Lower(d, levels, Placement{0, 0, 0, 5}, 2, 1, 1, Options{}); err == nil {
 		t.Fatal("accepted out-of-range placement")
+	}
+}
+
+// The lowering pipeline's model outcome on a fixed layered DAG (8 levels of
+// 64 nodes, one or two dependencies per node, on 64 processors) is pinned:
+// band into levels, place greedily, lower with batching, and replay on an
+// exponential-penalty BSP(m).
+func TestLowerFingerprint(t *testing.T) {
+	const p, m, l, width, depth = 64, 16, 4, 64, 8
+	rng := xrand.Derive(1, "bench/dag_lower")
+	d := &DAG{Nodes: make([]Node, width*depth)}
+	for i := range d.Nodes {
+		d.Nodes[i].Work = int64(1 + rng.Intn(3))
+	}
+	for lv := 1; lv < depth; lv++ {
+		for j := 0; j < width; j++ {
+			for e := 0; e < 1+rng.Intn(2); e++ {
+				d.Edges = append(d.Edges, Edge{U: (lv-1)*width + rng.Intn(width), V: lv*width + j, Len: 1 + rng.Intn(4)})
+			}
+		}
+	}
+	levels, err := d.Levels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := Lower(d, levels, LevelSchedule(d, levels, p), p, m, l, Options{Batch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: 1, Workers: 1})
+	sched.ReplayAll(mach, ir)
+	got := fmt.Sprintf("time=%g sends=%d flits=%d", mach.Time(), ir.TotalSends, ir.TotalFlits)
+	if want := "time=212.4035768622074 sends=650 flits=1645"; got != want {
+		t.Errorf("fingerprint %q, want %q", got, want)
 	}
 }
