@@ -132,24 +132,35 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		for _, e := range exps {
-			if *jsonOut {
-				res := e.Run(nil, cfg)
-				data, err := res.CanonicalJSON()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "bandsim:", err)
-					os.Exit(1)
-				}
-				os.Stdout.Write(append(data, '\n'))
-				continue
-			}
-			fmt.Printf("\n### %s — %s (%s)\n\n", e.ID, e.Title, e.Source)
-			e.Run(os.Stdout, cfg)
+		if err := runExperiments(os.Stdout, exps, cfg, *jsonOut); err != nil {
+			fmt.Fprintln(os.Stderr, "bandsim:", err)
+			os.Exit(1)
 		}
 	default:
 		usage()
 		os.Exit(2)
 	}
+}
+
+// runExperiments is `bandsim run`: it runs exps in order and writes each
+// one's rendered tables under a "### id — title (source)" header, or, with
+// jsonOut, its canonical result JSON on a line of its own.
+func runExperiments(w io.Writer, exps []harness.Experiment, cfg harness.Config, jsonOut bool) error {
+	for _, e := range exps {
+		if !jsonOut {
+			fmt.Fprintf(w, "\n### %s — %s (%s)\n\n", e.ID, e.Title, e.Source)
+			e.Run(w, cfg)
+			continue
+		}
+		data, err := e.Run(nil, cfg).CanonicalJSON()
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(data, '\n')); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseArgs parses the command line allowing global flags before or after

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,6 +166,35 @@ func TestExportAll(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "p,model,measured") {
 		t.Fatalf("CSV header missing: %q", string(b)[:60])
+	}
+}
+
+// `bandsim -quick run all` and `bandsim -quick -json run all` write the
+// same bytes at GOMAXPROCS 1, 2 and 4: experiments' sweep cells run on a
+// pool as wide as the host, and their tables must not show it. Not
+// parallel, since GOMAXPROCS is process-wide.
+func TestRunAllCoreCountBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := harness.Config{Seed: 1, Params: harness.QuickParams()}
+	for _, jsonOut := range []bool{false, true} {
+		var first []byte
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			var buf bytes.Buffer
+			if err := runExperiments(&buf, harness.All(), cfg, jsonOut); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = buf.Bytes()
+				continue
+			}
+			if !bytes.Equal(first, buf.Bytes()) {
+				t.Errorf("json=%v: run all output at GOMAXPROCS %d differs from GOMAXPROCS 1", jsonOut, procs)
+			}
+		}
+		if n := bytes.Count(first, []byte("\n### ")); !jsonOut && n != len(harness.All()) {
+			t.Errorf("text run all has %d experiment headers, want %d", n, len(harness.All()))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"parbw/internal/model"
@@ -64,7 +65,8 @@ func thirdStep(step func() Stats) Stats {
 
 func BenchmarkSuperstepMerge(b *testing.B) {
 	_, step := benchMachine(256)
-	step() // warm the recycled buffers
+	step() // warm both halves of the double-buffered inbox slab
+	step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,32 +89,37 @@ func BenchmarkSuperstepScale(b *testing.B) {
 	}
 }
 
-// BenchmarkSuperstepFanout is the pipelined-broadcast superstep shape at
-// the scale of an n = p = 4096 sample sort: every processor reads its inbox
-// and sends to two children on pinned slots. Comparing workers=2 with
-// workers=1 shows what sharing the per-chunk shard arenas across cores costs.
+// fanoutSizes are the machine sizes of BenchmarkSuperstepFanout, spanning
+// the fan-out break-even the engine's auto-sized worker count is set from.
+var fanoutSizes = []int{4096, 16384, 65536, 262144, 1 << 20}
+
+// BenchmarkSuperstepFanout measures what fanning a superstep out over the
+// host's cores buys: benchMachine's two-sends-per-processor step at each
+// fanoutSizes p, on one worker, on GOMAXPROCS workers, and on the auto-sized
+// worker count (Workers: 0), which should track the faster of the two.
+// Compare workers=1 with workers=max at -cpu N to find the break-even p.
 func BenchmarkSuperstepFanout(b *testing.B) {
-	const p = 4096
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			m := New(Config{P: p, Cost: model.BSPm(64, 4), Seed: 1, Workers: w})
-			body := func(c *Ctx) {
-				var a int64
-				for _, msg := range c.Recv() {
-					a += msg.A
+	for _, p := range fanoutSizes {
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"workers=1", 1}, {"workers=max", runtime.GOMAXPROCS(0)}, {"auto", 0}} {
+			b.Run(fmt.Sprintf("p=%d/%s", p, w.name), func(b *testing.B) {
+				m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1, Workers: w.workers})
+				body := func(c *Ctx) {
+					c.Charge(4)
+					c.Send((c.ID()+1)%p, 1, int64(c.ID()))
+					c.Send((c.ID()+7)%p, 2, int64(c.ID()))
 				}
-				i := c.ID()
-				slot := 2 * (i % (p / 64))
-				c.SendAt(slot, (2*i+1)%p, Msg{A: a + 1})
-				c.SendAt(slot+1, (2*i+2)%p, Msg{A: a + 2})
-			}
-			m.Superstep(body) // warm the recycled buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+				m.Superstep(body) // warm both halves of the double-buffered inbox slab
 				m.Superstep(body)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Superstep(body)
+				}
+			})
+		}
 	}
 }
 

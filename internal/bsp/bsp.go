@@ -81,7 +81,9 @@ type Config struct {
 	Cost model.Cost // cost model; must be a BSP kind
 	Seed uint64     // experiment seed; all processor RNGs derive from it
 	// Workers bounds the host-CPU parallelism used to execute processor
-	// programs; <= 0 selects GOMAXPROCS.
+	// programs. An explicit count is honoured exactly; <= 0 sizes it from P:
+	// one worker per 32768 processors, at most GOMAXPROCS, so a machine
+	// below the fan-out break-even runs its supersteps on one core.
 	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every superstep. It is the only way to observe the machine.
@@ -234,7 +236,6 @@ func (c *Ctx) Charge(units int) {
 // previous superstep. The slice is owned by the engine and must not be
 // retained past the program function.
 func (c *Ctx) Recv() []Msg {
-	c.m.cols.RecvUsed[c.id] = true
 	return c.m.inboxView(c.id)
 }
 

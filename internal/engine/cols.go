@@ -33,7 +33,6 @@ import (
 type Cols struct {
 	Work     []int   // local work charged this step
 	AutoSlot []int   // next free auto-assigned injection/request slot
-	RecvUsed []bool  // whether the processor consulted its inbox this step
 	Off      []int32 // start of the processor's queued run in its chunk arena
 	Cnt      []int32 // number of queued items in the run
 
@@ -59,7 +58,6 @@ func NewCols(p int, seed uint64) *Cols {
 	return &Cols{
 		Work:     make([]int, p),
 		AutoSlot: make([]int, p),
-		RecvUsed: make([]bool, p),
 		Off:      make([]int32, p),
 		Cnt:      make([]int32, p),
 		root:     *xrand.New(seed),
@@ -74,7 +72,6 @@ func NewCols(p int, seed uint64) *Cols {
 func (cs *Cols) ResetProc(i int) {
 	cs.Work[i] = 0
 	cs.AutoSlot[i] = 0
-	cs.RecvUsed[i] = false
 }
 
 // allocRNG materializes the RNG columns on first use.

@@ -64,11 +64,10 @@ func TestColsResetProc(t *testing.T) {
 	cs := NewCols(4, 0)
 	cs.Work[2] = 9
 	cs.AutoSlot[2] = 3
-	cs.RecvUsed[2] = true
 	cs.Off[2] = 7
 	cs.Cnt[2] = 5
 	cs.ResetProc(2)
-	if cs.Work[2] != 0 || cs.AutoSlot[2] != 0 || cs.RecvUsed[2] {
+	if cs.Work[2] != 0 || cs.AutoSlot[2] != 0 {
 		t.Fatalf("ResetProc left counters: %+v", cs)
 	}
 	// Off/Cnt are queue bookkeeping owned by the machine body, not ResetProc.

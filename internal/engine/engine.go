@@ -26,6 +26,7 @@
 package engine
 
 import (
+	"runtime"
 	"slices"
 
 	"parbw/internal/model"
@@ -51,10 +52,32 @@ type Core[S any] struct {
 	observers []Observer
 }
 
+// fanoutGrain is the number of simulated processors one host worker must
+// have before an auto-sized machine fans its supersteps out: below it, the
+// cost of waking helpers and sharing the merge's caches exceeds the work
+// they take over. BenchmarkSuperstepFanout (internal/bsp, two sends per
+// processor, -cpu 2 on a 2-vCPU x86-64 host) puts the break-even between
+// p=16384 and p=65536: two workers against one cost +40% at p=4096 (352 vs
+// 252 µs) and +22% at p=16384 (1.51 vs 1.24 ms), and save 16% at p=65536
+// (4.97 vs 5.95 ms) and 20% at p=262144 (19.9 vs 24.9 ms).
+const fanoutGrain = 32768
+
+// autoWorkers is the worker count of a machine whose config leaves it
+// unset: GOMAXPROCS, but never fewer than fanoutGrain processors per worker.
+func autoWorkers(p int) int {
+	return min(runtime.GOMAXPROCS(0), max(1, p/fanoutGrain))
+}
+
 // NewCore constructs a Core for a machine with p simulated processors.
 // label names the machine family in StepStats ("bsp", "qsm", "pram");
-// workers bounds host parallelism (<= 0 selects GOMAXPROCS).
+// workers bounds host parallelism. workers <= 0 sizes it from p: one worker
+// per fanoutGrain processors, at most GOMAXPROCS. The count is fixed here,
+// so a machine's chunk boundaries, and the per-chunk state it sizes from
+// them, are a pure function of (p, workers) for the machine's life.
 func NewCore[S any](label string, p, workers int) *Core[S] {
+	if workers <= 0 {
+		workers = autoWorkers(p)
+	}
 	return &Core[S]{
 		label: label,
 		p:     p,

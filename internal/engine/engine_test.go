@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +68,29 @@ func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("processor %d ran %d times", i, h)
+		}
+	}
+}
+
+// An auto-sized core (workers <= 0) fans out only past fanoutGrain
+// processors per worker, capped at GOMAXPROCS; an explicit count is kept
+// exactly, so small machines can still be driven down the parallel paths.
+func TestAutoWorkersFollowGrain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ p, workers, want int }{
+		{100, 0, 1},
+		{fanoutGrain - 1, -1, 1},
+		{2*fanoutGrain - 1, 0, 1},
+		{2 * fanoutGrain, 0, 2},
+		{100 * fanoutGrain, 0, 4},
+		{100, 2, 2},
+		{100, 8, 8},
+	} {
+		core := NewCore[int]("test", c.p, c.workers)
+		_, chunks := core.ChunkPlan(c.p)
+		if core.Workers() != c.want || chunks != c.want {
+			t.Errorf("p=%d workers=%d: %d workers in %d chunks, want %d",
+				c.p, c.workers, core.Workers(), chunks, c.want)
 		}
 	}
 }

@@ -57,39 +57,45 @@ func runDynBSPg(rec *Recorder) {
 	windows := rec.IntOr("windows", 120, 40)
 	t := tablefmt.New(fmt.Sprintf("BSP(g) interval router, single-source flow (g=%d, threshold 1/g = %g)", g, 1/float64(g)),
 		"β", "β·g", "stable?", "final backlog", "max backlog")
-	for _, beta := range []float64{0.0625, 0.125, 0.25, 0.5, 1.0} {
+	betas := []float64{0.0625, 0.125, 0.25, 0.5, 1.0}
+	rec.Rows(t, len(betas), func(i int, row func(...any)) {
+		beta := betas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
 		m := newBSPg(p, g, l, cfg)
 		res := dynamic.RunBSPgInterval(m, adv, lmt, windows)
-		t.Row(beta, beta*float64(g), stableStr(res.LooksStable()),
+		row(beta, beta*float64(g), stableStr(res.LooksStable()),
 			res.Backlog[len(res.Backlog)-1], res.MaxBacklog)
-	}
+	})
 	rec.Emit(t)
 
 	t2 := tablefmt.New(fmt.Sprintf("same flows on the BSP(m), m = p/g = %d (Algorithm B)", max(p/g, 1)),
 		"β", "stable?", "final backlog", "max backlog")
-	for _, beta := range []float64{0.25, 0.5, 1.0} {
+	mBetas := []float64{0.25, 0.5, 1.0}
+	rec.Rows(t2, len(mBetas), func(i int, row func(...any)) {
+		beta := mBetas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
 		m := newBSPmExp(p, max(p/g, 1), l, cfg)
 		res := dynamic.RunAlgorithmB(m, adv, lmt, windows, 0.25)
-		t2.Row(beta, stableStr(res.LooksStable()),
+		row(beta, stableStr(res.LooksStable()),
 			res.Backlog[len(res.Backlog)-1], res.MaxBacklog)
-	}
+	})
 	rec.Emit(t2)
 
 	// Corollary 6.6: no algorithm is stable on the BSP(g) above total rate
 	// p/g, even with perfectly balanced (uniform) traffic.
 	t3 := tablefmt.New(fmt.Sprintf("Corollary 6.6: BSP(g) total-rate ceiling p/g = %d (uniform adversary)", max(p/g, 1)),
 		"α (total rate)", "α·g/p", "stable?", "max backlog")
-	for _, alpha := range []float64{1, 2, 3, 4} {
+	alphas := []float64{1, 2, 3, 4}
+	rec.Rows(t3, len(alphas), func(i int, row func(...any)) {
+		alpha := alphas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: alpha, Beta: alpha / float64(p) * 4}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
 		m := newBSPg(p, g, l, cfg)
 		res := dynamic.RunBSPgInterval(m, adv, lmt, windows)
-		t3.Row(alpha, alpha*float64(g)/float64(p), stableStr(res.LooksStable()), res.MaxBacklog)
-	}
+		row(alpha, alpha*float64(g)/float64(p), stableStr(res.LooksStable()), res.MaxBacklog)
+	})
 	rec.Emit(t3)
 }
 
@@ -100,15 +106,17 @@ func runDynBSPm(rec *Recorder) {
 	wW := rec.Int("w")
 	t := tablefmt.New(fmt.Sprintf("Algorithm B stability region (p=%d, m=%d, w=%d, uniform adversary)", p, mm, wW),
 		"α", "α/m", "stable?", "max backlog", "mean service", "w bound")
-	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.5} {
+	fracs := []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.5}
+	rec.Rows(t, len(fracs), func(i int, row func(...any)) {
+		frac := fracs[i]
 		alpha := frac * float64(mm)
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.9}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
 		m := newBSPmExp(p, mm, l, cfg)
 		res := dynamic.RunAlgorithmB(m, adv, lmt, windows, 0.25)
-		t.Row(alpha, frac, stableStr(res.LooksStable()), res.MaxBacklog,
+		row(alpha, frac, stableStr(res.LooksStable()), res.MaxBacklog,
 			res.MeanService(), wW)
-	}
+	})
 	rec.Emit(t)
 
 	// Service-time comparison against the Claim 6.8 dominating system and
@@ -129,15 +137,17 @@ func runDynBSPm(rec *Recorder) {
 	// with Theorem 6.3).
 	t3 := tablefmt.New("Algorithm B with long messages (A = Unbalanced-Consecutive-Send)",
 		"flits/msg", "α·flits", "stable?", "max backlog", "mean service")
-	for _, fl := range []int{1, 2, 4, 8} {
+	flits := []int{1, 2, 4, 8}
+	rec.Rows(t3, len(flits), func(i int, row func(...any)) {
+		fl := flits[i]
 		alpha := float64(mm) / float64(4*fl)
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.5}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
 		m := newBSPmExp(p, mm, l, cfg)
 		res := dynamic.RunAlgorithmBWith(m, adv, lmt, windows, fl,
 			dynamic.ConsecutiveSendScheduler(0.25))
-		t3.Row(fl, alpha*float64(fl), stableStr(res.LooksStable()), res.MaxBacklog, res.MeanService())
-	}
+		row(fl, alpha*float64(fl), stableStr(res.LooksStable()), res.MaxBacklog, res.MeanService())
+	})
 	rec.Emit(t3)
 }
 
@@ -150,14 +160,16 @@ func runListRankAblation(rec *Recorder) {
 	l, mm := rec.Int("l"), rec.Int("m")
 	t := tablefmt.New(fmt.Sprintf("list ranking on BSP(m=%d): pointer jumping vs contraction (n = p)", mm),
 		"n", "pointer jumping", "contraction", "jump/contract")
-	for _, p := range rec.IntSweep("n", []int{512, 1024, 4096}, []int{256}) {
+	ns := rec.IntSweep("n", []int{512, 1024, 4096}, []int{256})
+	rec.Rows(t, len(ns), func(i int, row func(...any)) {
+		p := ns[i]
 		list := randomListFor(cfg.Seed, p)
 		mj := newBSPmL(p, mm, l, cfg)
 		problemsListRankJump(mj, list)
 		mc := newBSPmL(p, mm, l, cfg)
 		problemsListRankContract(mc, list)
-		t.Row(p, mj.Time(), mc.Time(), mj.Time()/mc.Time())
-	}
+		row(p, mj.Time(), mc.Time(), mj.Time()/mc.Time())
+	})
 	rec.Emit(t)
 }
 

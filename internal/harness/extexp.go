@@ -73,16 +73,18 @@ func runSchedQSM(rec *Recorder) {
 	eps := rec.Float("eps")
 	t := tablefmt.New("QSM(m) write scheduling: Unbalanced-Send vs naive (exp penalty)",
 		"skew", "n", "x̄", "scheduled", "naive", "naive/sched", "maxslot", "m")
-	for _, skew := range []float64{0, 0.8, 1.4} {
+	skews := []float64{0, 0.8, 1.4}
+	rec.Rows(t, len(skews), func(i int, row func(...any)) {
+		skew := skews[i]
 		rng := xrand.New(cfg.Seed)
 		plan := qsmZipfPlan(rng, p, p*30, blk, skew)
 		ms := newQSMmMem(p, p*blk, expQSMm(mm), cfg)
 		rs := sched.UnbalancedSendQSM(ms, plan, sched.Options{Eps: eps})
 		mn := newQSMmMem(p, p*blk, expQSMm(mm), cfg)
 		rn := sched.NaiveSendQSM(mn, plan)
-		t.Row(fmt.Sprintf("zipf %.1f", skew), rs.N, rs.XBar, rs.Time, rn.Time,
+		row(fmt.Sprintf("zipf %.1f", skew), rs.N, rs.XBar, rs.Time, rn.Time,
 			rn.Time/rs.Time, rs.Phase.MaxSlot, mm)
-	}
+	})
 	rec.Emit(t)
 }
 
@@ -113,7 +115,9 @@ func runPRAMMap(rec *Recorder) {
 	n := rec.IntOr("n", 512, 128)
 	t := tablefmt.New("prefix-doubling summation (t=2·lg n steps, w≈2n·lg n) mapped to the QSM(m)",
 		"n", "m", "QSM time", "t + w/m", "ratio", "overloads")
-	for _, mm := range rec.IntSweep("m", []int{2, 4, 8, 16, 32}, []int{2, 8}) {
+	ms := rec.IntSweep("m", []int{2, 4, 8, 16, 32}, []int{2, 8})
+	rec.Rows(t, len(ms), func(i int, row func(...any)) {
+		mm := ms[i]
 		prog, final := emulate.PrefixDoublingSum(n)
 		m := newQSMmMem(64, 2*n, qsmmLinCost(mm), cfg)
 		for i := 0; i < n; i++ {
@@ -124,8 +128,8 @@ func runPRAMMap(rec *Recorder) {
 			panic("harness: mapped prefix sum wrong")
 		}
 		pred := float64(st.Steps) + float64(st.Work)/float64(mm)
-		t.Row(n, mm, st.QSMTime, pred, st.QSMTime/pred, st.Overload)
-	}
+		row(n, mm, st.QSMTime, pred, st.QSMTime/pred, st.Overload)
+	})
 	rec.Emit(t)
 }
 
@@ -136,11 +140,13 @@ func runDynPhase(rec *Recorder) {
 	windows := rec.IntOr("windows", 100, 30)
 	t := tablefmt.New(fmt.Sprintf("stability phase diagram (p=%d, g=%d, m=%d, uniform adversary; S=stable, U=unstable)", p, g, mm),
 		"α \\ β", "0.125", "0.25", "0.5", "1.0")
-	for _, alpha := range []float64{0.25, 0.5, 1.0, 2.0} {
-		row := []any{fmt.Sprintf("%.2f", alpha)}
+	alphas := []float64{0.25, 0.5, 1.0, 2.0}
+	rec.Rows(t, len(alphas), func(i int, row func(...any)) {
+		alpha := alphas[i]
+		cells := []any{fmt.Sprintf("%.2f", alpha)}
 		for _, beta := range []float64{0.125, 0.25, 0.5, 1.0} {
 			if beta > alpha {
-				row = append(row, "-")
+				cells = append(cells, "-")
 				continue
 			}
 			lmt := dynamic.Limits{W: 32, Alpha: alpha, Beta: beta}
@@ -151,23 +157,25 @@ func runDynPhase(rec *Recorder) {
 			mb := newBSPmExp(p, mm, l, cfg)
 			rm := dynamic.RunAlgorithmB(mb, advM, lmt, windows, 0.25)
 			cell := verdictChar(rg.LooksStable()) + "/" + verdictChar(rm.LooksStable())
-			row = append(row, cell+" (g/m)")
+			cells = append(cells, cell+" (g/m)")
 		}
-		t.Row(row...)
-	}
+		row(cells...)
+	})
 	rec.Emit(t)
 
 	t2 := tablefmt.New("single-target flows across the β axis (the Theorem 6.5 witness)",
 		"β", "BSP(g) verdict", "BSP(m) verdict")
-	for _, beta := range []float64{0.0625, 0.125, 0.25, 0.5, 1.0} {
+	betas := []float64{0.0625, 0.125, 0.25, 0.5, 1.0}
+	rec.Rows(t2, len(betas), func(i int, row func(...any)) {
+		beta := betas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
 		mg := newBSPg(p, g, l, cfg)
 		rg := dynamic.RunBSPgInterval(mg, adv, lmt, windows)
 		mb := newBSPmExp(p, mm, l, cfg)
 		rm := dynamic.RunAlgorithmB(mb, adv, lmt, windows, 0.25)
-		t2.Row(beta, stableStr(rg.LooksStable()), stableStr(rm.LooksStable()))
-	}
+		row(beta, stableStr(rg.LooksStable()), stableStr(rm.LooksStable()))
+	})
 	rec.Emit(t2)
 }
 
@@ -184,35 +192,24 @@ func runPipeline(rec *Recorder) {
 	mm, g := rec.Int("m"), rec.Int("g")
 	t := tablefmt.New("k-item pipelined broadcast: pipelined vs k sequential broadcasts",
 		"model", "k", "pipelined", "sequential", "speedup")
-	for _, k := range rec.IntSweep("k", []int{8, 32, 128}, []int{8}) {
-		for _, global := range []bool{false, true} {
-			vec := make([]int64, k)
-			var pipe, seq float64
-			var name string
-			if global {
-				name = fmt.Sprintf("BSP(m=%d)", mm)
-				mp := newBSPmL(p, mm, l, cfg)
-				collectiveBroadcastVec(mp, vec)
-				pipe = mp.Time()
-				msq := newBSPmL(p, mm, l, cfg)
-				for j := 0; j < k; j++ {
-					collectiveBroadcast(msq, int64(j))
-				}
-				seq = msq.Time()
-			} else {
-				name = fmt.Sprintf("BSP(g=%d)", g)
-				mp := newBSPg(p, g, l, cfg)
-				collectiveBroadcastVec(mp, vec)
-				pipe = mp.Time()
-				msq := newBSPg(p, g, l, cfg)
-				for j := 0; j < k; j++ {
-					collectiveBroadcast(msq, int64(j))
-				}
-				seq = msq.Time()
-			}
-			t.Row(name, k, pipe, seq, seq/pipe)
+	ks := rec.IntSweep("k", []int{8, 32, 128}, []int{8})
+	// Cell i is item count ks[i/2] on the BSP(g) (even i) or the BSP(m).
+	rec.Rows(t, 2*len(ks), func(i int, row func(...any)) {
+		k, global := ks[i/2], i%2 == 1
+		name := fmt.Sprintf("BSP(g=%d)", g)
+		mk := func() *bsp.Machine { return newBSPg(p, g, l, cfg) }
+		if global {
+			name = fmt.Sprintf("BSP(m=%d)", mm)
+			mk = func() *bsp.Machine { return newBSPmL(p, mm, l, cfg) }
 		}
-	}
+		mp := mk()
+		collectiveBroadcastVec(mp, make([]int64, k))
+		msq := mk()
+		for j := 0; j < k; j++ {
+			collectiveBroadcast(msq, int64(j))
+		}
+		row(name, k, mp.Time(), msq.Time(), msq.Time()/mp.Time())
+	})
 	rec.Emit(t)
 }
 
@@ -274,19 +271,17 @@ func runSortAblation(rec *Recorder) {
 	p, mm, l := rec.Int("p"), rec.Int("m"), rec.Int("l")
 	t := tablefmt.New(fmt.Sprintf("n ≫ p regime: columnsort vs sample sort on BSP(m=%d), p=%d", mm, p),
 		"n", "n/p", "columnsort", "sample sort", "winner")
-	for _, n := range rec.IntSweep("n", []int{1024, 4096, 16384}, []int{256, 1024}) {
-		rng := xrand.New(cfg.Seed)
-		keys := make([]int64, n)
-		for i := range keys {
-			keys[i] = int64(rng.Uint64() % 1000003)
-		}
+	ns := rec.IntSweep("n", []int{1024, 4096, 16384}, []int{256, 1024})
+	rec.Rows(t, len(ns), func(i int, row func(...any)) {
+		n := ns[i]
+		keys := sortKeys(cfg.Seed, n)
 		q := depth1Q(n, p)
 		mc := newBSPmL(p, mm, l, cfg)
 		problemsColumnsort(mc, keys, q)
 		ms := newBSPmL(p, mm, l, cfg)
 		problemsSampleSort(ms, keys)
-		t.Row(n, n/p, mc.Time(), ms.Time(), sortWinner(mc.Time(), ms.Time()))
-	}
+		row(n, n/p, mc.Time(), ms.Time(), sortWinner(mc.Time(), ms.Time()))
+	})
 	rec.Emit(t)
 
 	// Regime 2: n = p (Table 1). Every processor holds ONE key, so sample
@@ -295,20 +290,29 @@ func runSortAblation(rec *Recorder) {
 	// sorting algorithm is columnsort.
 	t2 := tablefmt.New(fmt.Sprintf("n = p regime (Table 1): columnsort vs sample sort on BSP(m=%d)", mm),
 		"n = p", "columnsort", "sample sort", "samplesort/columnsort", "winner")
-	for _, n := range rec.IntSweep("n", []int{1024, 4096}, []int{512}) {
-		rng := xrand.New(cfg.Seed)
-		keys := make([]int64, n)
-		for i := range keys {
-			keys[i] = int64(rng.Uint64() % 1000003)
-		}
+	nps := rec.IntSweep("n", []int{1024, 4096}, []int{512})
+	rec.Rows(t2, len(nps), func(i int, row func(...any)) {
+		n := nps[i]
+		keys := sortKeys(cfg.Seed, n)
 		q := depth1Q(n, n)
 		mc := newBSPmL(n, mm, l, cfg)
 		problemsColumnsort(mc, keys, q)
 		ms := newBSPmL(n, mm, l, cfg)
 		problemsSampleSort(ms, keys)
-		t2.Row(n, mc.Time(), ms.Time(), ms.Time()/mc.Time(), sortWinner(mc.Time(), ms.Time()))
-	}
+		row(n, mc.Time(), ms.Time(), ms.Time()/mc.Time(), sortWinner(mc.Time(), ms.Time()))
+	})
 	rec.Emit(t2)
+}
+
+// sortKeys draws n sort keys from a fresh source seeded with seed, so every
+// sort experiment at one (seed, n) sorts the same input.
+func sortKeys(seed uint64, n int) []int64 {
+	rng := xrand.New(seed)
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(rng.Uint64() % 1000003)
+	}
+	return keys
 }
 
 func sortWinner(col, smp float64) string {
@@ -326,11 +330,13 @@ func runTemplate(rec *Recorder) {
 	plan := sched.ZipfPlan(rng, p, p*20, 1.0)
 	t := tablefmt.New("Unbalanced-Send with per-processor separation sep (zipf workload)",
 		"sep", "period", "measured", "offline opt", "maxslot", "overloads")
-	for _, sep := range []int{0, 1, 2, 4} {
+	seps := []int{0, 1, 2, 4}
+	rec.Rows(t, len(seps), func(i int, row func(...any)) {
+		sep := seps[i]
 		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.TemplateSend(m, plan, sep, sched.Options{Eps: eps})
-		t.Row(sep, r.Period, r.Time, r.OptimalOffline(mm, l), r.Send.MaxSlot, r.Send.Overload)
-	}
+		row(sep, r.Period, r.Time, r.OptimalOffline(mm, l), r.Send.MaxSlot, r.Send.Overload)
+	})
 	rec.Emit(t)
 }
 
@@ -365,7 +371,9 @@ func runChannels(rec *Recorder) {
 	// The network stream must differ from the schedule stream below while all
 	// three runs share one network seed so makespans stay comparable.
 	netSeed := xrand.Derive(cfg.Seed, "net/channels").Uint64()
-	for _, mm := range rec.IntSweep("m", []int{4, 8, 16}, []int{8}) {
+	ms := rec.IntSweep("m", []int{4, 8, 16}, []int{8})
+	rec.Rows(t, len(ms), func(i int, row func(...any)) {
+		mm := ms[i]
 		rng := xrand.New(cfg.Seed)
 		eps := 4.0 // target load 0.2·m < ALOHA capacity m/e
 		paced := netsim.Run(netsim.Config{Sources: p, Channels: mm, Seed: netSeed},
@@ -375,9 +383,9 @@ func runChannels(rec *Recorder) {
 		backoff := netsim.RunBackoff(netsim.Config{Sources: p, Channels: mm, Seed: netSeed},
 			netsim.NaiveSchedule(x), 10)
 		ideal := float64(n) / (float64(mm) / 2.718281828)
-		t.Row(mm, n, paced.Makespan, burst.Makespan, backoff.Makespan,
+		row(mm, n, paced.Makespan, burst.Makespan, backoff.Makespan,
 			float64(burst.Makespan)/float64(paced.Makespan), ideal)
-	}
+	})
 	rec.Emit(t)
 
 	t2 := tablefmt.New("throughput collapse: expected deliveries/step vs contenders (m=8)",
@@ -417,8 +425,9 @@ func runCombineTree(rec *Recorder) {
 	p := rec.IntOr("p", 4096, 512)
 	t := tablefmt.New("reduction on BSP(m): τ vs tree fan-in d (L-ary is the paper's choice)",
 		"m", "L", "d=2", "d=4", "d=L", "L-ary speedup vs binary")
-	for _, ml := range [][2]int{{64, 16}, {256, 16}, {64, 64}} {
-		mm, l := ml[0], ml[1]
+	mls := [][2]int{{64, 16}, {256, 16}, {64, 64}}
+	rec.Rows(t, len(mls), func(i int, row func(...any)) {
+		mm, l := mls[i][0], mls[i][1]
 		vals := make([]int64, p)
 		for i := range vals {
 			vals[i] = 1
@@ -431,8 +440,8 @@ func runCombineTree(rec *Recorder) {
 			return m.Time()
 		}
 		d2, d4, dl := run(2), run(4), run(l)
-		t.Row(mm, l, d2, d4, dl, d2/dl)
-	}
+		row(mm, l, d2, d4, dl, d2/dl)
+	})
 	rec.Emit(t)
 }
 

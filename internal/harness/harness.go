@@ -23,6 +23,7 @@ import (
 	"parbw/internal/engine"
 	"parbw/internal/result"
 	"parbw/internal/tablefmt"
+	"parbw/internal/workpool"
 )
 
 // CodeVersion names the current revision of the experiment semantics. It is
@@ -41,9 +42,12 @@ type Config struct {
 	Params map[string]string
 	CSV    bool // emit CSV instead of aligned tables
 	// Observer, if non-nil, receives an engine.StepStats callback for every
-	// superstep of every machine the experiment constructs, in commit order.
-	// It is given to each machine at construction, so it sees only this
-	// run's machines and observed runs proceed in parallel with any others.
+	// superstep of every machine the experiment constructs, in commit order
+	// and from one goroutine: an observed run runs its sweep cells (see
+	// Recorder.Rows) one after another on the caller instead of on the
+	// worker pool. It is given to each machine at construction, so it sees
+	// only this run's machines and observed runs proceed in parallel with
+	// any others.
 	Observer engine.Observer
 }
 
@@ -115,6 +119,31 @@ func (r *Recorder) IntSweep(name string, full, quick []int) []int {
 // Emit records a finished table into the run's structured result.
 func (r *Recorder) Emit(t *tablefmt.Table) {
 	r.res.AddTable(*t)
+}
+
+// Rows fills t from n independent sweep cells. cell(i, row) computes cell
+// i and emits its rows through row, which takes Table.Row's arguments. Each
+// cell must build its own machines and random sources and share no mutable
+// state with the others, because cells run concurrently on a GOMAXPROCS
+// worker pool: host parallelism lives at the cell, not inside a small
+// machine's superstep. Rows are appended to t in (cell, emission) order, so
+// the table is the same whichever cell finishes first. A panicking cell
+// re-raises the lowest-numbered cell's panic, as a serial loop would. An
+// observed run (Cfg.Observer set) runs its cells in order on the caller,
+// so the observer still sees every superstep in commit order from one
+// goroutine.
+func (r *Recorder) Rows(t *tablefmt.Table, n int, cell func(i int, row func(cells ...any))) {
+	if r.Cfg.Observer != nil {
+		for i := 0; i < n; i++ {
+			cell(i, t.Row)
+		}
+		return
+	}
+	out := make([]tablefmt.Table, n)
+	workpool.New(0).For(n, func(i int) { cell(i, out[i].Row) })
+	for i := range out {
+		t.Rows = append(t.Rows, out[i].Rows...)
+	}
 }
 
 // Notef records a free-form note line.

@@ -4,9 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"parbw/internal/engine"
+	"parbw/internal/tablefmt"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -116,25 +124,118 @@ func TestGoldenStructuredDeterminism(t *testing.T) {
 }
 
 // Core count is a test axis: every registered experiment's canonical JSON
-// at Quick+Seed 1 is byte-identical at GOMAXPROCS 1 and 4, the worker
-// counts the machines' pools default to. Not parallel, since GOMAXPROCS is
-// process-wide.
+// and rendered text at Quick+Seed 1 are byte-identical at GOMAXPROCS 1, 2
+// and 4, the widths of the pool its sweep cells run on. Not parallel, since
+// GOMAXPROCS is process-wide.
 func TestCoreCountDeterminism(t *testing.T) {
 	cfg := Config{Seed: 1, Params: QuickParams()}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := []int{1, 2, 4}
 	for _, e := range All() {
-		var out [2][]byte
-		for i, procs := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			b, err := e.Run(io.Discard, cfg).CanonicalJSON()
+		var js, text [3][]byte
+		for i, n := range procs {
+			runtime.GOMAXPROCS(n)
+			var buf bytes.Buffer
+			b, err := e.Run(&buf, cfg).CanonicalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = b
+			js[i], text[i] = b, buf.Bytes()
 		}
-		if !bytes.Equal(out[0], out[1]) {
-			t.Errorf("%s: canonical JSON differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", e.ID, out[0], out[1])
+		for i := 1; i < len(procs); i++ {
+			if !bytes.Equal(js[0], js[i]) {
+				t.Errorf("%s: canonical JSON differs between GOMAXPROCS 1 and %d:\n%s\n---\n%s", e.ID, procs[i], js[0], js[i])
+			}
+			if !bytes.Equal(text[0], text[i]) {
+				t.Errorf("%s: rendered text differs between GOMAXPROCS 1 and %d:\n%s\n---\n%s", e.ID, procs[i], text[0], text[i])
+			}
 		}
+	}
+}
+
+// Rows appends each cell's rows in (cell, emission) order whatever order
+// the cells finish in: here later cells sleep less, so on more than one
+// core they finish first. Run under -cpu 1,2,4.
+func TestRowsKeepCellOrder(t *testing.T) {
+	const n = 8
+	for _, observed := range []bool{false, true} {
+		rec := &Recorder{}
+		if observed {
+			rec.Cfg.Observer = engine.ObserverFunc(func(engine.StepStats) {})
+		}
+		tb := tablefmt.New("cells", "cell", "row")
+		var finished []int
+		var mu sync.Mutex
+		rec.Rows(tb, n, func(i int, row func(...any)) {
+			time.Sleep(time.Duration(n-i) * time.Millisecond)
+			row(i, "a")
+			row(i, "b")
+			mu.Lock()
+			finished = append(finished, i)
+			mu.Unlock()
+		})
+		if len(finished) != n {
+			t.Fatalf("observed=%v: %d cells ran, want %d", observed, len(finished), n)
+		}
+		if len(tb.Rows) != 2*n {
+			t.Fatalf("observed=%v: %d rows, want %d", observed, len(tb.Rows), 2*n)
+		}
+		for k, r := range tb.Rows {
+			if want := []string{strconv.Itoa(k / 2), []string{"a", "b"}[k%2]}; !reflect.DeepEqual(r, want) {
+				t.Fatalf("observed=%v: row %d = %v, want %v (cells finished in order %v)", observed, k, r, want, finished)
+			}
+		}
+	}
+}
+
+// A panicking cell panics Rows with the lowest-numbered panicking cell's
+// value, as a serial loop would, even when a higher cell panics first.
+func TestRowsLowestCellPanic(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		rec := &Recorder{}
+		if observed {
+			rec.Cfg.Observer = engine.ObserverFunc(func(engine.StepStats) {})
+		}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			rec.Rows(tablefmt.New("cells", "cell"), 8, func(i int, row func(...any)) {
+				switch i {
+				case 3:
+					time.Sleep(5 * time.Millisecond)
+					panic("cell 3")
+				case 5:
+					panic("cell 5")
+				}
+				row(i)
+			})
+			return nil
+		}()
+		if got != "cell 3" {
+			t.Errorf("observed=%v: Rows panicked with %v, want cell 3", observed, got)
+		}
+	}
+}
+
+// An observed run keeps the observer contract: every superstep of every
+// machine, in commit order, from one goroutine at a time, so the observed
+// sequence of a quick ablation/sort run is the same at GOMAXPROCS 1 and 4.
+func TestObservedRunStepSequence(t *testing.T) {
+	e, _ := ByID("ablation/sort")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var seqs [2][]engine.StepStats
+	for k, n := range []int{1, 4} {
+		runtime.GOMAXPROCS(n)
+		var inside atomic.Int32
+		e.Run(io.Discard, Config{Seed: 1, Params: QuickParams(), Observer: engine.ObserverFunc(func(st engine.StepStats) {
+			if inside.Add(1) != 1 {
+				t.Error("observer entered from two goroutines at once")
+			}
+			seqs[k] = append(seqs[k], st)
+			inside.Add(-1)
+		})})
+	}
+	if len(seqs[0]) == 0 || !reflect.DeepEqual(seqs[0], seqs[1]) {
+		t.Fatalf("observed %d steps at GOMAXPROCS 1 and %d at 4, or the sequences differ", len(seqs[0]), len(seqs[1]))
 	}
 }
 

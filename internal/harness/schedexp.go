@@ -181,15 +181,17 @@ func runSchedFlits(rec *Recorder) {
 		msgs += len(ms)
 	}
 	lbar := float64(n0) / float64(msgs)
-	for _, o := range []int{0, 1, 2, 4, 8} {
+	overheads := []int{0, 1, 2, 4, 8}
+	rec.Rows(t, len(overheads), func(i int, row func(...any)) {
+		o := overheads[i]
 		plan := base.WithOverhead(o)
 		m := newBSPmExp(p, mm, l, cfg)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 		lhat := plan.MaxLen()
 		bound := (1+eps)*(1+float64(o)/lbar)*float64(n0)/float64(mm) +
 			float64(lhat) + float64(o) + r.Tau
-		t.Row(o, r.N, lhat, r.Time, bound)
-	}
+		row(o, r.N, lhat, r.Time, bound)
+	})
 	rec.Emit(t)
 }
 
@@ -223,14 +225,16 @@ func runPenaltyAblation(rec *Recorder) {
 		name string
 		mk   func() *bsp.Machine
 	}
-	for _, pc := range []pen{
+	pens := []pen{
 		{"linear f^ℓ", func() *bsp.Machine { return newBSPmL(p, mm, l, cfg) }},
 		{"exponential f^u", func() *bsp.Machine { return newBSPmExp(p, mm, l, cfg) }},
-	} {
+	}
+	rec.Rows(t, len(pens), func(i int, row func(...any)) {
+		pc := pens[i]
 		naive := sched.NaiveSend(pc.mk(), plan)
 		schd := sched.UnbalancedSend(pc.mk(), plan, sched.Options{Eps: eps})
-		t.Row(pc.name, naive.Time, schd.Time, naive.Time/schd.Time)
-	}
+		row(pc.name, naive.Time, schd.Time, naive.Time/schd.Time)
+	})
 	rec.Emit(t)
 }
 

@@ -78,28 +78,28 @@ func runBroadcastLB(rec *Recorder) {
 	t := tablefmt.New("single-bit broadcast on BSP(g): ternary algorithm vs Theorem 4.1 lower bound",
 		"p", "g", "L", "ternary measured", "alg predicted g·⌈log3 p⌉", "Thm4.1 LB", "measured/LB")
 	ps := rec.IntSweep("p", []int{81, 729, 6561}, []int{27, 243})
-	for _, p := range ps {
-		for _, gl := range [][2]int{{8, 8}, {16, 8}, {32, 4}} {
-			g, l := gl[0], gl[1]
-			m := newBSPg(p, g, l, cfg)
-			collective.BroadcastTernaryBSPg(m, 1)
-			lb := lower.BroadcastLBBSPg(p, g, l)
-			pred := lower.BroadcastTernaryBSPg(p, g)
-			t.Row(p, g, l, m.Time(), pred, lb, m.Time()/lb)
-		}
-	}
+	gls := [][2]int{{8, 8}, {16, 8}, {32, 4}}
+	rec.Rows(t, len(ps)*len(gls), func(i int, row func(...any)) {
+		p, g, l := ps[i/len(gls)], gls[i%len(gls)][0], gls[i%len(gls)][1]
+		m := newBSPg(p, g, l, cfg)
+		collective.BroadcastTernaryBSPg(m, 1)
+		lb := lower.BroadcastLBBSPg(p, g, l)
+		pred := lower.BroadcastTernaryBSPg(p, g)
+		row(p, g, l, m.Time(), pred, lb, m.Time()/lb)
+	})
 	rec.Emit(t)
 
 	t2 := tablefmt.New("tree broadcast vs Theorem 4.1 lower bound across L/g",
 		"p", "g", "L", "tree measured", "Thm4.1 LB", "measured/LB")
 	p := rec.IntOr("p2", 4096, 256)
-	for _, gl := range [][2]int{{1, 2}, {2, 8}, {4, 32}, {8, 128}} {
-		g, l := gl[0], gl[1]
+	treeGLs := [][2]int{{1, 2}, {2, 8}, {4, 32}, {8, 128}}
+	rec.Rows(t2, len(treeGLs), func(i int, row func(...any)) {
+		g, l := treeGLs[i][0], treeGLs[i][1]
 		m := newBSPg(p, g, l, cfg)
 		collective.BroadcastBSP(m, 0, 1)
 		lb := lower.BroadcastLBBSPg(p, g, l)
-		t2.Row(p, g, l, m.Time(), lb, m.Time()/lb)
-	}
+		row(p, g, l, m.Time(), lb, m.Time()/lb)
+	})
 	rec.Emit(t2)
 }
 
@@ -108,7 +108,9 @@ func runHRelationCRCW(rec *Recorder) {
 	p := rec.IntOr("p", 64, 16)
 	t := tablefmt.New("h-relation realization on Arbitrary-CRCW PRAM (p=64)",
 		"h (degree)", "rounds", "PRAM steps", "steps/h")
-	for _, h := range rec.IntSweep("h", []int{1, 2, 4, 8, 16, 32, 63}, []int{1, 4, 15}) {
+	hs := rec.IntSweep("h", []int{1, 2, 4, 8, 16, 32, 63}, []int{1, 4, 15})
+	rec.Rows(t, len(hs), func(i int, row func(...any)) {
+		h := hs[i]
 		// Each processor sends h messages to cyclically shifted targets, so
 		// every processor also receives exactly h: degree = h exactly.
 		plan := make([][]problems.HRelationMsg, p)
@@ -120,15 +122,17 @@ func runHRelationCRCW(rec *Recorder) {
 		deg := problems.HRelationDegree(plan)
 		m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
 		_, rounds := problems.HRelationCRCW(m, plan)
-		t.Row(deg, rounds, m.Time(), m.Time()/float64(deg))
-	}
+		row(deg, rounds, m.Time(), m.Time()/float64(deg))
+	})
 	rec.Emit(t)
 
 	// The two §4.1 routes: contention resolution O(h) vs sort-based
 	// O(lg p · lg(x̄p)). The crossover is the reason the paper gives both.
 	t2 := tablefmt.New("§4.1 routes compared: contention resolution vs sort-based (p=16, single hot target)",
 		"h", "contention steps", "radix-sort steps", "winner")
-	for _, h := range rec.IntSweep("h", []int{1, 4, 16, 64}, []int{1, 16}) {
+	hotHs := rec.IntSweep("h", []int{1, 4, 16, 64}, []int{1, 16})
+	rec.Rows(t2, len(hotHs), func(i int, row func(...any)) {
+		h := hotHs[i]
 		plan := make([][]problems.HRelationMsg, 16)
 		for i := range plan {
 			for j := 0; j < h; j++ {
@@ -143,8 +147,8 @@ func runHRelationCRCW(rec *Recorder) {
 		if ms.Time() < mc.Time() {
 			winner = "radix sort"
 		}
-		t2.Row(h, mc.Time(), ms.Time(), winner)
-	}
+		row(h, mc.Time(), ms.Time(), winner)
+	})
 	rec.Emit(t2)
 }
 
@@ -154,33 +158,34 @@ func runCRCWSim(rec *Recorder) {
 	cells := rec.Int("cells")
 	t := tablefmt.New("one CRCW PRAM(m) read step on the QSM(m): measured vs Θ(p/m)",
 		"p", "m", "pattern", "measured", "p/m", "ratio")
-	for _, mm := range rec.IntSweep("m", []int{2, 4, 8, 16, 32}, []int{2, 8}) {
-		for _, pattern := range []string{"random", "all-same", "distinct"} {
-			pmKind := emulate.PRAMm{Base: p, MCells: cells}
-			mem := pmKind.Base + cells + 2*p + p + 8
-			c := model.QSMm(mm)
-			c.Penalty = model.LinearPenalty
-			m := newQSMmMem(p, mem, c, cfg)
-			rng := xrand.Derive(cfg.Seed, fmt.Sprintf("crcw-sim/m=%d", mm))
-			for a := 0; a < cells; a++ {
-				m.Store(pmKind.Base+a, int64(a*3+1))
-			}
-			addr := make([]int, p)
-			for i := range addr {
-				switch pattern {
-				case "random":
-					addr[i] = rng.Intn(cells)
-				case "all-same":
-					addr[i] = 7
-				case "distinct":
-					addr[i] = i % cells
-				}
-			}
-			pmKind.SimulateCRCWRead(m, addr)
-			pred := lower.SimSlowdownCRCWPRAMm(p, mm)
-			t.Row(p, mm, pattern, m.Time(), pred, m.Time()/pred)
+	ms := rec.IntSweep("m", []int{2, 4, 8, 16, 32}, []int{2, 8})
+	patterns := []string{"random", "all-same", "distinct"}
+	rec.Rows(t, len(ms)*len(patterns), func(i int, row func(...any)) {
+		mm, pattern := ms[i/len(patterns)], patterns[i%len(patterns)]
+		pmKind := emulate.PRAMm{Base: p, MCells: cells}
+		mem := pmKind.Base + cells + 2*p + p + 8
+		c := model.QSMm(mm)
+		c.Penalty = model.LinearPenalty
+		m := newQSMmMem(p, mem, c, cfg)
+		rng := xrand.Derive(cfg.Seed, fmt.Sprintf("crcw-sim/m=%d", mm))
+		for a := 0; a < cells; a++ {
+			m.Store(pmKind.Base+a, int64(a*3+1))
 		}
-	}
+		addr := make([]int, p)
+		for i := range addr {
+			switch pattern {
+			case "random":
+				addr[i] = rng.Intn(cells)
+			case "all-same":
+				addr[i] = 7
+			case "distinct":
+				addr[i] = i % cells
+			}
+		}
+		pmKind.SimulateCRCWRead(m, addr)
+		pred := lower.SimSlowdownCRCWPRAMm(p, mm)
+		row(p, mm, pattern, m.Time(), pred, m.Time()/pred)
+	})
 	rec.Emit(t)
 }
 
@@ -189,7 +194,9 @@ func runLeader(rec *Recorder) {
 	mm := rec.Int("m")
 	t := tablefmt.New(fmt.Sprintf("leader recognition, CR PRAM(m) vs ER PRAM(m) vs QSM(m) (m=%d, w=64)", mm),
 		"p", "CR steps", "ER steps", "QSM(m) time", "ER/CR", "paper separation Ω(p·lg m/(m·lg p))")
-	for _, p := range rec.IntSweep("p", []int{64, 256, 1024, 4096}, []int{64, 256}) {
+	ps := rec.IntSweep("p", []int{64, 256, 1024, 4096}, []int{64, 256})
+	rec.Rows(t, len(ps), func(i int, row func(...any)) {
+		p := ps[i]
 		leader := p / 3
 		cr := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.CRCWArbitrary,
 			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed, Observer: cfg.Observer})
@@ -200,8 +207,8 @@ func runLeader(rec *Recorder) {
 		qm := newQSMmMem(p, 3*p, qsmmLinCost(mm), cfg)
 		problems.LeaderQSM(qm, 2*p, leader)
 		sep := lower.SeparationERCR(p, mm)
-		t.Row(p, cr.Time(), er.Time(), qm.Time(), er.Time()/cr.Time(), sep)
-	}
+		row(p, cr.Time(), er.Time(), qm.Time(), er.Time()/cr.Time(), sep)
+	})
 	rec.Emit(t)
 }
 
@@ -210,23 +217,23 @@ func runGroupEmul(rec *Recorder) {
 	p, l := rec.IntOr("p", 256, 64), rec.Int("l")
 	t := tablefmt.New("h-relation superstep: BSP(g) vs group-emulated BSP(m), m=p/g",
 		"g", "h", "BSP(g) time", "BSP(m) emulated", "max slot load", "m")
-	for _, g := range []int{2, 4, 8, 16} {
-		for _, h := range []int{1, 4, 16} {
-			mBW := p / g
-			lg := newBSPg(p, g, l, cfg)
-			lg.Superstep(func(c *bsp.Ctx) {
-				for k := 0; k < h; k++ {
-					c.Send((c.ID()+k+1)%p, 0, 1)
-				}
-			})
-			gm := newBSPmExp(p, mBW, l, cfg)
-			st := emulate.RunGroupedBSP(gm, g, func(c *bsp.Ctx, send func(int, bsp.Msg)) {
-				for k := 0; k < h; k++ {
-					send((c.ID()+k+1)%p, bsp.Msg{A: 1})
-				}
-			})
-			t.Row(g, h, lg.Time(), gm.Time(), st.MaxSlot, mBW)
-		}
-	}
+	gs, hs := []int{2, 4, 8, 16}, []int{1, 4, 16}
+	rec.Rows(t, len(gs)*len(hs), func(i int, row func(...any)) {
+		g, h := gs[i/len(hs)], hs[i%len(hs)]
+		mBW := p / g
+		lg := newBSPg(p, g, l, cfg)
+		lg.Superstep(func(c *bsp.Ctx) {
+			for k := 0; k < h; k++ {
+				c.Send((c.ID()+k+1)%p, 0, 1)
+			}
+		})
+		gm := newBSPmExp(p, mBW, l, cfg)
+		st := emulate.RunGroupedBSP(gm, g, func(c *bsp.Ctx, send func(int, bsp.Msg)) {
+			for k := 0; k < h; k++ {
+				send((c.ID()+k+1)%p, bsp.Msg{A: 1})
+			}
+		})
+		row(g, h, lg.Time(), gm.Time(), st.MaxSlot, mBW)
+	})
 	rec.Emit(t)
 }

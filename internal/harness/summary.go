@@ -113,11 +113,7 @@ func runTable1Summary(rec *Recorder) {
 	// Row 5: sorting, m = O(n^{1-ε}).
 	{
 		g, l := 16, 8
-		rng := xrand.New(cfg.Seed)
-		keys := make([]int64, p)
-		for i := range keys {
-			keys[i] = int64(rng.Uint64() % 1000003)
-		}
+		keys := sortKeys(cfg.Seed, p)
 		q := 1
 		for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
 			q *= 2

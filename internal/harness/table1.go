@@ -95,7 +95,8 @@ func runOneToAll(rec *Recorder) {
 	ps := rec.IntSweep("p", []int{256, 1024, 4096}, []int{64, 256})
 	t := tablefmt.New(fmt.Sprintf("one-to-all: measured vs predicted (g=%d, m=p/g, L=%d)", g, l),
 		"p", "model", "measured", "predicted", "ratio", "separation")
-	for _, p := range ps {
+	rec.Rows(t, len(ps), func(i int, row func(...any)) {
+		p := ps[i]
 		m := max(p/g, 1)
 		vals := make([]int64, p)
 		for i := range vals {
@@ -108,19 +109,19 @@ func runOneToAll(rec *Recorder) {
 		collective.OneToAllBSP(gb, 0, vals)
 		predL := lower.OneToAllBSPg(p, g, l)
 		predG := lower.OneToAllBSPm(p, l)
-		t.Row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
-		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
+		row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
+		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
 		lq := newQSMg(p, 2*p, g, cfg)
 		collective.OneToAllQSM(lq, 0, vals)
 		gq := newQSMmL(p, 2*p, m, cfg)
 		collective.OneToAllQSM(gq, 0, vals)
-		t.Row(p, "QSM(g)", lq.Time(), lower.OneToAllQSMg(p, g),
+		row(p, "QSM(g)", lq.Time(), lower.OneToAllQSMg(p, g),
 			lq.Time()/lower.OneToAllQSMg(p, g), "")
-		t.Row(p, "QSM(m)", gq.Time(), lower.OneToAllQSMm(p),
+		row(p, "QSM(m)", gq.Time(), lower.OneToAllQSMm(p),
 			gq.Time()/lower.OneToAllQSMm(p), ratioStr(lq.Time(), gq.Time()))
-	}
+	})
 	rec.Emit(t)
 }
 
@@ -130,7 +131,8 @@ func runBroadcastRow(rec *Recorder) {
 	ps := rec.IntSweep("p", []int{256, 1024, 4096, 16384}, []int{64, 256})
 	t := tablefmt.New(fmt.Sprintf("broadcast: measured vs predicted (g=%d, m=p/g, L=%d)", g, l),
 		"p", "model", "measured", "predicted", "ratio", "separation")
-	for _, p := range ps {
+	rec.Rows(t, len(ps), func(i int, row func(...any)) {
+		p := ps[i]
 		m := max(p/g, 1)
 
 		lb := newBSPg(p, g, l, cfg)
@@ -139,19 +141,19 @@ func runBroadcastRow(rec *Recorder) {
 		collective.BroadcastBSP(gb, 0, 7)
 		predL := lower.BroadcastBSPg(p, g, l)
 		predG := lower.BroadcastBSPm(p, m, l)
-		t.Row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
-		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
+		row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
+		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
 		lq := newQSMg(p, 2*p, g, cfg)
 		collective.BroadcastQSM(lq, 0, 7)
 		gq := newQSMmL(p, 2*p, m, cfg)
 		collective.BroadcastQSM(gq, 0, 7)
-		t.Row(p, "QSM(g)", lq.Time(), lower.BroadcastQSMg(p, g),
+		row(p, "QSM(g)", lq.Time(), lower.BroadcastQSMg(p, g),
 			lq.Time()/lower.BroadcastQSMg(p, g), "")
-		t.Row(p, "QSM(m)", gq.Time(), lower.BroadcastQSMm(p, m),
+		row(p, "QSM(m)", gq.Time(), lower.BroadcastQSMm(p, m),
 			gq.Time()/lower.BroadcastQSMm(p, m), ratioStr(lq.Time(), gq.Time()))
-	}
+	})
 	rec.Emit(t)
 }
 
@@ -161,7 +163,8 @@ func runParityRow(rec *Recorder) {
 	ps := rec.IntSweep("p", []int{256, 1024, 4096}, []int{64, 256})
 	t := tablefmt.New(fmt.Sprintf("parity of n=p bits: measured vs predicted (g=%d, m=p/g, L=%d)", g, l),
 		"n=p", "model", "measured", "predicted", "ratio", "separation")
-	for _, p := range ps {
+	rec.Rows(t, len(ps), func(i int, row func(...any)) {
+		p := ps[i]
 		m := max(p/g, 1)
 		rng := xrand.New(cfg.Seed)
 		bits := make([]int64, p)
@@ -175,8 +178,8 @@ func runParityRow(rec *Recorder) {
 		problems.ParityBSP(gb, bits)
 		predL := lower.ParityBSPg(p, g, l)
 		predG := lower.ParityBSPm(p, m, l)
-		t.Row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
-		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
+		row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
+		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
 		lq := newQSMg(p, 2*p, g, cfg)
@@ -185,10 +188,10 @@ func runParityRow(rec *Recorder) {
 		problems.ParityQSM(gq, bits)
 		predQL := lower.ParityQSMgLB(p, g) // lower bound for the weak model
 		predQG := lower.ParityQSMm(p, m)
-		t.Row(p, "QSM(g)", lq.Time(), predQL, lq.Time()/predQL, "")
-		t.Row(p, "QSM(m)", gq.Time(), predQG, gq.Time()/predQG,
+		row(p, "QSM(g)", lq.Time(), predQL, lq.Time()/predQL, "")
+		row(p, "QSM(m)", gq.Time(), predQG, gq.Time()/predQG,
 			ratioStr(lq.Time(), gq.Time()))
-	}
+	})
 	rec.Emit(t)
 }
 
@@ -200,7 +203,8 @@ func runListRankRow(rec *Recorder) {
 	ps := rec.IntSweep("p", []int{512, 1024, 2048}, []int{64, 128})
 	t := tablefmt.New(fmt.Sprintf("list ranking n=p nodes (contraction): measured vs predicted (g=%d, m=p/g, L=%d)", g, l),
 		"n=p", "model", "measured", "predicted", "ratio", "separation")
-	for _, p := range ps {
+	rec.Rows(t, len(ps), func(i int, row func(...any)) {
+		p := ps[i]
 		m := max(p/g, 1)
 		rng := xrand.New(cfg.Seed)
 		list := problems.RandomList(rng, p)
@@ -211,8 +215,8 @@ func runListRankRow(rec *Recorder) {
 		problems.ListRankContractBSP(gb, list)
 		predL := lower.ListRankLBg(p, g)
 		predG := lower.ListRankBSPm(p, m, l)
-		t.Row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
-		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
+		row(p, "BSP(g)", lb.Time(), predL, lb.Time()/predL, "")
+		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
 		lq := newQSMg(p, 3*p, g, cfg)
@@ -220,10 +224,10 @@ func runListRankRow(rec *Recorder) {
 		gq := newQSMmL(p, 3*p, m, cfg)
 		problems.ListRankContractQSM(gq, list)
 		predQG := lower.ListRankQSMm(p, m)
-		t.Row(p, "QSM(g)", lq.Time(), predL, lq.Time()/predL, "")
-		t.Row(p, "QSM(m)", gq.Time(), predQG, gq.Time()/predQG,
+		row(p, "QSM(g)", lq.Time(), predL, lq.Time()/predL, "")
+		row(p, "QSM(m)", gq.Time(), predQG, gq.Time()/predQG,
 			ratioStr(lq.Time(), gq.Time()))
-	}
+	})
 	rec.Emit(t)
 }
 
@@ -233,7 +237,8 @@ func runSortRow(rec *Recorder) {
 	ps := rec.IntSweep("p", []int{512, 1024, 4096}, []int{128, 512})
 	t := tablefmt.New(fmt.Sprintf("sorting n=p keys (columnsort): measured vs predicted (g=%d, m=p/g, L=%d)", g, l),
 		"n=p", "model", "q", "measured", "predicted", "ratio", "separation")
-	for _, p := range ps {
+	rec.Rows(t, len(ps), func(i int, row func(...any)) {
+		p := ps[i]
 		m := max(p/g, 1)
 		// Sorter count: depth-1 columnsort shape (q ≈ (n/2)^{1/3}) so the
 		// recursion constant is fixed across the sweep.
@@ -241,11 +246,7 @@ func runSortRow(rec *Recorder) {
 		for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
 			q *= 2
 		}
-		rng := xrand.New(cfg.Seed)
-		keys := make([]int64, p)
-		for i := range keys {
-			keys[i] = int64(rng.Uint64() % 1000003)
-		}
+		keys := sortKeys(cfg.Seed, p)
 
 		lb := newBSPg(p, g, l, cfg)
 		problems.ColumnsortBSP(lb, keys, q)
@@ -253,8 +254,8 @@ func runSortRow(rec *Recorder) {
 		problems.ColumnsortBSP(gb, keys, q)
 		predL := lower.SortLBg(p, g)
 		predG := lower.SortBSPm(p, m, l)
-		t.Row(p, "BSP(g)", q, lb.Time(), predL, lb.Time()/predL, "")
-		t.Row(p, "BSP(m)", q, gb.Time(), predG, gb.Time()/predG,
+		row(p, "BSP(g)", q, lb.Time(), predL, lb.Time()/predL, "")
+		row(p, "BSP(m)", q, gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
 		lq := newQSMg(p, p, g, cfg)
@@ -262,10 +263,10 @@ func runSortRow(rec *Recorder) {
 		gq := newQSMmL(p, p, m, cfg)
 		problems.ColumnsortQSM(gq, keys, q)
 		predQG := lower.SortQSMm(p, m)
-		t.Row(p, "QSM(g)", q, lq.Time(), predL, lq.Time()/predL, "")
-		t.Row(p, "QSM(m)", q, gq.Time(), predQG, gq.Time()/predQG,
+		row(p, "QSM(g)", q, lq.Time(), predL, lq.Time()/predL, "")
+		row(p, "QSM(m)", q, gq.Time(), predQG, gq.Time()/predQG,
 			ratioStr(lq.Time(), gq.Time()))
-	}
+	})
 	rec.Emit(t)
 }
 

@@ -77,7 +77,11 @@ type Config struct {
 	// bandwidth accounting of Section 5 (Theorem 5.2). Zero means 64.
 	CellBits int
 	Seed     uint64
-	Workers  int
+	// Workers bounds the host-CPU parallelism used to execute processor
+	// programs. An explicit count is honoured exactly; <= 0 sizes it from P:
+	// one worker per 32768 processors, at most GOMAXPROCS, so a machine
+	// below the fan-out break-even runs its steps on one core.
+	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every step. It is the only way to observe the machine.
 	Observer engine.Observer

@@ -49,10 +49,14 @@ type Stats struct {
 // Config configures a Machine with an explicit model.Cost (model.QSMg or
 // model.QSMm).
 type Config struct {
-	P       int        // processors
-	Mem     int        // shared-memory words
-	Cost    model.Cost // must be a QSM kind
-	Seed    uint64
+	P    int        // processors
+	Mem  int        // shared-memory words
+	Cost model.Cost // must be a QSM kind
+	Seed uint64
+	// Workers bounds the host-CPU parallelism used to execute processor
+	// programs. An explicit count is honoured exactly; <= 0 sizes it from P:
+	// one worker per 32768 processors, at most GOMAXPROCS, so a machine
+	// below the fan-out break-even runs its phases on one core.
 	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every phase. It is the only way to observe the machine.
