@@ -19,16 +19,16 @@ test:
 
 # Full suite under the race detector (CI runs this), then the worker pool,
 # every package that fans out on it, the run store the service's workers
-# read concurrently, the asynchronous machine, the whole experiment harness
-# with its goldens and the CLI's `run all` bytes again at 1, 2 and 4 cores:
-# core count is a test axis, not an assumption.
+# read concurrently, the asynchronous machine and the whole experiment
+# harness with its goldens again at 1, 2 and 4 cores: core count is a test
+# axis, not an assumption.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
 		./internal/bsp ./internal/qsm ./internal/pram ./internal/collective \
 		./internal/oracle ./internal/service ./internal/runstore ./internal/sched \
 		./internal/shrink ./internal/work/... ./internal/workgen ./internal/async \
-		./internal/harness ./cmd/bandsim
+		./internal/harness
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault
 # framework, the hardened run store, and the service chaos tests — fixed
@@ -60,12 +60,14 @@ stream-chaos:
 	$(GO) test -race -count=1 -run 'Writer' ./internal/fault
 
 # The p-scaling workload (columnar engine at p = 10k / 100k / 2^20), the
-# fan-out break-even (one worker vs GOMAXPROCS vs auto-sized, p = 4096 to
-# 2^20) plus the million-processor heap ceiling test. Divide a size's ns/op
-# by its p for the per-processor cost; TestSuperstepFingerprint pins each
-# size's model outcome.
+# fan-out break-even of a bsp superstep, a qsm phase and a pram step (one
+# worker vs GOMAXPROCS vs auto-sized, p = 4096 to 2^20) plus the
+# million-processor heap ceiling test. Divide a size's ns/op by its p for
+# the per-processor cost; TestSuperstepFingerprint pins each size's model
+# outcome.
 bench-scale:
 	$(GO) test -run '^$$' -bench 'SuperstepScale|SuperstepFanout' -benchmem ./internal/bsp
+	$(GO) test -p 1 -run '^$$' -bench SuperstepFanout -benchmem ./internal/qsm ./internal/pram
 	$(GO) test -run TestScaleMillionProcessors -count=1 .
 
 # One benchmark per registered experiment (BenchmarkExperiment/<id>, quick

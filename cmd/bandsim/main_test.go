@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -169,31 +169,29 @@ func TestExportAll(t *testing.T) {
 	}
 }
 
-// `bandsim -quick run all` and `bandsim -quick -json run all` write the
-// same bytes at GOMAXPROCS 1, 2 and 4: experiments' sweep cells run on a
-// pool as wide as the host, and their tables must not show it. Not
-// parallel, since GOMAXPROCS is process-wide.
-func TestRunAllCoreCountBytes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+// `bandsim -quick run all` frames every experiment under one "### " header,
+// and `bandsim -quick -json run all` writes one canonical JSON line per
+// experiment. That the bytes do not depend on the core count is
+// harness.TestCoreCountDeterminism's job.
+func TestRunExperimentsFraming(t *testing.T) {
 	cfg := harness.Config{Seed: 1, Params: harness.QuickParams()}
-	for _, jsonOut := range []bool{false, true} {
-		var first []byte
-		for _, procs := range []int{1, 2, 4} {
-			runtime.GOMAXPROCS(procs)
-			var buf bytes.Buffer
-			if err := runExperiments(&buf, harness.All(), cfg, jsonOut); err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = buf.Bytes()
-				continue
-			}
-			if !bytes.Equal(first, buf.Bytes()) {
-				t.Errorf("json=%v: run all output at GOMAXPROCS %d differs from GOMAXPROCS 1", jsonOut, procs)
-			}
-		}
-		if n := bytes.Count(first, []byte("\n### ")); !jsonOut && n != len(harness.All()) {
-			t.Errorf("text run all has %d experiment headers, want %d", n, len(harness.All()))
+	var text, js bytes.Buffer
+	if err := runExperiments(&text, harness.All(), cfg, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(text.Bytes(), []byte("\n### ")); n != len(harness.All()) {
+		t.Errorf("text run all has %d experiment headers, want %d", n, len(harness.All()))
+	}
+	if err := runExperiments(&js, harness.All(), cfg, true); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(js.String(), "\n"), "\n")
+	if len(lines) != len(harness.All()) {
+		t.Fatalf("json run all has %d lines, want %d", len(lines), len(harness.All()))
+	}
+	for i, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Errorf("json run all line %d (%s) is not valid JSON", i, harness.All()[i].ID)
 		}
 	}
 }

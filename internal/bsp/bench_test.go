@@ -93,32 +93,70 @@ func BenchmarkSuperstepScale(b *testing.B) {
 // the fan-out break-even the engine's auto-sized worker count is set from.
 var fanoutSizes = []int{4096, 16384, 65536, 262144, 1 << 20}
 
+// fanoutWorkers are the worker counts BenchmarkSuperstepFanout compares: one
+// worker, GOMAXPROCS workers (-1, read inside the sub-benchmark, where -cpu
+// has set it), and the auto-sized count (Workers: 0), which should track the
+// faster of the two.
+var fanoutWorkers = []struct {
+	name    string
+	workers int
+}{{"workers=1", 1}, {"workers=max", -1}, {"auto", 0}}
+
+// fanoutShapes are the superstep programs of BenchmarkSuperstepFanout:
+// benchMachine's two sends per processor, and the pipelined-broadcast step
+// of a sample sort's critical path, in which every processor reads its
+// inbox and sends to two children on pinned slots.
+var fanoutShapes = []struct {
+	name string
+	cost model.Cost
+	body func(p int) func(c *Ctx)
+}{
+	{"sends", model.BSPm(32, 4), func(p int) func(c *Ctx) {
+		return func(c *Ctx) {
+			c.Charge(4)
+			c.Send((c.ID()+1)%p, 1, int64(c.ID()))
+			c.Send((c.ID()+7)%p, 2, int64(c.ID()))
+		}
+	}},
+	{"bcast", model.BSPm(64, 4), func(p int) func(c *Ctx) {
+		return func(c *Ctx) {
+			var a int64
+			for _, msg := range c.Recv() {
+				a += msg.A
+			}
+			i := c.ID()
+			slot := 2 * (i % (p / 64))
+			c.SendAt(slot, (2*i+1)%p, Msg{A: a + 1})
+			c.SendAt(slot+1, (2*i+2)%p, Msg{A: a + 2})
+		}
+	}},
+}
+
 // BenchmarkSuperstepFanout measures what fanning a superstep out over the
-// host's cores buys: benchMachine's two-sends-per-processor step at each
-// fanoutSizes p, on one worker, on GOMAXPROCS workers, and on the auto-sized
-// worker count (Workers: 0), which should track the faster of the two.
-// Compare workers=1 with workers=max at -cpu N to find the break-even p.
+// host's cores buys: each fanoutShapes program at each fanoutSizes p on each
+// fanoutWorkers count. Compare workers=1 with workers=max at -cpu N to find
+// the break-even p. The qsm and pram packages hold the same benchmark for a
+// phase and a step.
 func BenchmarkSuperstepFanout(b *testing.B) {
-	for _, p := range fanoutSizes {
-		for _, w := range []struct {
-			name    string
-			workers int
-		}{{"workers=1", 1}, {"workers=max", runtime.GOMAXPROCS(0)}, {"auto", 0}} {
-			b.Run(fmt.Sprintf("p=%d/%s", p, w.name), func(b *testing.B) {
-				m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1, Workers: w.workers})
-				body := func(c *Ctx) {
-					c.Charge(4)
-					c.Send((c.ID()+1)%p, 1, int64(c.ID()))
-					c.Send((c.ID()+7)%p, 2, int64(c.ID()))
-				}
-				m.Superstep(body) // warm both halves of the double-buffered inbox slab
-				m.Superstep(body)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+	for _, sh := range fanoutShapes {
+		for _, p := range fanoutSizes {
+			for _, w := range fanoutWorkers {
+				b.Run(fmt.Sprintf("%s/p=%d/%s", sh.name, p, w.name), func(b *testing.B) {
+					workers := w.workers
+					if workers < 0 {
+						workers = runtime.GOMAXPROCS(0)
+					}
+					m := New(Config{P: p, Cost: sh.cost, Seed: 1, Workers: workers})
+					body := sh.body(p)
+					m.Superstep(body) // warm both halves of the double-buffered inbox slab
 					m.Superstep(body)
-				}
-			})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						m.Superstep(body)
+					}
+				})
+			}
 		}
 	}
 }

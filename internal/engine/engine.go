@@ -53,13 +53,25 @@ type Core[S any] struct {
 }
 
 // fanoutGrain is the number of simulated processors one host worker must
-// have before an auto-sized machine fans its supersteps out: below it, the
-// cost of waking helpers and sharing the merge's caches exceeds the work
-// they take over. BenchmarkSuperstepFanout (internal/bsp, two sends per
-// processor, -cpu 2 on a 2-vCPU x86-64 host) puts the break-even between
-// p=16384 and p=65536: two workers against one cost +40% at p=4096 (352 vs
-// 252 µs) and +22% at p=16384 (1.51 vs 1.24 ms), and save 16% at p=65536
-// (4.97 vs 5.95 ms) and 20% at p=262144 (19.9 vs 24.9 ms).
+// have before an auto-sized machine fans its steps out: below it, the cost
+// of waking helpers and sharing the merge's caches exceeds the work they
+// take over. BenchmarkSuperstepFanout in internal/bsp, internal/qsm and
+// internal/pram (-cpu 2 on a 2-vCPU x86-64 host, median of 5, one worker
+// vs two) sets it:
+//   - bsp, two sends per processor: +27% at p=4096 (303 vs 383 µs), +28%
+//     at 16384 (1.27 vs 1.63 ms), -15% at 65536 (5.34 vs 4.53 ms);
+//   - bsp, a pipelined-broadcast step (inbox read plus two pinned sends):
+//     +32% at 4096 (338 vs 448 µs), -6% at 16384, -7% at 65536, -21% at
+//     262144 (30.5 vs 24.2 ms);
+//   - pram, a QRQW read and private write: +5% at 4096, +29% at 16384
+//     (0.70 vs 0.91 ms), -11% at 65536 (3.52 vs 3.12 ms);
+//   - qsm, a read and private write: no gain at any size up to 262144
+//     (+17% at 16384, +18% at 65536, +3% at 262144); its merge walks
+//     every request on the caller, so fan-out speeds up only the bodies.
+//
+// The break-even lies between p=16384 and p=65536 for bsp and pram. One
+// grain serves all three machines; it costs qsm from p=65536 on, larger
+// than any machine the experiments build at their built-in sizes.
 const fanoutGrain = 32768
 
 // autoWorkers is the worker count of a machine whose config leaves it

@@ -133,14 +133,12 @@ func (r *Recorder) Emit(t *tablefmt.Table) {
 // so the observer still sees every superstep in commit order from one
 // goroutine.
 func (r *Recorder) Rows(t *tablefmt.Table, n int, cell func(i int, row func(cells ...any))) {
+	workers := 0
 	if r.Cfg.Observer != nil {
-		for i := 0; i < n; i++ {
-			cell(i, t.Row)
-		}
-		return
+		workers = 1 // the caller claims cells in order, with no helpers
 	}
 	out := make([]tablefmt.Table, n)
-	workpool.New(0).For(n, func(i int) { cell(i, out[i].Row) })
+	workpool.New(workers).For(n, func(i int) { cell(i, out[i].Row) })
 	for i := range out {
 		t.Rows = append(t.Rows, out[i].Rows...)
 	}

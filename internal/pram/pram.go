@@ -80,7 +80,8 @@ type Config struct {
 	// Workers bounds the host-CPU parallelism used to execute processor
 	// programs. An explicit count is honoured exactly; <= 0 sizes it from P:
 	// one worker per 32768 processors, at most GOMAXPROCS, so a machine
-	// below the fan-out break-even runs its steps on one core.
+	// below the fan-out break-even (p = 16384 to 65536, measured by
+	// BenchmarkSuperstepFanout) runs its steps on one core.
 	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every step. It is the only way to observe the machine.

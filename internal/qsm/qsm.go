@@ -55,8 +55,9 @@ type Config struct {
 	Seed uint64
 	// Workers bounds the host-CPU parallelism used to execute processor
 	// programs. An explicit count is honoured exactly; <= 0 sizes it from P:
-	// one worker per 32768 processors, at most GOMAXPROCS, so a machine
-	// below the fan-out break-even runs its phases on one core.
+	// one worker per 32768 processors, at most GOMAXPROCS, the grain
+	// measured for bsp and pram; a qsm phase showed no gain from two
+	// workers at any p up to 262144 (engine's fanoutGrain comment).
 	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every phase. It is the only way to observe the machine.
