@@ -18,10 +18,10 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector (CI runs this), then the worker pool,
-# every package that fans out on it, the run store the service's workers
-# read concurrently, the asynchronous machine and the whole experiment
-# harness with its goldens again at 1, 2 and 4 cores: core count is a test
-# axis, not an assumption.
+# the machines and every package that fans work out on the pool, the run
+# store the service's workers read concurrently, the asynchronous machine
+# and the whole experiment harness with its goldens again at 1, 2 and 4
+# cores: core count is a test axis, not an assumption.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
@@ -59,15 +59,13 @@ stream-chaos:
 	$(GO) test -race -count=1 -run 'TestReadSSE|TestFormatEvent|TestWatch' ./cmd/bandsim
 	$(GO) test -race -count=1 -run 'Writer' ./internal/fault
 
-# The p-scaling workload (columnar engine at p = 10k / 100k / 2^20), the
-# fan-out break-even of a bsp superstep, a qsm phase and a pram step (one
-# worker vs GOMAXPROCS vs auto-sized, p = 4096 to 2^20) plus the
-# million-processor heap ceiling test. Divide a size's ns/op by its p for
-# the per-processor cost; TestSuperstepFingerprint pins each size's model
-# outcome.
+# The p-scaling workload (columnar engine at p = 10k / 100k / 2^20) plus
+# the million-processor heap ceiling test. Divide a size's ns/op by its p
+# for the per-processor cost; TestSuperstepFingerprint pins each size's
+# model outcome. (A machine runs its processors on one goroutine, so there
+# is no per-superstep fan-out benchmark.)
 bench-scale:
-	$(GO) test -run '^$$' -bench 'SuperstepScale|SuperstepFanout' -benchmem ./internal/bsp
-	$(GO) test -p 1 -run '^$$' -bench SuperstepFanout -benchmem ./internal/qsm ./internal/pram
+	$(GO) test -run '^$$' -bench SuperstepScale -benchmem ./internal/bsp
 	$(GO) test -run TestScaleMillionProcessors -count=1 .
 
 # One benchmark per registered experiment (BenchmarkExperiment/<id>, quick

@@ -2,18 +2,16 @@ package bsp
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"parbw/internal/model"
 )
 
-// benchMachine builds a single-worker machine (so allocation measurements
-// are not polluted by worker goroutine scheduling) plus a representative
-// communication superstep: every processor sends two single-flit messages on
+// benchMachine builds a machine plus a representative communication
+// superstep: every processor sends two single-flit messages on
 // its auto-assigned injection slots.
 func benchMachine(p int) (*Machine, func() Stats) {
-	m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1, Workers: 1})
+	m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1})
 	body := func(c *Ctx) {
 		c.Charge(4)
 		c.Send((c.ID()+1)%p, 1, int64(c.ID()))
@@ -22,13 +20,12 @@ func benchMachine(p int) (*Machine, func() Stats) {
 	return m, func() Stats { return m.Superstep(body) }
 }
 
-// scaleMachine builds a single-worker p-processor BSP(g) machine whose
-// program sends one single-flit neighbor message per processor: the
-// p-scaling workload. One worker isolates the per-processor engine overhead
-// (columnar resets, arena appends, counting-sort routing) from goroutine
-// fan-out, which is what makes the steady state allocation-free.
+// scaleMachine builds a p-processor BSP(g) machine whose program sends one
+// single-flit neighbor message per processor: the p-scaling workload, which
+// measures the per-processor engine overhead (columnar resets, arena
+// appends, counting-sort routing).
 func scaleMachine(p int) (*Machine, func() Stats) {
-	m := New(Config{P: p, Cost: model.BSPg(4, 16), Seed: 1, Workers: 1})
+	m := New(Config{P: p, Cost: model.BSPg(4, 16), Seed: 1})
 	body := func(c *Ctx) {
 		i := c.ID()
 		c.Send((i+1)%p, 1, int64(i))
@@ -89,78 +86,6 @@ func BenchmarkSuperstepScale(b *testing.B) {
 	}
 }
 
-// fanoutSizes are the machine sizes of BenchmarkSuperstepFanout, spanning
-// the fan-out break-even the engine's auto-sized worker count is set from.
-var fanoutSizes = []int{4096, 16384, 65536, 262144, 1 << 20}
-
-// fanoutWorkers are the worker counts BenchmarkSuperstepFanout compares: one
-// worker, GOMAXPROCS workers (-1, read inside the sub-benchmark, where -cpu
-// has set it), and the auto-sized count (Workers: 0), which should track the
-// faster of the two.
-var fanoutWorkers = []struct {
-	name    string
-	workers int
-}{{"workers=1", 1}, {"workers=max", -1}, {"auto", 0}}
-
-// fanoutShapes are the superstep programs of BenchmarkSuperstepFanout:
-// benchMachine's two sends per processor, and the pipelined-broadcast step
-// of a sample sort's critical path, in which every processor reads its
-// inbox and sends to two children on pinned slots.
-var fanoutShapes = []struct {
-	name string
-	cost model.Cost
-	body func(p int) func(c *Ctx)
-}{
-	{"sends", model.BSPm(32, 4), func(p int) func(c *Ctx) {
-		return func(c *Ctx) {
-			c.Charge(4)
-			c.Send((c.ID()+1)%p, 1, int64(c.ID()))
-			c.Send((c.ID()+7)%p, 2, int64(c.ID()))
-		}
-	}},
-	{"bcast", model.BSPm(64, 4), func(p int) func(c *Ctx) {
-		return func(c *Ctx) {
-			var a int64
-			for _, msg := range c.Recv() {
-				a += msg.A
-			}
-			i := c.ID()
-			slot := 2 * (i % (p / 64))
-			c.SendAt(slot, (2*i+1)%p, Msg{A: a + 1})
-			c.SendAt(slot+1, (2*i+2)%p, Msg{A: a + 2})
-		}
-	}},
-}
-
-// BenchmarkSuperstepFanout measures what fanning a superstep out over the
-// host's cores buys: each fanoutShapes program at each fanoutSizes p on each
-// fanoutWorkers count. Compare workers=1 with workers=max at -cpu N to find
-// the break-even p. The qsm and pram packages hold the same benchmark for a
-// phase and a step.
-func BenchmarkSuperstepFanout(b *testing.B) {
-	for _, sh := range fanoutShapes {
-		for _, p := range fanoutSizes {
-			for _, w := range fanoutWorkers {
-				b.Run(fmt.Sprintf("%s/p=%d/%s", sh.name, p, w.name), func(b *testing.B) {
-					workers := w.workers
-					if workers < 0 {
-						workers = runtime.GOMAXPROCS(0)
-					}
-					m := New(Config{P: p, Cost: sh.cost, Seed: 1, Workers: workers})
-					body := sh.body(p)
-					m.Superstep(body) // warm both halves of the double-buffered inbox slab
-					m.Superstep(body)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						m.Superstep(body)
-					}
-				})
-			}
-		}
-	}
-}
-
 // The merge path recycles its histogram, receive ledger and inbox buffers;
 // after warmup a superstep must not allocate at all.
 const superstepAllocBudget = 0
@@ -174,8 +99,8 @@ func TestSuperstepMergeAllocs(t *testing.T) {
 	}
 }
 
-// The columnar engine's per-processor state is flat columns plus O(cores)
-// arenas, so the p-scaling superstep is allocation-free at any p; p=10k and
+// The columnar engine's per-processor state is flat columns plus one send
+// arena, so the p-scaling superstep is allocation-free at any p; p=10k and
 // 100k check it without the 2^20 machine's ~100 MB.
 func TestSuperstepScaleAllocs(t *testing.T) {
 	for _, sz := range scaleSizes[:2] {

@@ -241,7 +241,7 @@ func TestReset(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Msg {
-		m := New(Config{P: 16, Cost: model.BSPmLinear(4, 1), Seed: 99, Workers: 4})
+		m := New(Config{P: 16, Cost: model.BSPmLinear(4, 1), Seed: 99})
 		m.Superstep(func(c *Ctx) {
 			dst := c.RNG().Intn(16)
 			c.SendAt(c.RNG().Intn(8), dst, Msg{A: int64(c.ID())})

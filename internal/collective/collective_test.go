@@ -598,43 +598,6 @@ func TestBroadcastVecIgnoresLeftoverInbox(t *testing.T) {
 	}
 }
 
-// The broadcast's result and its whole model-time record are a function of
-// the machine and the vector, never of how many host workers ran it.
-func TestBroadcastVecWorkerCountEquivalence(t *testing.T) {
-	type run struct {
-		out   []int64
-		time  model.Time
-		steps int
-		trace []engine.StepStats
-	}
-	cost := model.BSPm(8, 4)
-	for _, p := range []int{2, 9, 32, 1000} {
-		for _, k := range []int{1, 17, p - 1} {
-			vec := make([]int64, k)
-			for j := range vec {
-				vec[j] = int64(3*j + 1)
-			}
-			var want run
-			for _, w := range []int{1, 2, 4} {
-				var log []engine.StepStats
-				m := bsp.New(bsp.Config{P: p, Cost: cost, Seed: 7, Workers: w, Observer: stepLog(&log)})
-				out := BroadcastVecBSP(m, p/3+1, vec)
-				got := run{out, m.Time(), m.Supersteps(), log}
-				if w == 1 {
-					if !reflect.DeepEqual(out, vec) {
-						t.Fatalf("p=%d k=%d: got %v, want %v", p, k, out, vec)
-					}
-					want = got
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("p=%d k=%d: workers=%d differs from workers=1", p, k, w)
-				}
-			}
-		}
-	}
-}
-
 // The pipeline keeps O(1) state per processor: a p·k copy of the vector
 // (8 MB here) must never be materialized.
 func TestBroadcastVecMemoryLinear(t *testing.T) {

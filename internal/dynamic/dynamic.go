@@ -155,10 +155,14 @@ func (r Result) LooksStable() bool {
 	return second <= 2*first+3
 }
 
-// collectWindow gathers the adversary's arrivals for window i (steps
-// [i·w, (i+1)·w)) into a per-source plan.
-func collectWindow(adv Adversary, p, w, i int) (sched.Plan, int) {
-	plan := make(sched.Plan, p)
+// collectWindow refills plan, one row per source, with the adversary's
+// arrivals for window i (steps [i·w, (i+1)·w)) and returns their count. The
+// rows are reset to [:0] and keep their capacity, so one plan serves every
+// window; sched.UnbalancedSend copies what it needs and keeps no reference.
+func collectWindow(plan sched.Plan, adv Adversary, w, i int) int {
+	for s := range plan {
+		plan[s] = plan[s][:0]
+	}
 	n := 0
 	for t := i * w; t < (i+1)*w; t++ {
 		for _, a := range adv.Step(t) {
@@ -166,7 +170,7 @@ func collectWindow(adv Adversary, p, w, i int) (sched.Plan, int) {
 			n++
 		}
 	}
-	return plan, n
+	return n
 }
 
 // RunAlgorithmB routes the adversary's traffic on a globally-limited
@@ -182,8 +186,9 @@ func RunAlgorithmB(m *bsp.Machine, adv Adversary, l Limits, windows int, eps flo
 	free := 0.0 // machine-time point at which the sender is next free
 	var closed []int
 	var completed []float64
+	plan := make(sched.Plan, p)
 	for i := 0; i < windows; i++ {
-		plan, n := collectWindow(adv, p, l.W, i)
+		n := collectWindow(plan, adv, l.W, i)
 		closeAt := float64((i + 1) * l.W)
 		start := closeAt
 		if free > start {

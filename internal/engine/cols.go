@@ -10,7 +10,7 @@ package engine
 // is a handful of large allocations instead of millions of small ones. The
 // machines' Ctx types become thin index-plus-pointer views over these
 // columns; the queued per-processor work itself (sends, requests, accesses)
-// lives in O(cores) chunk-local arenas addressed by the Off/Cnt columns.
+// lives in one arena per machine, addressed by the Off/Cnt columns.
 
 import (
 	"sync"
@@ -19,10 +19,9 @@ import (
 )
 
 // Cols holds the per-processor engine state shared by every machine as
-// parallel flat arrays indexed by processor id. All columns are reset by the
-// machine's chunk body at the start of each superstep, touching only the
-// processors the chunk owns, so resets parallelize with the fan-out and
-// never allocate.
+// parallel flat arrays indexed by processor id. A processor's columns are
+// reset by the machine's body just before its program runs, so a superstep
+// touches each processor's state once and never allocates.
 //
 // The RNG column is lazy: constructing a Cols records only the root seed
 // state, and a processor's source is derived on its first RNG call —
@@ -33,7 +32,7 @@ import (
 type Cols struct {
 	Work     []int   // local work charged this step
 	AutoSlot []int   // next free auto-assigned injection/request slot
-	Off      []int32 // start of the processor's queued run in its chunk arena
+	Off      []int32 // start of the processor's queued run in the machine's arena
 	Cnt      []int32 // number of queued items in the run
 
 	root    xrand.Source
@@ -41,16 +40,6 @@ type Cols struct {
 	rng     []xrand.Source
 	rngInit []bool
 }
-
-// CacheLinePad is trailing padding for the per-chunk shard structs the
-// machines keep side by side in one slice. A shard's arena header and Ctx
-// index are written on every send and every processor, by the one worker
-// that owns the chunk. Unpadded, two workers' shards share a 64-byte line
-// and each write invalidates the other core's copy (false sharing), enough
-// to make a 2-worker superstep slower than a 1-worker one. A full line of
-// padding after the hot fields keeps neighbours apart whatever the slice's
-// alignment.
-type CacheLinePad struct{ _ [64]byte }
 
 // NewCols allocates the columns for p processors. seed is the machine seed
 // every per-processor RNG derives from.
@@ -65,10 +54,9 @@ func NewCols(p int, seed uint64) *Cols {
 }
 
 // ResetProc zeroes processor i's per-step counters for a new superstep. It
-// is called from the chunk body before the processor's program runs;
-// distinct processors are reset by distinct goroutines, never concurrently
-// for one i. Off and Cnt are queue bookkeeping the machine sets itself (Off
-// is the arena cursor at the moment the program starts, not zero).
+// is called from the machine's body before the processor's program runs.
+// Off and Cnt are queue bookkeeping the machine sets itself (Off is the
+// arena cursor at the moment the program starts, not zero).
 func (cs *Cols) ResetProc(i int) {
 	cs.Work[i] = 0
 	cs.AutoSlot[i] = 0

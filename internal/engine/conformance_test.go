@@ -226,3 +226,36 @@ func TestObserverCallbackOrdering(t *testing.T) {
 		}
 	}
 }
+
+// Caller-order contract: every machine runs its processors' programs on the
+// goroutine that called Superstep/Phase/Step, one at a time, processor 0
+// first. The programs append to a shared slice with no synchronization, so
+// under -race any concurrent run is reported, and the slice must read
+// 0..p-1. p is far above any size at which an engine might be tempted to
+// split a step across goroutines.
+func TestProgramsRunInCallerOrder(t *testing.T) {
+	const p = 1 << 17
+	check := func(name string, ids []int) {
+		t.Helper()
+		if len(ids) != p {
+			t.Fatalf("%s: %d programs ran, want %d", name, len(ids), p)
+		}
+		for i, id := range ids {
+			if id != i {
+				t.Fatalf("%s: program %d was processor %d", name, i, id)
+			}
+		}
+	}
+	var ids []int
+	bsp.New(bsp.Config{P: p, Cost: model.BSPg(1, 1), Seed: 1}).
+		Superstep(func(c *bsp.Ctx) { ids = append(ids, c.ID()) })
+	check("bsp", ids)
+	ids = ids[:0]
+	qsm.New(qsm.Config{P: p, Mem: 1, Cost: model.QSMg(1), Seed: 1}).
+		Phase(func(c *qsm.Ctx) { ids = append(ids, c.ID()) })
+	check("qsm", ids)
+	ids = ids[:0]
+	pram.New(pram.Config{P: p, Mem: 1, Mode: pram.EREW, Seed: 1}).
+		Step(func(c *pram.Ctx) { ids = append(ids, c.ID()) })
+	check("pram", ids)
+}

@@ -1,9 +1,11 @@
 // Package engine is the shared superstep core under every machine simulator
 // in this repository. The BSP, QSM, and PRAM machines all execute the same
-// abstract loop — reset per-processor contexts, fan the per-processor
-// programs out over a bounded worker pool, run a model-specific merge that
-// validates schedules and computes the step's cost, then commit: advance the
-// simulated clock and notify observers.
+// abstract loop — reset each processor's context and run its program, one
+// processor at a time in ascending id order on the caller's goroutine, run a
+// model-specific merge that validates schedules and computes the step's
+// cost, then commit: advance the simulated clock and notify observers. Host
+// parallelism lives a level up, where independent machines (sweep cells)
+// run side by side; one machine never splits a superstep across goroutines.
 // Before this package existed that loop was implemented once per machine;
 // Core implements it exactly once, parameterized by the machine's native
 // per-step Stats type S and its merge strategy.
@@ -26,11 +28,9 @@
 package engine
 
 import (
-	"runtime"
 	"slices"
 
 	"parbw/internal/model"
-	"parbw/internal/workpool"
 )
 
 // Core is the generic superstep driver. S is the machine's native per-step
@@ -39,7 +39,6 @@ import (
 type Core[S any] struct {
 	label string
 	p     int
-	pool  *workpool.Pool
 
 	time  model.Time
 	steps int
@@ -47,54 +46,14 @@ type Core[S any] struct {
 	hist    []int // recycled per-step injection/request histogram
 	ledger  []int // recycled per-processor counter, length p
 	offsets []int // recycled per-processor counter, length p (slab.go)
-	grid    []int // recycled chunk×destination count matrix (slab.go)
 
 	observers []Observer
 }
 
-// fanoutGrain is the number of simulated processors one host worker must
-// have before an auto-sized machine fans its steps out: below it, the cost
-// of waking helpers and sharing the merge's caches exceeds the work they
-// take over. BenchmarkSuperstepFanout in internal/bsp, internal/qsm and
-// internal/pram (-cpu 2 on a 2-vCPU x86-64 host, median of 5, one worker
-// vs two) sets it:
-//   - bsp, two sends per processor: +27% at p=4096 (303 vs 383 µs), +28%
-//     at 16384 (1.27 vs 1.63 ms), -15% at 65536 (5.34 vs 4.53 ms);
-//   - bsp, a pipelined-broadcast step (inbox read plus two pinned sends):
-//     +32% at 4096 (338 vs 448 µs), -6% at 16384, -7% at 65536, -21% at
-//     262144 (30.5 vs 24.2 ms);
-//   - pram, a QRQW read and private write: +5% at 4096, +29% at 16384
-//     (0.70 vs 0.91 ms), -11% at 65536 (3.52 vs 3.12 ms);
-//   - qsm, a read and private write: no gain at any size up to 262144
-//     (+17% at 16384, +18% at 65536, +3% at 262144); its merge walks
-//     every request on the caller, so fan-out speeds up only the bodies.
-//
-// The break-even lies between p=16384 and p=65536 for bsp and pram. One
-// grain serves all three machines; it costs qsm from p=65536 on, larger
-// than any machine the experiments build at their built-in sizes.
-const fanoutGrain = 32768
-
-// autoWorkers is the worker count of a machine whose config leaves it
-// unset: GOMAXPROCS, but never fewer than fanoutGrain processors per worker.
-func autoWorkers(p int) int {
-	return min(runtime.GOMAXPROCS(0), max(1, p/fanoutGrain))
-}
-
 // NewCore constructs a Core for a machine with p simulated processors.
-// label names the machine family in StepStats ("bsp", "qsm", "pram");
-// workers bounds host parallelism. workers <= 0 sizes it from p: one worker
-// per fanoutGrain processors, at most GOMAXPROCS. The count is fixed here,
-// so a machine's chunk boundaries, and the per-chunk state it sizes from
-// them, are a pure function of (p, workers) for the machine's life.
-func NewCore[S any](label string, p, workers int) *Core[S] {
-	if workers <= 0 {
-		workers = autoWorkers(p)
-	}
-	return &Core[S]{
-		label: label,
-		p:     p,
-		pool:  workpool.New(workers),
-	}
+// label names the machine family in StepStats ("bsp", "qsm", "pram").
+func NewCore[S any](label string, p int) *Core[S] {
+	return &Core[S]{label: label, p: p}
 }
 
 // P returns the simulated processor count.
@@ -146,18 +105,18 @@ func (c *Core[S]) Ledger() []int {
 	return c.ledger
 }
 
-// Step drives one superstep: body runs once per contiguous processor chunk
-// on the worker pool (reset each chunk processor's state and execute its
-// program — chunk boundaries follow ChunkPlan, so live goroutine and
-// closure state is O(cores), never O(p)), then merge — the model-specific
-// strategy — validates schedules, routes traffic, and prices the step,
-// returning the machine's native Stats together with the normalized
-// StepStats view. Core commits the result — clock, counters, observers —
-// and returns the native Stats. A panicking processor program panics Step
-// on the driver goroutine, with the lowest-numbered chunk's value as a
-// serial run would.
-func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
-	c.pool.ForChunks(c.p, body)
+// Step drives one superstep: body runs once per processor, for i = 0, 1,
+// ..., P-1 in that order, on the caller's goroutine (reset processor i's
+// state and execute its program); then merge — the model-specific strategy —
+// validates schedules, routes traffic, and prices the step, returning the
+// machine's native Stats together with the normalized StepStats view. Core
+// commits the result — clock, counters, observers — and returns the native
+// Stats. A panicking processor program panics Step with the program's own
+// value; the processors after it do not run.
+func (c *Core[S]) Step(body func(i int), merge func() (S, StepStats)) S {
+	for i := range c.p {
+		body(i)
+	}
 	st, view := merge()
 	view.Machine = c.label
 	view.Index = c.steps

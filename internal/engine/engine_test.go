@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +9,7 @@ import (
 // step drives one trivial superstep on c whose merge reports the given cost
 // and traffic, and returns the native Stats Step committed.
 func step(c *Core[int], cost float64, n, maxSlot, overload int) int {
-	return c.Step(func(lo, hi int) {}, func() (int, StepStats) {
+	return c.Step(func(int) {}, func() (int, StepStats) {
 		return c.Steps() + 1, StepStats{N: n, MaxSlot: maxSlot, Overload: overload, Cost: cost}
 	})
 }
@@ -18,7 +17,7 @@ func step(c *Core[int], cost float64, n, maxSlot, overload int) int {
 // Step returns the merge's native Stats, and the attached observer is the
 // step record: it sees each committed step's normalized view in order.
 func TestCoreClockAndTrace(t *testing.T) {
-	c := NewCore[int]("test", 4, 1)
+	c := NewCore[int]("test", 4)
 	if c.P() != 4 || c.Label() != "test" {
 		t.Fatalf("P/Label = %d/%q", c.P(), c.Label())
 	}
@@ -53,50 +52,27 @@ func TestCoreClockAndTrace(t *testing.T) {
 	}
 }
 
+// Step runs the body once per processor, in ascending id order, on the
+// caller's goroutine, and only then the merge.
 func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 	const p = 100
-	c := NewCore[int]("test", p, 4)
-	hits := make([]int, p)
-	var mu sync.Mutex
-	c.Step(func(lo, hi int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := lo; i < hi; i++ {
-			hits[i]++
+	c := NewCore[int]("test", p)
+	var order []int
+	c.Step(func(i int) { order = append(order, i) }, func() (int, StepStats) {
+		if len(order) != p {
+			t.Fatalf("merge ran after %d of %d processors", len(order), p)
 		}
-	}, func() (int, StepStats) { return 0, StepStats{} })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("processor %d ran %d times", i, h)
-		}
-	}
-}
-
-// An auto-sized core (workers <= 0) fans out only past fanoutGrain
-// processors per worker, capped at GOMAXPROCS; an explicit count is kept
-// exactly, so small machines can still be driven down the parallel paths.
-func TestAutoWorkersFollowGrain(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, c := range []struct{ p, workers, want int }{
-		{100, 0, 1},
-		{fanoutGrain - 1, -1, 1},
-		{2*fanoutGrain - 1, 0, 1},
-		{2 * fanoutGrain, 0, 2},
-		{100 * fanoutGrain, 0, 4},
-		{100, 2, 2},
-		{100, 8, 8},
-	} {
-		core := NewCore[int]("test", c.p, c.workers)
-		_, chunks := core.ChunkPlan(c.p)
-		if core.Workers() != c.want || chunks != c.want {
-			t.Errorf("p=%d workers=%d: %d workers in %d chunks, want %d",
-				c.p, c.workers, core.Workers(), chunks, c.want)
+		return 0, StepStats{}
+	})
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("position %d ran processor %d", i, id)
 		}
 	}
 }
 
 func TestHistRecycled(t *testing.T) {
-	c := NewCore[int]("test", 2, 1)
+	c := NewCore[int]("test", 2)
 	h1 := c.Hist(8)
 	if len(h1) != 8 {
 		t.Fatalf("len = %d", len(h1))
@@ -119,7 +95,7 @@ func TestHistRecycled(t *testing.T) {
 }
 
 func TestLedgerRecycled(t *testing.T) {
-	c := NewCore[int]("test", 5, 1)
+	c := NewCore[int]("test", 5)
 	l1 := c.Ledger()
 	if len(l1) != 5 {
 		t.Fatalf("len = %d", len(l1))
@@ -135,7 +111,7 @@ func TestLedgerRecycled(t *testing.T) {
 }
 
 func TestObserverSeesCommittedSteps(t *testing.T) {
-	c := NewCore[int]("obs", 3, 1)
+	c := NewCore[int]("obs", 3)
 	var got []StepStats
 	c.Attach(ObserverFunc(func(st StepStats) { got = append(got, st) }))
 	step(c, 2, 5, 3, 1)
@@ -154,7 +130,7 @@ func TestObserverSeesCommittedSteps(t *testing.T) {
 }
 
 func TestAttachNilObserverIgnored(t *testing.T) {
-	c := NewCore[int]("test", 1, 1)
+	c := NewCore[int]("test", 1)
 	c.Attach(nil)
 	step(c, 1, 0, 0, 0) // must not panic
 }
@@ -162,7 +138,7 @@ func TestAttachNilObserverIgnored(t *testing.T) {
 // A machine's observers run in attachment order on every committed step and
 // survive ResetClock, like the machine's other configuration.
 func TestAttachedObserversRunInOrder(t *testing.T) {
-	c := NewCore[int]("test", 1, 1)
+	c := NewCore[int]("test", 1)
 	var got []string
 	c.Attach(ObserverFunc(func(StepStats) { got = append(got, "a") }))
 	c.Attach(ObserverFunc(func(StepStats) { got = append(got, "b") }))
@@ -180,7 +156,7 @@ func TestAttachedObserversRunInOrder(t *testing.T) {
 func TestObserversScopedPerMachine(t *testing.T) {
 	drive := func(label string, steps int, wg *sync.WaitGroup, got *[]StepStats) {
 		defer wg.Done()
-		c := NewCore[int](label, 2, 1)
+		c := NewCore[int](label, 2)
 		if got != nil {
 			c.Attach(ObserverFunc(func(st StepStats) { *got = append(*got, st) }))
 		}
@@ -213,7 +189,7 @@ func TestObserversScopedPerMachine(t *testing.T) {
 
 // The commit path allocates nothing per step, observed or not.
 func TestStepIsZeroAllocs(t *testing.T) {
-	c := NewCore[int]("test", 2, 1)
+	c := NewCore[int]("test", 2)
 	step(c, 1, 0, 0, 0) // warm scratch
 	if allocs := testing.AllocsPerRun(100, func() { step(c, 1, 0, 0, 0) }); allocs != 0 {
 		t.Fatalf("unobserved step costs %v allocs, want 0", allocs)
@@ -227,7 +203,7 @@ func TestStepIsZeroAllocs(t *testing.T) {
 
 func TestGlobalCountersAdvance(t *testing.T) {
 	before := GlobalCounters()
-	c := NewCore[int]("test", 2, 1)
+	c := NewCore[int]("test", 2)
 	step(c, 1, 10, 3, 2)
 	step(c, 1, 5, 1, 0)
 	after := GlobalCounters()

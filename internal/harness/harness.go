@@ -125,7 +125,7 @@ func (r *Recorder) Emit(t *tablefmt.Table) {
 // i and emits its rows through row, which takes Table.Row's arguments. Each
 // cell must build its own machines and random sources and share no mutable
 // state with the others, because cells run concurrently on a GOMAXPROCS
-// worker pool: host parallelism lives at the cell, not inside a small
+// worker pool: host parallelism lives at the cell, never inside a
 // machine's superstep. Rows are appended to t in (cell, emission) order, so
 // the table is the same whichever cell finishes first. A panicking cell
 // re-raises the lowest-numbered cell's panic, as a serial loop would. An

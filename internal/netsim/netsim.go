@@ -50,21 +50,8 @@ type Result struct {
 // next flit at max(planned time, previous flit's delivery attempt chain),
 // one attempt per step.
 func Run(cfg Config, planned [][]int) Result {
-	if len(planned) != cfg.Sources {
-		panic("netsim: planned rows must equal Sources")
-	}
-	if cfg.Channels < 1 {
-		panic("netsim: need at least one channel")
-	}
+	queues, total := newQueues(cfg, planned)
 	rng := xrand.New(cfg.Seed)
-	queues := make([][]int, cfg.Sources) // remaining planned times, sorted
-	total := 0
-	for i, ts := range planned {
-		qs := append([]int(nil), ts...)
-		sort.Ints(qs)
-		queues[i] = qs
-		total += len(qs)
-	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 100 * (total + cfg.Sources + 1)
@@ -81,16 +68,7 @@ func Run(cfg Config, planned [][]int) Result {
 		backlog := 0
 		for i := range queues {
 			pick[i] = -1
-			if len(queues[i]) == 0 {
-				continue
-			}
-			ready := 0
-			for _, pt := range queues[i] {
-				if pt > t { // sorted: the rest are later
-					break
-				}
-				ready++
-			}
+			ready := queues[i].ready(t)
 			backlog += ready
 			if ready == 0 {
 				continue
@@ -110,7 +88,7 @@ func Run(cfg Config, planned [][]int) Result {
 				continue
 			}
 			if count[ch] == 1 {
-				queues[i] = queues[i][1:]
+				queues[i].head++
 				res.Delivered++
 				res.Makespan = t + 1
 			} else {
@@ -126,6 +104,46 @@ func Run(cfg Config, planned [][]int) Result {
 		res.Goodput = float64(res.Delivered) / float64(res.Makespan)
 	}
 	return res
+}
+
+// queue is one source's planned flit times, sorted. The first head flits
+// have been delivered and the first due are ready by the current step; both
+// only move forward, so a step costs O(1) per source amortized, however
+// long the backlog.
+type queue struct {
+	times []int
+	head  int
+	due   int
+}
+
+// ready advances the due cursor to step t (steps never go back) and returns
+// the number of ready, undelivered flits. The earliest of them is always
+// times[head].
+func (q *queue) ready(t int) int {
+	for q.due < len(q.times) && q.times[q.due] <= t {
+		q.due++
+	}
+	return q.due - q.head
+}
+
+// newQueues validates cfg against planned and builds each source's sorted
+// queue, returning the queues and the total flit count.
+func newQueues(cfg Config, planned [][]int) ([]queue, int) {
+	if len(planned) != cfg.Sources {
+		panic("netsim: planned rows must equal Sources")
+	}
+	if cfg.Channels < 1 {
+		panic("netsim: need at least one channel")
+	}
+	queues := make([]queue, cfg.Sources)
+	total := 0
+	for i, ts := range planned {
+		qs := append([]int(nil), ts...)
+		sort.Ints(qs)
+		queues[i].times = qs
+		total += len(qs)
+	}
+	return queues, total
 }
 
 // NaiveSchedule plans every source's flits back-to-back from step 0 — the
@@ -194,24 +212,11 @@ func ExpectedThroughput(k, m int) float64 {
 // coordination — the decentralized alternative to Unbalanced-Send's
 // schedule — at the price of idle steps at low load.
 func RunBackoff(cfg Config, planned [][]int, maxExp int) Result {
-	if len(planned) != cfg.Sources {
-		panic("netsim: planned rows must equal Sources")
-	}
-	if cfg.Channels < 1 {
-		panic("netsim: need at least one channel")
-	}
+	queues, total := newQueues(cfg, planned)
 	if maxExp < 1 {
 		maxExp = 10
 	}
 	rng := xrand.New(cfg.Seed)
-	queues := make([][]int, cfg.Sources)
-	total := 0
-	for i, ts := range planned {
-		qs := append([]int(nil), ts...)
-		sort.Ints(qs)
-		queues[i] = qs
-		total += len(qs)
-	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 1000 * (total + cfg.Sources + 1)
@@ -229,16 +234,7 @@ func RunBackoff(cfg Config, planned [][]int, maxExp int) Result {
 		backlog := 0
 		for i := range queues {
 			pick[i] = -1
-			if len(queues[i]) == 0 {
-				continue
-			}
-			ready := 0
-			for _, pt := range queues[i] {
-				if pt > t {
-					break
-				}
-				ready++
-			}
+			ready := queues[i].ready(t)
 			backlog += ready
 			if ready == 0 || t < waitUntil[i] {
 				continue
@@ -257,7 +253,7 @@ func RunBackoff(cfg Config, planned [][]int, maxExp int) Result {
 				continue
 			}
 			if count[ch] == 1 {
-				queues[i] = queues[i][1:]
+				queues[i].head++
 				res.Delivered++
 				res.Makespan = t + 1
 				collisions[i] = 0

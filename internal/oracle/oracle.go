@@ -183,7 +183,7 @@ func expected(ir *work.IR, step int) (n, steps, maxSlot int, hist []int) {
 // is deliberately not charged: the conformance and pricing invariants
 // compare communication accounting, which must not vary with work vectors.
 func driveBSP(ir *work.IR, step int, cost model.Cost) bsp.Stats {
-	m := bsp.New(bsp.Config{P: ir.P, Cost: cost, Seed: ir.Seed, Workers: 1})
+	m := bsp.New(bsp.Config{P: ir.P, Cost: cost, Seed: ir.Seed})
 	return m.Superstep(func(c *bsp.Ctx) {
 		for _, s := range ir.Steps[step].Sends {
 			if s.Proc != c.ID() {
@@ -212,7 +212,7 @@ func checkGroundTruth(ir *work.IR, fail func(string, ...any)) {
 			fail("superstep %d: bsp MaxSlot = %d, want hist peak = %d", step, st.MaxSlot, wantMaxSlot)
 		}
 
-		pm := pram.New(pram.Config{P: ir.P, Mem: ir.P, Mode: pram.CRCWArbitrary, Seed: ir.Seed, Workers: 1})
+		pm := pram.New(pram.Config{P: ir.P, Mem: ir.P, Mode: pram.CRCWArbitrary, Seed: ir.Seed})
 		total := 0
 		for t := 0; t < wantSteps; t++ {
 			pst := pm.Step(func(c *pram.Ctx) {
@@ -246,7 +246,7 @@ func checkBSPQSMPricing(ir *work.IR, fail func(string, ...any)) {
 	for step := range ir.Steps {
 		wantN, _, _, _ := expected(ir, step)
 		bst := driveBSP(ir, step, model.BSPm(ir.M, ir.L))
-		qm := qsm.New(qsm.Config{P: ir.P, Mem: ir.P, Cost: model.QSMm(ir.M), Seed: ir.Seed, Workers: 1})
+		qm := qsm.New(qsm.Config{P: ir.P, Mem: ir.P, Cost: model.QSMm(ir.M), Seed: ir.Seed})
 		qst := qm.Phase(func(c *qsm.Ctx) {
 			for _, s := range ir.Steps[step].Sends {
 				if s.Proc != c.ID() {
@@ -355,7 +355,7 @@ func checkSchedConserve(ir *work.IR, fail func(string, ...any)) {
 		if flits == 0 {
 			continue
 		}
-		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPm(ir.M, ir.L), Seed: ir.Seed, Workers: 1})
+		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPm(ir.M, ir.L), Seed: ir.Seed})
 		r := sched.UnbalancedSend(m, plan, sched.Options{KnownN: flits})
 		if r.N != flits {
 			fail("superstep %d: scheduler sent %d flits, plan declares %d", step, r.N, flits)
@@ -381,7 +381,7 @@ func checkSchedPeriod(ir *work.IR, fail func(string, ...any)) {
 		if flits == 0 {
 			continue
 		}
-		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPm(ir.M, ir.L), Seed: ir.Seed, Workers: 1})
+		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPm(ir.M, ir.L), Seed: ir.Seed})
 		r := sched.UnbalancedSend(m, plan, sched.Options{KnownN: flits})
 		bound := r.Period + lhat - 1
 		if xbar > bound {
@@ -415,7 +415,7 @@ func checkSchedOffline(ir *work.IR, fail func(string, ...any)) {
 		if flits == 0 {
 			continue
 		}
-		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPm(ir.M, ir.L), Seed: ir.Seed, Workers: 1})
+		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPm(ir.M, ir.L), Seed: ir.Seed})
 		r := sched.OfflineSend(m, plan)
 		if r.Send.Overload != 0 {
 			fail("superstep %d: offline schedule overloaded %d steps", step, r.Send.Overload)
@@ -444,7 +444,7 @@ func checkSchedBoundedCost(ir *work.IR, fail func(string, ...any)) {
 		if flits == 0 {
 			continue
 		}
-		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPmLinear(ir.M, ir.L), Seed: ir.Seed, Workers: 1})
+		m := bsp.New(bsp.Config{P: ir.P, Cost: model.BSPmLinear(ir.M, ir.L), Seed: ir.Seed})
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps, KnownN: flits})
 		_, _, y := plan.Flits(ir.P)
 		ybar := 0

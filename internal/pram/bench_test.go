@@ -2,16 +2,15 @@ package pram
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
-// benchMachine builds a single-worker machine plus a representative
-// lock-step program (every processor reads one cell and writes a private
-// cell). The program closure is hoisted so that per-call closure allocation
-// does not mask the machine's own allocation behavior.
+// benchMachine builds a machine plus a representative lock-step program
+// (every processor reads one cell and writes a private cell). The program
+// closure is hoisted so that per-call closure allocation does not mask the
+// machine's own allocation behavior.
 func benchMachine(p int) (*Machine, func() Stats) {
-	m := New(Config{P: p, Mem: 2 * p, Mode: QRQW, Seed: 1, Workers: 1})
+	m := New(Config{P: p, Mem: 2 * p, Mode: QRQW, Seed: 1})
 	body := func(c *Ctx) {
 		v := c.Read((c.ID() + 1) % p)
 		c.Write(p+c.ID(), v+1)
@@ -26,38 +25,6 @@ func BenchmarkSuperstepMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
-	}
-}
-
-// BenchmarkSuperstepFanout measures what fanning a step out over the
-// host's cores buys: benchMachine's program at p = 4096 to 2^20 on one
-// worker, on GOMAXPROCS workers (-1, read inside the sub-benchmark, where
-// -cpu has set it), and on the auto-sized count (Workers: 0),
-// as the bsp package's benchmark of the same name does for a superstep.
-func BenchmarkSuperstepFanout(b *testing.B) {
-	for _, p := range []int{4096, 16384, 65536, 262144, 1 << 20} {
-		for _, w := range []struct {
-			name    string
-			workers int
-		}{{"workers=1", 1}, {"workers=max", -1}, {"auto", 0}} {
-			b.Run(fmt.Sprintf("p=%d/%s", p, w.name), func(b *testing.B) {
-				workers := w.workers
-				if workers < 0 {
-					workers = runtime.GOMAXPROCS(0)
-				}
-				m := New(Config{P: p, Mem: 2 * p, Mode: QRQW, Seed: 1, Workers: workers})
-				body := func(c *Ctx) {
-					v := c.Read((c.ID() + 1) % p)
-					c.Write(p+c.ID(), v+1)
-				}
-				m.Step(body) // warm the recycled buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Step(body)
-				}
-			})
-		}
 	}
 }
 

@@ -60,26 +60,6 @@ func TestQSMCostMonotoneInContention(t *testing.T) {
 	}
 }
 
-// Worker-count invariance: engine concurrency must be invisible.
-func TestQSMWorkerInvariance(t *testing.T) {
-	run := func(workers int) (int64, float64) {
-		m := New(Config{P: 64, Mem: 128, Cost: model.QSMm(8), Seed: 3, Workers: workers})
-		m.Phase(func(c *Ctx) {
-			c.WriteAt(c.ID()%8, c.ID(), int64(c.RNG().Intn(100)))
-		})
-		var sum int64
-		for a := 0; a < 128; a++ {
-			sum += m.Load(a)
-		}
-		return sum, m.Time()
-	}
-	s1, t1 := run(1)
-	s8, t8 := run(8)
-	if s1 != s8 || t1 != t8 {
-		t.Fatalf("worker count changed outcome: (%d,%v) vs (%d,%v)", s1, t1, s8, t8)
-	}
-}
-
 // The final memory state depends only on the writes, not on the phase's
 // request step assignment (slots affect cost, not semantics).
 func TestQSMSlotsDoNotAffectSemantics(t *testing.T) {

@@ -17,8 +17,10 @@
 // histogram (processors schedule requests into steps via ReadAt/WriteAt, at
 // most one request per processor per step).
 //
-// The phase loop itself — context lifecycle, worker-pool fan-out, clock
-// commit, observer fan-out — lives in internal/engine; this package
+// Each processor's program runs on the caller's goroutine, one processor at
+// a time in ascending id order. The phase loop itself — context lifecycle,
+// the per-processor program loop, clock commit, observer fan-out — lives in
+// internal/engine; this package
 // contributes the QSM-specific merge strategy (request validation,
 // contention accounting, write resolution, cost accounting).
 package qsm
@@ -53,12 +55,6 @@ type Config struct {
 	Mem  int        // shared-memory words
 	Cost model.Cost // must be a QSM kind
 	Seed uint64
-	// Workers bounds the host-CPU parallelism used to execute processor
-	// programs. An explicit count is honoured exactly; <= 0 sizes it from P:
-	// one worker per 32768 processors, at most GOMAXPROCS, the grain
-	// measured for bsp and pram; a qsm phase showed no gain from two
-	// workers at any p up to 262144 (engine's fanoutGrain comment).
-	Workers int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every phase. It is the only way to observe the machine.
 	Observer engine.Observer
@@ -77,8 +73,8 @@ type request struct {
 //
 // Per-processor state is columnar: counters and cursors live in flat
 // engine.Cols arrays indexed by processor id, and buffered requests live in
-// O(cores) chunk-local arenas addressed by the Off/Cnt columns, so machine
-// memory is O(p) flat words plus O(cores) objects — never O(p) objects.
+// one arena addressed by the Off/Cnt columns, so machine memory is O(p) flat
+// words plus O(1) objects — never O(p) objects.
 type Machine struct {
 	p    int
 	mem  []int64
@@ -86,12 +82,12 @@ type Machine struct {
 	core *engine.Core[Stats]
 	cols *engine.Cols
 
-	// shards are the chunk-local request arenas: chunk r of the fan-out (the
-	// contiguous processors [r·width, (r+1)·width)) appends its requests to
-	// shards[r].buf, recycled across phases. Each shard also carries the one
-	// Ctx its chunk's programs share.
-	width  int
-	shards []shard
+	// reqs is the request arena, recycled across phases: processors run in
+	// ascending order and each appends its requests, so the arena is every
+	// processor's run concatenated in processor order. ctx is the one Ctx
+	// every program runs under.
+	reqs []request
+	ctx  Ctx
 
 	// scratch contention counters indexed by address, plus the touched
 	// addresses of the current phase, reused across phases
@@ -102,17 +98,8 @@ type Machine struct {
 	// closures handed to the engine core, built once so that Phase itself is
 	// allocation-free.
 	fn      func(c *Ctx)
-	body    func(lo, hi int)
+	body    func(i int)
 	mergeFn func() (Stats, engine.StepStats)
-}
-
-// shard is one chunk's recycled request arena plus the Ctx view its programs
-// run under. Chunks are disjoint contiguous processor ranges, so a shard is
-// only ever touched by the one goroutine running its chunk.
-type shard struct {
-	buf []request
-	ctx Ctx
-	_   engine.CacheLinePad // keep workers' shards on separate cache lines
 }
 
 // New constructs a Machine. It panics on invalid configuration.
@@ -130,30 +117,19 @@ func New(cfg Config) *Machine {
 		p:       cfg.P,
 		mem:     make([]int64, cfg.Mem),
 		cost:    cfg.Cost,
-		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Workers),
+		core:    engine.NewCore[Stats]("qsm", cfg.P),
 		cols:    engine.NewCols(cfg.P, cfg.Seed),
 		rdCount: make([]int, cfg.Mem),
 		wrCount: make([]int, cfg.Mem),
 	}
 	m.core.Attach(cfg.Observer)
-	width, chunks := m.core.ChunkPlan(cfg.P)
-	m.width = width
-	m.shards = make([]shard, chunks)
-	for r := range m.shards {
-		m.shards[r].ctx = Ctx{m: m, sh: &m.shards[r]}
-	}
-	m.body = func(lo, hi int) {
-		sh := &m.shards[lo/m.width]
-		sh.buf = sh.buf[:0]
-		c := &sh.ctx
-		cols := m.cols
-		for i := lo; i < hi; i++ {
-			cols.ResetProc(i)
-			cols.Off[i] = int32(len(sh.buf))
-			cols.Cnt[i] = 0
-			c.id = i
-			m.fn(c)
-		}
+	m.ctx.m = m
+	m.body = func(i int) {
+		m.cols.ResetProc(i)
+		m.cols.Off[i] = int32(len(m.reqs))
+		m.cols.Cnt[i] = 0
+		m.ctx.id = i
+		m.fn(&m.ctx)
 	}
 	m.mergeFn = m.merge
 	return m
@@ -187,11 +163,10 @@ func (m *Machine) Store(addr int, val int64) { m.mem[addr] = val }
 
 // Ctx is the per-processor view of the current phase. It is a thin
 // index-plus-pointer view: the state it reads and writes lives in the
-// machine's columnar arrays and its chunk's request arena.
+// machine's columnar arrays and its request arena.
 type Ctx struct {
 	id int
 	m  *Machine
-	sh *shard
 }
 
 // ID returns this processor's index.
@@ -235,7 +210,7 @@ func (c *Ctx) WriteAt(slot, addr int, val int64) {
 
 // addReq is the per-request hot path; the panics live in separate functions
 // so that it stays within the inlining budget, and the request is written in
-// place in the chunk's arena rather than appended by value.
+// place in the machine's arena rather than appended by value.
 func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	if slot < 0 {
 		c.badSlot(slot)
@@ -243,7 +218,7 @@ func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	if addr < 0 || addr >= len(c.m.mem) {
 		c.badAddr(addr)
 	}
-	buf := c.sh.buf
+	buf := c.m.reqs
 	n := len(buf)
 	if n == cap(buf) {
 		buf = append(buf, request{})
@@ -255,7 +230,7 @@ func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	r.addr = addr
 	r.val = val
 	r.write = write
-	c.sh.buf = buf
+	c.m.reqs = buf
 	cols := c.m.cols
 	cols.Cnt[c.id]++
 	if slot+1 > cols.AutoSlot[c.id] {
@@ -277,6 +252,7 @@ func (c *Ctx) badAddr(addr int) {
 // contention and cost, and advances the clock. It returns the phase Stats.
 func (m *Machine) Phase(fn func(c *Ctx)) Stats {
 	m.fn = fn
+	m.reqs = m.reqs[:0]
 	st := m.core.Step(m.body, m.mergeFn)
 	m.fn = nil
 	return st
@@ -288,29 +264,20 @@ const insertionSortMax = 32
 
 // merge is the QSM merge strategy: it validates request schedules, computes
 // contention κ, applies buffered writes, and prices the phase. Processors
-// are walked in ascending id order via their arena runs, so every
-// order-sensitive outcome (the Arbitrary write rule, panic attribution) is
-// identical for any worker count.
+// are walked in ascending id order via their arena runs, which fixes every
+// order-sensitive outcome (the Arbitrary write rule, panic attribution).
 func (m *Machine) merge() (Stats, engine.StepStats) {
 	var st Stats
 	m.touched = m.touched[:0]
 	cols := m.cols
 
 	maxStep := 0
-	// Processors are walked shard by shard: shards hold contiguous ascending
-	// processor ranges, so this is processor order without a per-processor
-	// division.
-	sh, end := 0, m.width // processor i's shard and the first processor past it
 	for i := 0; i < m.p; i++ {
 		if w := cols.Work[i]; w > st.W {
 			st.W = w
 		}
-		if i == end {
-			sh++
-			end += m.width
-		}
 		off := cols.Off[i]
-		reqs := m.shards[sh].buf[off : off+cols.Cnt[i]]
+		reqs := m.reqs[off : off+cols.Cnt[i]]
 		nr, nw := 0, 0
 		for k := range reqs {
 			if reqs[k].write {
@@ -389,17 +356,13 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 
 	// Histogram over request steps; apply writes in processor order so the
 	// highest-numbered writer wins deterministically (Arbitrary rule). The
-	// shard arenas concatenated in shard order are the runs in processor
-	// order, so they are scanned linearly.
+	// arena holds the runs in processor order, so it is scanned linearly.
 	hist := m.core.Hist(maxStep)
-	for sh := range m.shards {
-		reqs := m.shards[sh].buf
-		for k := range reqs {
-			r := &reqs[k]
-			hist[r.slot]++
-			if r.write {
-				m.mem[r.addr] = r.val
-			}
+	for k := range m.reqs {
+		r := &m.reqs[k]
+		hist[r.slot]++
+		if r.write {
+			m.mem[r.addr] = r.val
 		}
 	}
 	for _, mt := range hist {

@@ -536,18 +536,18 @@ func TestEncodeErrorsCounted(t *testing.T) {
 	}
 }
 
-// A processor program that panics on a multi-worker engine, inside a
-// multi-worker sweep, fails its own task with the engine's panic message;
-// the server survives and runs the next job. The machine's chunks run on
-// two goroutines, so this needs the worker pool to hand the panic back to
-// the task's goroutine instead of crashing the process.
+// A processor program that panics inside a multi-worker sweep fails its own
+// task with the engine's panic message; the server survives and runs the
+// next job. The task runs on a pool helper goroutine, so this needs the
+// worker pool to hand the panic back to the task instead of crashing the
+// process.
 func TestProgramPanicFailsOneTask(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var bad atomic.Bool
 	bad.Store(true)
 	runner := func(id string, cfg harness.Config) (*result.Result, error) {
 		if bad.Load() {
-			m := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(2, 1), Workers: 2})
+			m := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(2, 1)})
 			m.Superstep(func(c *bsp.Ctx) { c.Send(8+c.ID(), 0, 1) })
 		}
 		return DefaultRunner(id, cfg)

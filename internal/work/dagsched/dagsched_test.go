@@ -282,7 +282,7 @@ func TestLowerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: 1, Workers: 1})
+	mach := bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: 1})
 	sched.ReplayAll(mach, ir)
 	got := fmt.Sprintf("time=%g sends=%d flits=%d", mach.Time(), ir.TotalSends, ir.TotalFlits)
 	if want := "time=212.4035768622074 sends=650 flits=1645"; got != want {

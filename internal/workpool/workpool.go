@@ -1,12 +1,11 @@
-// Package workpool provides a bounded parallel-for used by the machine
-// engines to run the per-processor programs of a superstep, and by the run
-// service and the fuzzer to fan out independent tasks, on real CPU cores.
+// Package workpool provides a bounded parallel-for used to fan out
+// independent tasks on real CPU cores: an experiment's sweep cells, the run
+// service's tasks and the fuzzer's seeds. A simulated machine never uses it;
+// each machine runs its processors on its caller's goroutine.
 //
-// For, ForCtx and ForChunks share one loop: the caller and up to workers-1
-// helper goroutines claim indices in increasing order from one atomic
-// counter, so a costly index holds up only the worker running it. ForChunks
-// claims whole contiguous chunks whose boundaries (Chunks) depend only on n
-// and the worker count, so callers can size per-chunk state from them.
+// For and ForCtx share one loop: the caller and up to workers-1 helper
+// goroutines claim indices in increasing order from one atomic counter, so a
+// costly index holds up only the worker running it.
 //
 // A panic in fn stops further claims; every index already claimed runs to
 // completion, then the panic value of the lowest panicking index is
@@ -39,21 +38,10 @@ func New(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Chunks reports the contiguous chunking ForChunks uses for n items: the
-// chunk width and the number of chunks. Chunk r covers
-// [r·width, min((r+1)·width, n)).
-func (p *Pool) Chunks(n int) (width, chunks int) {
-	if n <= 0 {
-		return 0, 0
-	}
-	width = (n + p.workers - 1) / p.workers
-	return width, (n + width - 1) / width
-}
-
 // For invokes fn(i) for every i in [0, n) and returns after all calls have
 // completed. fn must be safe to call concurrently for distinct i.
 func (p *Pool) For(n int, fn func(i int)) {
-	p.run(spec{n: n, width: 1, fn: fn})
+	p.run(spec{n: n, fn: fn})
 }
 
 // ForCtx is For with cancellation: once ctx is done, no further index is
@@ -62,25 +50,15 @@ func (p *Pool) For(n int, fn func(i int)) {
 // most one call per worker completes after cancellation. Returns ctx.Err()
 // if the loop was cut short, nil if every index ran.
 func (p *Pool) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	p.run(spec{n: n, width: 1, done: ctx.Done(), fn: fn})
+	p.run(spec{n: n, done: ctx.Done(), fn: fn})
 	return ctx.Err()
 }
 
-// ForChunks invokes fn(lo, hi) once per chunk that Chunks(n) reports, so
-// the caller can amortize per-chunk setup (e.g. scratch picked by lo/width).
-func (p *Pool) ForChunks(n int, fn func(lo, hi int)) {
-	width, _ := p.Chunks(n)
-	p.run(spec{n: n, width: width, chunk: fn})
-}
-
-// spec is one call: claim i covers [i·width, min((i+1)·width, n)) and runs
-// chunk on it, or fn(i) when chunk is nil (width is then 1).
+// spec is one call: claim i runs fn(i).
 type spec struct {
-	n     int
-	width int
-	done  <-chan struct{} // claims stop once closed; nil never closes
-	fn    func(i int)
-	chunk func(lo, hi int)
+	n    int
+	done <-chan struct{} // claims stop once closed; nil never closes
+	fn   func(i int)
 }
 
 // loop is the claim counter of one call, shared by the caller and helpers.
@@ -105,7 +83,7 @@ func (p *Pool) run(s spec) {
 	if s.n <= 0 {
 		return
 	}
-	helpers := min(p.workers, (s.n+s.width-1)/s.width) - 1
+	helpers := min(p.workers, s.n) - 1
 	if helpers == 0 {
 		l := loop{spec: s}
 		if _, v := l.work(); v != nil {
@@ -157,14 +135,9 @@ func (l *loop) work() (i int, v any) {
 		default:
 		}
 		i = int(l.next.Add(1) - 1)
-		lo := i * l.width
-		if lo >= l.n {
+		if i >= l.n {
 			return
 		}
-		if l.chunk == nil {
-			l.fn(i)
-		} else {
-			l.chunk(lo, min(lo+l.width, l.n))
-		}
+		l.fn(i)
 	}
 }

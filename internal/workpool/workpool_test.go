@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -122,61 +121,6 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestForChunksCoverDisjointly(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := int(seed%5000) + 1
-		workers := int(seed%7) + 1
-		p := New(workers)
-		covered := make([]int32, n)
-		p.ForChunks(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&covered[i], 1)
-			}
-		})
-		for _, c := range covered {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForChunksSingleWorkerSingleCall(t *testing.T) {
-	p := New(1)
-	calls := 0
-	p.ForChunks(100, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 100 {
-			t.Fatalf("single-worker chunk = [%d,%d)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-}
-
-func TestForChunksZero(t *testing.T) {
-	p := New(4)
-	called := false
-	p.ForChunks(0, func(lo, hi int) { called = true })
-	if called {
-		t.Fatal("ForChunks called for n=0")
-	}
-}
-
-func TestForChunksFewerItemsThanWorkers(t *testing.T) {
-	p := New(16)
-	var total int32
-	p.ForChunks(3, func(lo, hi int) { atomic.AddInt32(&total, int32(hi-lo)) })
-	if total != 3 {
-		t.Fatalf("covered %d, want 3", total)
-	}
-}
-
 // Indices are claimed dynamically: with two workers, fn(0) may block until
 // every other index has run, because the other worker keeps claiming. A
 // fixed contiguous split would hand half the indices to the blocked worker
@@ -215,13 +159,6 @@ func TestPanicReachesCaller(t *testing.T) {
 		"For": func(p *Pool, fn func(i int)) { p.For(n, fn) },
 		"ForCtx": func(p *Pool, fn func(i int)) {
 			_ = p.ForCtx(context.Background(), n, fn)
-		},
-		"ForChunks": func(p *Pool, fn func(i int)) {
-			p.ForChunks(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			})
 		},
 	}
 	for name, entry := range entries {
@@ -266,34 +203,11 @@ func TestPanicReachesCaller(t *testing.T) {
 	}
 }
 
-func TestChunksMatchesForChunks(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7} {
-		for _, n := range []int{0, 1, 5, 64, 1000} {
-			p := New(workers)
-			width, chunks := p.Chunks(n)
-			var calls atomic.Int32
-			p.ForChunks(n, func(lo, hi int) {
-				calls.Add(1)
-				if lo%width != 0 || hi != min(lo+width, n) {
-					t.Errorf("workers=%d n=%d: chunk [%d,%d) off the width-%d grid", workers, n, lo, hi, width)
-				}
-			})
-			if int(calls.Load()) != chunks {
-				t.Errorf("workers=%d n=%d: %d chunks ran, Chunks reports %d", workers, n, calls.Load(), chunks)
-			}
-		}
-	}
-}
-
 // A serial call keeps its loop on the caller's stack.
 func TestSerialCallsDoNotAllocate(t *testing.T) {
 	p := New(1)
 	fn := func(int) {}
-	chunk := func(lo, hi int) {}
-	if a := testing.AllocsPerRun(100, func() {
-		p.For(100, fn)
-		p.ForChunks(100, chunk)
-	}); a != 0 {
-		t.Fatalf("serial For+ForChunks allocated %v times per call", a)
+	if a := testing.AllocsPerRun(100, func() { p.For(100, fn) }); a != 0 {
+		t.Fatalf("serial For allocated %v times per call", a)
 	}
 }

@@ -17,8 +17,8 @@ import (
 
 // TestScaleMillionProcessors runs supersteps on a 2^20-processor BSP machine
 // and asserts a hard heap ceiling. This is the columnar engine's reason to
-// exist: per-processor state is flat columns plus O(cores) chunk arenas, so
-// a million processors cost a handful of large allocations (~100 MB for this
+// exist: per-processor state is flat columns plus one send arena, so a
+// million processors cost a handful of large allocations (~100 MB for this
 // workload), not millions of small ones. The ceiling is asserted after a
 // forced GC and skipped under the race detector, whose shadow memory
 // inflates every allocation.
@@ -28,7 +28,7 @@ func TestScaleMillionProcessors(t *testing.T) {
 	}
 	const p = 1 << 20
 	const heapCeiling = 192 << 20 // bytes; ~2x the expected live heap
-	m := bsp.New(bsp.Config{P: p, Cost: model.BSPg(4, 16), Seed: 11, Workers: 4})
+	m := bsp.New(bsp.Config{P: p, Cost: model.BSPg(4, 16), Seed: 11})
 	program := func(c *bsp.Ctx) {
 		if i := c.ID(); i&1 == 0 {
 			c.Send(i+1, 7, int64(i))
