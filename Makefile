@@ -59,11 +59,10 @@ stream-chaos:
 	$(GO) test -race -count=1 -run 'TestReadSSE|TestFormatEvent|TestWatch' ./cmd/bandsim
 	$(GO) test -race -count=1 -run 'Writer' ./internal/fault
 
-# The p-scaling workload (columnar engine at p = 10k / 100k / 2^20) plus
+# The p-scaling workload (one bsp machine at p = 10k / 100k / 2^20) plus
 # the million-processor heap ceiling test. Divide a size's ns/op by its p
 # for the per-processor cost; TestSuperstepFingerprint pins each size's
-# model outcome. (A machine runs its processors on one goroutine, so there
-# is no per-superstep fan-out benchmark.)
+# model outcome.
 bench-scale:
 	$(GO) test -run '^$$' -bench SuperstepScale -benchmem ./internal/bsp
 	$(GO) test -run TestScaleMillionProcessors -count=1 .

@@ -22,7 +22,7 @@ func benchMachine(p int) (*Machine, func() Stats) {
 
 // scaleMachine builds a p-processor BSP(g) machine whose program sends one
 // single-flit neighbor message per processor: the p-scaling workload, which
-// measures the per-processor engine overhead (columnar resets, arena
+// measures the per-processor engine overhead (context resets, arena
 // appends, counting-sort routing).
 func scaleMachine(p int) (*Machine, func() Stats) {
 	m := New(Config{P: p, Cost: model.BSPg(4, 16), Seed: 1})

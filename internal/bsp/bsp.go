@@ -21,10 +21,10 @@
 // Non-receipt of messages is observable (an empty inbox is information),
 // which the ternary broadcast of the paper's Section 4.2 exploits.
 //
-// The superstep loop itself — context lifecycle, the per-processor program
-// loop, clock commit, observer fan-out — lives in internal/engine; this
-// package contributes the BSP-specific merge strategy (schedule validation,
-// message routing, cost accounting).
+// Superstep runs the per-processor program loop and the BSP-specific merge
+// (schedule validation, message routing, cost accounting); the commit it
+// ends with — clock, process-wide counters, observer — is internal/engine's
+// Core.
 package bsp
 
 import (
@@ -91,24 +91,30 @@ type Config struct {
 // that goroutine, processor 0 first, so a program may touch state shared
 // with the other processors' programs without synchronization.
 //
-// Per-processor state is columnar: counters and cursors live in flat
-// engine.Cols arrays indexed by processor id, queued sends live in one arena
-// addressed by the Off/Cnt columns, and inboxes are offset columns over one
-// routed message slab. A Ctx is a thin index-plus-pointer view over that
-// state, so machine memory is O(p) flat words plus O(1) objects — never
-// O(p) objects.
+// Per-processor state is flat: the running processor's work and next free
+// slot are scalars on the one Ctx, queued sends live in one arena carved
+// into processor runs by an offset column, inboxes are an offset column
+// over one routed message slab, and the random sources are a lazy
+// engine.Cols column. Machine memory is O(p) flat words plus O(1) objects —
+// never O(p) objects.
 type Machine struct {
 	p    int
 	cost model.Cost
-	core *engine.Core[Stats]
+	core *engine.Core
 	cols *engine.Cols
 
 	// sends is the send arena, recycled across supersteps: processors run
 	// in ascending order and each appends its sends, so the arena is every
-	// processor's run concatenated in processor order. ctx is the one Ctx
+	// processor's run concatenated in processor order, and processor i's run
+	// is sends[off[i]:off[i+1]] (off has length p+1). ctx is the one Ctx
 	// every program runs under.
 	sends []send
+	off   []int32
 	ctx   Ctx
+
+	// recv and dests are the merge's per-destination flit and message
+	// counts (length p), recycled across supersteps.
+	recv, dests []int
 
 	// inbox is the current routed message slab in destination order; inOff
 	// (length p+1) carves it into per-destination views, spareOff is the
@@ -120,13 +126,6 @@ type Machine struct {
 	spareOff []int32
 	slabs    [2]engine.Slab[Msg]
 	cur      int
-
-	// fn is the program of the superstep in flight; body and mergeFn are the
-	// closures handed to the engine core, built once so that Superstep itself
-	// is allocation-free.
-	fn      func(c *Ctx)
-	body    func(i int)
-	mergeFn func() (Stats, engine.StepStats)
 }
 
 // New constructs a Machine. It panics on invalid configuration.
@@ -140,21 +139,15 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		p:        cfg.P,
 		cost:     cfg.Cost,
-		core:     engine.NewCore[Stats]("bsp", cfg.P),
+		core:     engine.NewCore("bsp", cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
+		off:      make([]int32, cfg.P+1),
+		recv:     make([]int, cfg.P),
+		dests:    make([]int, cfg.P),
 		inOff:    make([]int32, cfg.P+1),
 		spareOff: make([]int32, cfg.P+1),
 	}
-	m.core.Attach(cfg.Observer)
 	m.ctx.m = m
-	m.body = func(i int) {
-		m.cols.ResetProc(i)
-		m.cols.Off[i] = int32(len(m.sends))
-		m.cols.Cnt[i] = 0
-		m.ctx.id = i
-		m.fn(&m.ctx)
-	}
-	m.mergeFn = m.merge
 	return m
 }
 
@@ -179,12 +172,15 @@ func (m *Machine) Supersteps() int { return m.core.Steps() }
 func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }
 
 // Ctx is the per-processor view of the current superstep. A Ctx is valid
-// only inside the program function of the superstep it was passed to. It is
-// a thin index-plus-pointer view: the state it reads and writes lives in
-// the machine's columnar arrays and its send arena.
+// only inside the program function of the superstep it was passed to. The
+// machine runs every program under one Ctx, resetting its processor id,
+// work and next free slot before each; queued sends go to the machine's
+// send arena.
 type Ctx struct {
-	id int
-	m  *Machine
+	id   int
+	work int // local work charged this superstep
+	auto int // next free auto-assigned injection slot
+	m    *Machine
 }
 
 // ID returns this processor's index in [0, P).
@@ -204,7 +200,7 @@ func (c *Ctx) RNG() *xrand.Source { return c.m.cols.RNG(c.id) }
 // Charge records units of local computation performed this superstep.
 func (c *Ctx) Charge(units int) {
 	if units > 0 {
-		c.m.cols.Work[c.id] += units
+		c.work += units
 	}
 }
 
@@ -223,7 +219,7 @@ func (c *Ctx) Send(dst int, tag uint8, a int64) {
 
 // SendMsg enqueues msg to dst at this processor's next free injection steps.
 func (c *Ctx) SendMsg(dst int, msg Msg) {
-	c.sendAt(c.m.cols.AutoSlot[c.id], dst, msg)
+	c.sendAt(c.auto, dst, msg)
 }
 
 // SendAt enqueues msg to dst with its first flit injected at step slot
@@ -239,9 +235,9 @@ func (c *Ctx) SendAt(slot, dst int, msg Msg) {
 
 // sendAt is the per-message hot path: it normalizes the message and appends
 // it to the processor's run in the machine's send arena. The
-// invalid-destination panic lives in a separate function so sendAt stays
-// within the inlining budget — enqueueing a message is a bounds check plus
-// one 56-byte arena append and two column stores.
+// invalid-destination panic lives in a separate noinline function, so its
+// formatting stays off the hot path — enqueueing a message is a bounds
+// check plus one 56-byte arena append and a slot-cursor update.
 func (c *Ctx) sendAt(slot, dst int, msg Msg) {
 	if dst < 0 || dst >= c.m.p {
 		c.badDst(dst)
@@ -262,10 +258,8 @@ func (c *Ctx) sendAt(slot, dst int, msg Msg) {
 		s.msg.Len = 1
 	}
 	c.m.sends = buf
-	cols := c.m.cols
-	cols.Cnt[c.id]++
-	if end := slot + int(s.msg.Len); end > cols.AutoSlot[c.id] {
-		cols.AutoSlot[c.id] = end
+	if end := slot + int(s.msg.Len); end > c.auto {
+		c.auto = end
 	}
 }
 
@@ -276,12 +270,23 @@ func (c *Ctx) badDst(dst int) {
 
 // Superstep executes fn for every processor, then synchronizes: messages are
 // delivered, the superstep is costed under the machine's model, and the
-// machine clock advances. It returns the superstep's Stats.
+// machine clock advances. It returns the superstep's Stats. The programs run
+// for processors 0, 1, ..., P-1 in that order on the caller's goroutine; a
+// panicking program panics Superstep with its own value, the processors
+// after it do not run, and nothing is committed.
 func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
-	m.fn = fn
 	m.sends = m.sends[:0]
-	st := m.core.Step(m.body, m.mergeFn)
-	m.fn = nil
+	c := &m.ctx
+	w := 0
+	for i := range m.p {
+		m.off[i] = int32(len(m.sends))
+		c.id, c.work, c.auto = i, 0, 0
+		fn(c)
+		w = max(w, c.work)
+	}
+	m.off[m.p] = int32(len(m.sends))
+	st, view := m.merge(w)
+	m.core.Commit(view)
 	return st
 }
 
@@ -292,9 +297,9 @@ const insertionSortMax = 32
 
 // merge is the BSP merge strategy: it validates injection schedules, builds
 // the per-step histogram, counting-sorts messages into the next inbox slab,
-// and computes the cost.
-func (m *Machine) merge() (Stats, engine.StepStats) {
-	var st Stats
+// and computes the cost. w is the maximum work the program loop charged.
+func (m *Machine) merge(w int) (Stats, engine.StepStats) {
+	st := Stats{W: w}
 
 	// Pass 1, fused: per-processor schedule validation (sort by start slot,
 	// then reject overlapping [slot, slot+len) intervals — the model permits
@@ -302,19 +307,14 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// accounting and the per-destination message/flit counts the router
 	// needs. After a valid sort the interval ends are monotone, so the
 	// processor's step span is simply the last interval's end. The sort and
-	// the overlap check are inlined on the concrete send type: the generic
-	// closure-based engine.CheckSchedule was the hottest single item in the
-	// pre-rework merge profile.
-	recv := m.core.Ledger() // flits destined per processor
-	cnt := m.core.Offsets() // messages destined per processor
-	cols := m.cols
+	// the overlap check are inlined on the concrete send type, so the hot
+	// loop makes no indirect calls.
+	recv, cnt := m.recv, m.dests // flits / messages destined per processor
+	clear(recv)
+	clear(cnt)
 	maxStep := 0
 	for i := 0; i < m.p; i++ {
-		if w := cols.Work[i]; w > st.W {
-			st.W = w
-		}
-		off := cols.Off[i]
-		sends := m.sends[off : off+cols.Cnt[i]]
+		sends := m.sends[m.off[i]:m.off[i+1]]
 		if n := len(sends); n > 1 {
 			if n <= insertionSortMax {
 				for a := 1; a < n; a++ {
@@ -353,7 +353,7 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// Bucket layout: exclusive prefix sum over the per-destination counts
 	// turns them into placement cursors and fills the spare offset column
 	// that will carve per-destination inbox views out of the flat slab. The
-	// slab, histogram, ledger and offset columns are all recycled across
+	// slab, histogram, count and offset columns are all recycled across
 	// supersteps; Recv slices are therefore only valid within their
 	// superstep, as documented.
 	hist := m.core.Hist(maxStep)

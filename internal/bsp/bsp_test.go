@@ -1,10 +1,13 @@
 package bsp
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"parbw/internal/engine"
 	"parbw/internal/model"
 )
 
@@ -348,5 +351,69 @@ func TestBSPmDominatesSelfSched(t *testing.T) {
 func TestMsgFlits(t *testing.T) {
 	if (Msg{Len: 0}).Flits() != 1 || (Msg{Len: -2}).Flits() != 1 || (Msg{Len: 7}).Flits() != 7 {
 		t.Fatal("Flits normalization wrong")
+	}
+}
+
+// A superstep whose program panics commits nothing, and the next clean
+// superstep sees none of the panicked one's queued sends, charged work or
+// slot cursors: its Stats and observed step match the same superstep on a
+// fresh machine given the same input. The panic that reaches the caller is
+// the program's own, although an earlier processor's schedule is invalid.
+func TestPanickedSuperstepCommitsNothing(t *testing.T) {
+	const p, k = 8, 5
+	var views []engine.StepStats
+	newMachine := func() *Machine {
+		m := New(Config{P: p, Cost: model.BSPm(2, 1), Seed: 1,
+			Observer: engine.ObserverFunc(func(st engine.StepStats) {
+				st.Hist = slices.Clone(st.Hist)
+				views = append(views, st)
+			})})
+		m.Deliver([]Msg{{Dst: 1, A: 7}, {Dst: 6, A: 9}})
+		return m
+	}
+	clean := func(c *Ctx) {
+		c.Charge(1 + len(c.Recv()))
+		c.Send((c.ID()+1)%p, 1, int64(c.ID()))
+		c.Send((c.ID()+3)%p, 2, int64(len(c.Recv())))
+	}
+
+	m := newMachine()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the program's own panic", r)
+			}
+		}()
+		m.Superstep(func(c *Ctx) {
+			c.Charge(100)
+			c.SendAt(3, 0, Msg{Len: 4})
+			if c.ID() == 1 {
+				c.SendAt(4, 2, Msg{}) // overlaps the 4-flit message
+			}
+			if c.ID() == k {
+				panic("boom")
+			}
+		})
+	}()
+	if m.Time() != 0 || m.Supersteps() != 0 || len(views) != 0 {
+		t.Fatalf("panicked superstep committed: time %v, supersteps %d, %d observed", m.Time(), m.Supersteps(), len(views))
+	}
+	if in := m.Inbox(1); len(in) != 1 || in[0].A != 7 {
+		t.Fatalf("panicked superstep changed inbox 1 to %+v", in)
+	}
+
+	got := m.Superstep(clean)
+	fresh := newMachine()
+	want := fresh.Superstep(clean)
+	if got != want {
+		t.Fatalf("after a panic Stats = %+v, fresh machine %+v", got, want)
+	}
+	if len(views) != 2 || !reflect.DeepEqual(views[0], views[1]) {
+		t.Fatalf("observed %+v, want the same step after a panic as on a fresh machine", views)
+	}
+	for i := range p {
+		if !slices.Equal(m.Inbox(i), fresh.Inbox(i)) {
+			t.Fatalf("inbox %d = %+v, fresh machine %+v", i, m.Inbox(i), fresh.Inbox(i))
+		}
 	}
 }

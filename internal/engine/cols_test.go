@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"testing"
 
 	"parbw/internal/xrand"
@@ -33,45 +32,5 @@ func TestColsRNGMatchesEagerSplit(t *testing.T) {
 		if got, w := cs.RNG(i).Uint64(), want.Uint64(); got != w {
 			t.Fatalf("proc %d second draw = %#x, want %#x", i, got, w)
 		}
-	}
-}
-
-// TestColsRNGConcurrentFirstUse exercises the lazy-allocation path from many
-// goroutines at once (run under -race in CI): the column alloc is Once-guarded
-// and each entry is only touched by its own processor's goroutine.
-func TestColsRNGConcurrentFirstUse(t *testing.T) {
-	const p = 128
-	cs := NewCols(p, 7)
-	got := make([]uint64, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = cs.RNG(i).Uint64()
-		}(i)
-	}
-	wg.Wait()
-	root := xrand.New(7)
-	for i := 0; i < p; i++ {
-		if want := root.Split(uint64(i)).Uint64(); got[i] != want {
-			t.Fatalf("proc %d concurrent first draw = %#x, want %#x", i, got[i], want)
-		}
-	}
-}
-
-func TestColsResetProc(t *testing.T) {
-	cs := NewCols(4, 0)
-	cs.Work[2] = 9
-	cs.AutoSlot[2] = 3
-	cs.Off[2] = 7
-	cs.Cnt[2] = 5
-	cs.ResetProc(2)
-	if cs.Work[2] != 0 || cs.AutoSlot[2] != 0 {
-		t.Fatalf("ResetProc left counters: %+v", cs)
-	}
-	// Off/Cnt are queue bookkeeping owned by the machine body, not ResetProc.
-	if cs.Off[2] != 7 || cs.Cnt[2] != 5 {
-		t.Fatal("ResetProc must not touch Off/Cnt")
 	}
 }

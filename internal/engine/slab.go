@@ -1,14 +1,12 @@
 package engine
 
-// This file is the pooled-slab / radix-bucket routing layer of the engine:
-// engine-owned freelists (deliberately not sync.Pool — recycling must be
-// deterministic and visible to the allocation budget, and a superstep core
-// is driven from a single goroutine) plus the scratch buffers the
-// counting-sort message router needs. The merge strategies in
-// internal/bsp and internal/qsm build per-destination buckets by counting
-// and prefix-summing into a single recycled slab instead of appending into
-// per-destination slices through a map or a ragged [][]T, which is where
-// the pre-rework merge spent most of its time.
+// This file is the pooled-slab layer of the engine: an engine-owned
+// freelist (deliberately not sync.Pool — recycling must be deterministic and
+// visible to the allocation budget, and a superstep core is driven from a
+// single goroutine). The BSP merge counting-sorts each superstep's messages
+// into a recycled slab instead of appending into per-destination slices
+// through a map or a ragged [][]T, which is where the pre-rework merge spent
+// most of its time.
 
 // Slab is a capacity-recycling buffer of T. Take returns a slice of the
 // requested length backed by the slab's memory, growing it only when the
@@ -60,17 +58,3 @@ func (s *Slab[T]) Take(n int) []T {
 
 // Cap returns the retained capacity.
 func (s *Slab[T]) Cap() int { return cap(s.buf) }
-
-// Offsets returns a second recycled length-P zeroed int buffer, distinct
-// from Ledger. The counting-sort router uses Ledger for per-destination
-// flit totals and Offsets for per-destination message counts that are then
-// prefix-summed in place into placement cursors. Valid until the next call.
-func (c *Core[S]) Offsets() []int {
-	if c.offsets == nil {
-		c.offsets = make([]int, c.p)
-	}
-	for i := range c.offsets {
-		c.offsets[i] = 0
-	}
-	return c.offsets
-}

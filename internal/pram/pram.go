@@ -14,11 +14,10 @@
 // algorithmic model violations.
 //
 // Each processor's program runs on the caller's goroutine, one processor at
-// a time in ascending id order. The lock-step loop itself — context
-// lifecycle, the per-processor program loop, clock commit, observer fan-out
-// — lives in internal/engine; this package
-// contributes the PRAM-specific commit strategy (contention accounting,
-// write resolution, bit accounting).
+// a time in ascending id order. Step runs that program loop and the
+// PRAM-specific merge (contention accounting, write resolution, bit
+// accounting); the commit it ends with — clock, process-wide counters,
+// observer — is internal/engine's Core.
 package pram
 
 import (
@@ -97,17 +96,17 @@ type Stats struct {
 // Machine is a lock-step PRAM. Methods must be called from a single driver
 // goroutine.
 //
-// Per-processor state is columnar: counters live in flat engine.Cols arrays
-// indexed by processor id, and buffered accesses live in one arena addressed
-// by the Off/Cnt columns, so machine memory is O(p) flat words plus O(1)
-// objects — never O(p) objects.
+// Per-processor state is flat: buffered accesses live in one arena, the
+// running processor's run starts where the one Ctx recorded, and the random
+// sources are a lazy engine.Cols column, so machine memory is O(p) flat
+// words plus O(1) objects — never O(p) objects.
 type Machine struct {
 	p        int
 	mem      []int64
 	rom      []int64
 	mode     Mode
 	cellBits int
-	core     *engine.Core[Stats]
+	core     *engine.Core
 	cols     *engine.Cols
 
 	// accs is the access arena, recycled across steps: processors run in
@@ -129,13 +128,6 @@ type Machine struct {
 	sawWrite         []bool
 	lastVal          []int64 // Common rule: previous writer's value per cell
 	winner           []int   // Priority rule: lowest writer id per cell
-
-	// fn is the program of the step in flight; body and commitFn are the
-	// closures handed to the engine core, built once so that Step itself is
-	// allocation-free.
-	fn       func(c *Ctx)
-	body     func(i int)
-	commitFn func() (Stats, engine.StepStats)
 }
 
 // New constructs a Machine. It panics on invalid configuration.
@@ -159,7 +151,7 @@ func New(cfg Config) *Machine {
 		rom:      cfg.ROM,
 		mode:     cfg.Mode,
 		cellBits: bits,
-		core:     engine.NewCore[Stats]("pram", cfg.P),
+		core:     engine.NewCore("pram", cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		rdCount:  make([]int, cfg.Mem),
 		wrCount:  make([]int, cfg.Mem),
@@ -167,16 +159,7 @@ func New(cfg Config) *Machine {
 		lastVal:  make([]int64, cfg.Mem),
 		winner:   make([]int, cfg.Mem),
 	}
-	m.core.Attach(cfg.Observer)
 	m.ctx.m = m
-	m.body = func(i int) {
-		m.cols.ResetProc(i)
-		m.cols.Off[i] = int32(len(m.accs))
-		m.cols.Cnt[i] = 0
-		m.ctx.id = i
-		m.fn(&m.ctx)
-	}
-	m.commitFn = m.commit
 	return m
 }
 
@@ -219,12 +202,13 @@ type access struct {
 	proc  int
 }
 
-// Ctx is the per-processor view of the current step. It is a thin
-// index-plus-pointer view: the state it reads and writes lives in the
-// machine's columnar arrays and its access arena.
+// Ctx is the per-processor view of the current step. The machine runs every
+// program under one Ctx, resetting its processor id and run start before
+// each; buffered accesses go to the machine's access arena.
 type Ctx struct {
-	id int
-	m  *Machine
+	id    int
+	start int // arena index of this processor's first access
+	m     *Machine
 }
 
 // ID returns this processor's index.
@@ -241,13 +225,7 @@ func (c *Ctx) RNG() *xrand.Source { return c.m.cols.RNG(c.id) }
 // run returns this processor's accesses buffered so far this step — its run
 // is the tail of the arena, at most two entries.
 func (c *Ctx) run() []access {
-	return c.m.accs[c.m.cols.Off[c.id]:]
-}
-
-// addAccess appends a to this processor's run in the arena.
-func (c *Ctx) addAccess(a access) {
-	c.m.accs = append(c.m.accs, a)
-	c.m.cols.Cnt[c.id]++
+	return c.m.accs[c.start:]
 }
 
 // Read returns the value addr held at the start of the step. At most one
@@ -261,7 +239,7 @@ func (c *Ctx) Read(addr int) int64 {
 	if addr < 0 || addr >= len(c.m.mem) {
 		panic(fmt.Sprintf("pram: proc %d reads invalid cell %d (mem=%d)", c.id, addr, len(c.m.mem)))
 	}
-	c.addAccess(access{addr: addr, proc: c.id})
+	c.m.accs = append(c.m.accs, access{addr: addr, proc: c.id})
 	return c.m.mem[addr]
 }
 
@@ -276,7 +254,7 @@ func (c *Ctx) Write(addr int, val int64) {
 	if addr < 0 || addr >= len(c.m.mem) {
 		panic(fmt.Sprintf("pram: proc %d writes invalid cell %d (mem=%d)", c.id, addr, len(c.m.mem)))
 	}
-	c.addAccess(access{addr: addr, val: val, write: true, proc: c.id})
+	c.m.accs = append(c.m.accs, access{addr: addr, val: val, write: true, proc: c.id})
 }
 
 // ReadROM returns ROM[addr]. ROM reads are concurrent and free: the PRAM(m)
@@ -292,32 +270,39 @@ func (c *Ctx) ReadROM(addr int) int64 {
 
 // Step executes fn for every processor and then commits the step: reads are
 // validated against the mode, writes are resolved and applied, and the clock
-// advances. It returns the step's Stats.
+// advances. It returns the step's Stats. The programs run for processors 0,
+// 1, ..., P-1 in that order on the caller's goroutine; a panicking program
+// panics Step with its own value, the processors after it do not run, and
+// nothing is committed.
 func (m *Machine) Step(fn func(c *Ctx)) Stats {
-	m.fn = fn
 	m.accs = m.accs[:0]
-	st := m.core.Step(m.body, m.commitFn)
-	m.fn = nil
+	c := &m.ctx
+	active := 0
+	for i := range m.p {
+		c.id, c.start = i, len(m.accs)
+		fn(c)
+		if len(m.accs) > c.start {
+			active++
+		}
+	}
+	st, view := m.merge(active)
+	m.core.Commit(view)
 	m.bits += st.Bits
 	return st
 }
 
-// commit is the PRAM merge strategy: walk the accesses in processor order
+// merge is the PRAM merge strategy: walk the accesses in processor order
 // (the arena's order), compute per-cell contention, enforce the mode's
 // rules, resolve writes, and price the step. Write resolution depends only
 // on processor order, so the memory image is a function of the programs.
-func (m *Machine) commit() (Stats, engine.StepStats) {
-	var st Stats
+// active is the number of processors the program loop saw issue an access.
+func (m *Machine) merge(active int) (Stats, engine.StepStats) {
+	st := Stats{Active: active}
 	for k := range m.accs {
 		if m.accs[k].write {
 			st.Writes++
 		} else {
 			st.Reads++
-		}
-	}
-	for i := 0; i < m.p; i++ {
-		if m.cols.Cnt[i] > 0 {
-			st.Active++
 		}
 	}
 

@@ -1,8 +1,11 @@
 package pram
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"parbw/internal/engine"
 )
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -247,5 +250,65 @@ func TestEREWPointerDoublingSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A step whose program panics commits nothing, and the next clean step sees
+// none of the panicked one's buffered accesses: its Stats and observed step
+// match the same step on a fresh machine with the same memory, although the
+// panicked step left its arena longer than the clean step's.
+func TestPanickedStepCommitsNothing(t *testing.T) {
+	const p, k = 8, 5
+	var views []engine.StepStats
+	newMachine := func() *Machine {
+		m := New(Config{P: p, Mem: p + 1, Mode: CRCWArbitrary, Seed: 1,
+			Observer: engine.ObserverFunc(func(st engine.StepStats) { views = append(views, st) })})
+		m.Store(p, 42)
+		return m
+	}
+	clean := func(c *Ctx) {
+		if c.ID()%2 == 0 {
+			v := c.Read(p)
+			c.Write(c.ID(), v+int64(c.ID()))
+		}
+	}
+
+	m := newMachine()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the program's own panic", r)
+			}
+		}()
+		m.Step(func(c *Ctx) {
+			c.Read(p)
+			c.Write(c.ID(), -1)
+			if c.ID() == k {
+				panic("boom")
+			}
+		})
+	}()
+	if m.Time() != 0 || m.Steps() != 0 || m.BitsMoved() != 0 || len(views) != 0 {
+		t.Fatalf("panicked step committed: time %v, steps %d, bits %d, %d observed", m.Time(), m.Steps(), m.BitsMoved(), len(views))
+	}
+	for a := range p {
+		if v := m.Load(a); v != 0 {
+			t.Fatalf("panicked step wrote %d to cell %d", v, a)
+		}
+	}
+
+	got := m.Step(clean)
+	fresh := newMachine()
+	want := fresh.Step(clean)
+	if got != want {
+		t.Fatalf("after a panic Stats = %+v, fresh machine %+v", got, want)
+	}
+	if len(views) != 2 || !reflect.DeepEqual(views[0], views[1]) {
+		t.Fatalf("observed %+v, want the same step after a panic as on a fresh machine", views)
+	}
+	for a := range p + 1 {
+		if m.Load(a) != fresh.Load(a) {
+			t.Fatalf("cell %d = %d, fresh machine %d", a, m.Load(a), fresh.Load(a))
+		}
 	}
 }

@@ -18,11 +18,10 @@
 // most one request per processor per step).
 //
 // Each processor's program runs on the caller's goroutine, one processor at
-// a time in ascending id order. The phase loop itself — context lifecycle,
-// the per-processor program loop, clock commit, observer fan-out — lives in
-// internal/engine; this package
-// contributes the QSM-specific merge strategy (request validation,
-// contention accounting, write resolution, cost accounting).
+// a time in ascending id order. Phase runs that program loop and the
+// QSM-specific merge (request validation, contention accounting, write
+// resolution, cost accounting); the commit it ends with — clock,
+// process-wide counters, observer — is internal/engine's Core.
 package qsm
 
 import (
@@ -71,35 +70,31 @@ type request struct {
 // Machine is a simulated QSM machine. Methods must be called from a single
 // driver goroutine.
 //
-// Per-processor state is columnar: counters and cursors live in flat
-// engine.Cols arrays indexed by processor id, and buffered requests live in
-// one arena addressed by the Off/Cnt columns, so machine memory is O(p) flat
-// words plus O(1) objects — never O(p) objects.
+// Per-processor state is flat: the running processor's work and next free
+// slot are scalars on the one Ctx, buffered requests live in one arena
+// carved into processor runs by an offset column, and the random sources are
+// a lazy engine.Cols column, so machine memory is O(p) flat words plus O(1)
+// objects — never O(p) objects.
 type Machine struct {
 	p    int
 	mem  []int64
 	cost model.Cost
-	core *engine.Core[Stats]
+	core *engine.Core
 	cols *engine.Cols
 
 	// reqs is the request arena, recycled across phases: processors run in
 	// ascending order and each appends its requests, so the arena is every
-	// processor's run concatenated in processor order. ctx is the one Ctx
+	// processor's run concatenated in processor order, and processor i's run
+	// is reqs[off[i]:off[i+1]] (off has length p+1). ctx is the one Ctx
 	// every program runs under.
 	reqs []request
+	off  []int32
 	ctx  Ctx
 
 	// scratch contention counters indexed by address, plus the touched
 	// addresses of the current phase, reused across phases
 	rdCount, wrCount []int
 	touched          []int
-
-	// fn is the program of the phase in flight; body and mergeFn are the
-	// closures handed to the engine core, built once so that Phase itself is
-	// allocation-free.
-	fn      func(c *Ctx)
-	body    func(i int)
-	mergeFn func() (Stats, engine.StepStats)
 }
 
 // New constructs a Machine. It panics on invalid configuration.
@@ -117,21 +112,13 @@ func New(cfg Config) *Machine {
 		p:       cfg.P,
 		mem:     make([]int64, cfg.Mem),
 		cost:    cfg.Cost,
-		core:    engine.NewCore[Stats]("qsm", cfg.P),
+		core:    engine.NewCore("qsm", cfg.Observer),
 		cols:    engine.NewCols(cfg.P, cfg.Seed),
+		off:     make([]int32, cfg.P+1),
 		rdCount: make([]int, cfg.Mem),
 		wrCount: make([]int, cfg.Mem),
 	}
-	m.core.Attach(cfg.Observer)
 	m.ctx.m = m
-	m.body = func(i int) {
-		m.cols.ResetProc(i)
-		m.cols.Off[i] = int32(len(m.reqs))
-		m.cols.Cnt[i] = 0
-		m.ctx.id = i
-		m.fn(&m.ctx)
-	}
-	m.mergeFn = m.merge
 	return m
 }
 
@@ -161,12 +148,15 @@ func (m *Machine) Load(addr int) int64 { return m.mem[addr] }
 // and tests only).
 func (m *Machine) Store(addr int, val int64) { m.mem[addr] = val }
 
-// Ctx is the per-processor view of the current phase. It is a thin
-// index-plus-pointer view: the state it reads and writes lives in the
-// machine's columnar arrays and its request arena.
+// Ctx is the per-processor view of the current phase. The machine runs
+// every program under one Ctx, resetting its processor id, work and next
+// free slot before each; buffered requests go to the machine's request
+// arena.
 type Ctx struct {
-	id int
-	m  *Machine
+	id   int
+	work int // local work charged this phase
+	auto int // next free auto-assigned request slot
+	m    *Machine
 }
 
 // ID returns this processor's index.
@@ -183,13 +173,13 @@ func (c *Ctx) RNG() *xrand.Source { return c.m.cols.RNG(c.id) }
 // Charge records units of local computation performed this phase.
 func (c *Ctx) Charge(units int) {
 	if units > 0 {
-		c.m.cols.Work[c.id] += units
+		c.work += units
 	}
 }
 
 // Read issues a read of addr in this processor's next free request step and
 // returns the value the location held at the start of the phase.
-func (c *Ctx) Read(addr int) int64 { return c.ReadAt(c.m.cols.AutoSlot[c.id], addr) }
+func (c *Ctx) Read(addr int) int64 { return c.ReadAt(c.auto, addr) }
 
 // ReadAt issues a read of addr in request step slot.
 func (c *Ctx) ReadAt(slot, addr int) int64 {
@@ -201,7 +191,7 @@ func (c *Ctx) ReadAt(slot, addr int) int64 {
 // step. The write takes effect at the end of the phase; concurrent writers
 // to one location are resolved by the Arbitrary rule (in this engine, the
 // highest-numbered writing processor deterministically wins).
-func (c *Ctx) Write(addr int, val int64) { c.WriteAt(c.m.cols.AutoSlot[c.id], addr, val) }
+func (c *Ctx) Write(addr int, val int64) { c.WriteAt(c.auto, addr, val) }
 
 // WriteAt issues a write in request step slot.
 func (c *Ctx) WriteAt(slot, addr int, val int64) {
@@ -231,10 +221,8 @@ func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	r.val = val
 	r.write = write
 	c.m.reqs = buf
-	cols := c.m.cols
-	cols.Cnt[c.id]++
-	if slot+1 > cols.AutoSlot[c.id] {
-		cols.AutoSlot[c.id] = slot + 1
+	if slot+1 > c.auto {
+		c.auto = slot + 1
 	}
 }
 
@@ -250,11 +238,22 @@ func (c *Ctx) badAddr(addr int) {
 
 // Phase executes fn for every processor, applies buffered writes, computes
 // contention and cost, and advances the clock. It returns the phase Stats.
+// The programs run for processors 0, 1, ..., P-1 in that order on the
+// caller's goroutine; a panicking program panics Phase with its own value,
+// the processors after it do not run, and nothing is committed.
 func (m *Machine) Phase(fn func(c *Ctx)) Stats {
-	m.fn = fn
 	m.reqs = m.reqs[:0]
-	st := m.core.Step(m.body, m.mergeFn)
-	m.fn = nil
+	c := &m.ctx
+	w := 0
+	for i := range m.p {
+		m.off[i] = int32(len(m.reqs))
+		c.id, c.work, c.auto = i, 0, 0
+		fn(c)
+		w = max(w, c.work)
+	}
+	m.off[m.p] = int32(len(m.reqs))
+	st, view := m.merge(w)
+	m.core.Commit(view)
 	return st
 }
 
@@ -266,18 +265,14 @@ const insertionSortMax = 32
 // contention κ, applies buffered writes, and prices the phase. Processors
 // are walked in ascending id order via their arena runs, which fixes every
 // order-sensitive outcome (the Arbitrary write rule, panic attribution).
-func (m *Machine) merge() (Stats, engine.StepStats) {
-	var st Stats
+// w is the maximum work the program loop charged.
+func (m *Machine) merge(w int) (Stats, engine.StepStats) {
+	st := Stats{W: w}
 	m.touched = m.touched[:0]
-	cols := m.cols
 
 	maxStep := 0
 	for i := 0; i < m.p; i++ {
-		if w := cols.Work[i]; w > st.W {
-			st.W = w
-		}
-		off := cols.Off[i]
-		reqs := m.reqs[off : off+cols.Cnt[i]]
+		reqs := m.reqs[m.off[i]:m.off[i+1]]
 		nr, nw := 0, 0
 		for k := range reqs {
 			if reqs[k].write {
@@ -296,9 +291,8 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 		st.Reads += nr
 		st.Writes += nw
 		// Validate one request per processor per step: sort by slot, then
-		// reject duplicates. Inlined on the concrete request type (the
-		// generic closure-based engine.CheckSchedule dominated the
-		// pre-rework phase-merge profile); short schedules take the
+		// reject duplicates. Inlined on the concrete request type, so the
+		// hot loop makes no indirect calls; short schedules take the
 		// allocation-free insertion sort. Slots are strictly increasing
 		// after a valid sort, so the processor's step span is the last
 		// request's slot.

@@ -1,9 +1,12 @@
 package qsm
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"parbw/internal/engine"
 	"parbw/internal/model"
 )
 
@@ -240,5 +243,71 @@ func TestChargeTime(t *testing.T) {
 	m.ChargeTime(3.5)
 	if m.Time() != 3.5 {
 		t.Fatal("ChargeTime not applied")
+	}
+}
+
+// A phase whose program panics commits nothing, and the next clean phase
+// sees none of the panicked one's buffered requests, charged work or slot
+// cursors: its Stats and observed step match the same phase on a fresh
+// machine with the same memory. The panic that reaches the caller is the
+// program's own, although an earlier processor's schedule is invalid.
+func TestPanickedPhaseCommitsNothing(t *testing.T) {
+	const p, k = 8, 5
+	var views []engine.StepStats
+	newMachine := func() *Machine {
+		m := New(Config{P: p, Mem: p + 1, Cost: model.QSMm(2), Seed: 1,
+			Observer: engine.ObserverFunc(func(st engine.StepStats) {
+				st.Hist = slices.Clone(st.Hist)
+				views = append(views, st)
+			})})
+		m.Store(p, 42)
+		return m
+	}
+	clean := func(c *Ctx) {
+		c.Charge(1)
+		v := c.Read(p)
+		c.Write(c.ID(), v+int64(c.ID()))
+	}
+
+	m := newMachine()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the program's own panic", r)
+			}
+		}()
+		m.Phase(func(c *Ctx) {
+			c.Charge(100)
+			c.WriteAt(3, c.ID(), -1)
+			if c.ID() == 1 {
+				c.ReadAt(3, p) // a second request in step 3
+			}
+			if c.ID() == k {
+				panic("boom")
+			}
+		})
+	}()
+	if m.Time() != 0 || m.Phases() != 0 || len(views) != 0 {
+		t.Fatalf("panicked phase committed: time %v, phases %d, %d observed", m.Time(), m.Phases(), len(views))
+	}
+	for a := range p {
+		if v := m.Load(a); v != 0 {
+			t.Fatalf("panicked phase wrote %d to cell %d", v, a)
+		}
+	}
+
+	got := m.Phase(clean)
+	fresh := newMachine()
+	want := fresh.Phase(clean)
+	if got != want {
+		t.Fatalf("after a panic Stats = %+v, fresh machine %+v", got, want)
+	}
+	if len(views) != 2 || !reflect.DeepEqual(views[0], views[1]) {
+		t.Fatalf("observed %+v, want the same step after a panic as on a fresh machine", views)
+	}
+	for a := range p + 1 {
+		if m.Load(a) != fresh.Load(a) {
+			t.Fatalf("cell %d = %d, fresh machine %d", a, m.Load(a), fresh.Load(a))
+		}
 	}
 }

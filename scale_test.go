@@ -60,6 +60,9 @@ func TestScaleMillionProcessors(t *testing.T) {
 			t.Errorf("HeapAlloc = %d MB after p=2^20 supersteps, ceiling %d MB",
 				ms.HeapAlloc>>20, heapCeiling>>20)
 		}
+		// The machine must be live when the heap is read, or the GC above
+		// frees it and the ceiling bounds nothing.
+		runtime.KeepAlive(m)
 	}
 }
 
