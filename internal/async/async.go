@@ -107,9 +107,6 @@ type Proc struct {
 // ID returns the processor index.
 func (p *Proc) ID() int { return p.id }
 
-// Clock returns the processor's current logical time.
-func (p *Proc) Clock() float64 { return p.clock }
-
 // Work advances the processor's clock by units of local computation.
 func (p *Proc) Work(units float64) {
 	if units > 0 {

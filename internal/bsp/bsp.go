@@ -157,19 +157,11 @@ func (m *Machine) P() int { return m.p }
 // Cost returns the machine's cost model.
 func (m *Machine) Cost() model.Cost { return m.cost }
 
-// L returns the machine's periodicity parameter.
-func (m *Machine) L() int { return m.cost.L }
-
 // Time returns the accumulated simulated time.
 func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Supersteps returns the number of supersteps executed.
 func (m *Machine) Supersteps() int { return m.core.Steps() }
-
-// ChargeTime adds t units of simulated time outside any superstep. It is
-// used by protocols whose analysis charges fixed terms (for example a known
-// constant broadcast cost) without simulating them step by step.
-func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }
 
 // Ctx is the per-processor view of the current superstep. A Ctx is valid
 // only inside the program function of the superstep it was passed to. The
@@ -188,9 +180,6 @@ func (c *Ctx) ID() int { return c.id }
 
 // P returns the machine's processor count.
 func (c *Ctx) P() int { return c.m.p }
-
-// L returns the machine's periodicity parameter.
-func (c *Ctx) L() int { return c.m.cost.L }
 
 // RNG returns this processor's private deterministic random source. The
 // source persists across supersteps (it is derived lazily on first use,
@@ -419,9 +408,8 @@ func (m *Machine) merge(w int) (Stats, engine.StepStats) {
 }
 
 // inboxView carves processor i's inbox out of the routed slab. The view is
-// a three-index subslice (cap == len), so an append past it — Deliver's old
-// behavior, or a misbehaving caller — reallocates rather than clobbering a
-// neighboring bucket.
+// a three-index subslice (cap == len), so a caller's append past it
+// reallocates rather than clobbering a neighboring bucket.
 func (m *Machine) inboxView(i int) []Msg {
 	lo, hi := m.inOff[i], m.inOff[i+1]
 	return m.inbox[lo:hi:hi]
@@ -430,51 +418,3 @@ func (m *Machine) inboxView(i int) []Msg {
 // Inbox returns processor i's current inbox (the messages it would see via
 // Recv in the next superstep). Intended for drivers and tests.
 func (m *Machine) Inbox(i int) []Msg { return m.inboxView(i) }
-
-// Deliver injects messages directly into inboxes without cost, bypassing
-// the network. It models free input distribution in experiments whose
-// problem statement places inputs at processors (and is also convenient in
-// tests). The inbox slab is destination-ordered, so Deliver rebuilds it
-// with the new messages appended to their destinations' buckets (existing
-// messages first, then the new ones in argument order); it is a setup path
-// and may allocate.
-func (m *Machine) Deliver(msgs []Msg) {
-	for _, msg := range msgs {
-		if d := int(msg.Dst); d < 0 || d >= m.p {
-			panic(fmt.Sprintf("bsp: Deliver to invalid dst %d", d))
-		}
-	}
-	add := make([]int32, m.p+1)
-	for _, msg := range msgs {
-		add[msg.Dst]++
-	}
-	merged := make([]Msg, len(m.inbox)+len(msgs))
-	newOff := make([]int32, m.p+1)
-	acc := int32(0)
-	for d := 0; d < m.p; d++ {
-		newOff[d] = acc
-		acc += m.inOff[d+1] - m.inOff[d] + add[d]
-	}
-	newOff[m.p] = acc
-	// Place existing bucket contents, then the new messages in argument
-	// order; add[] doubles as the per-destination write cursor.
-	for d := 0; d < m.p; d++ {
-		add[d] = newOff[d] + int32(copy(merged[newOff[d]:], m.inbox[m.inOff[d]:m.inOff[d+1]]))
-	}
-	for _, msg := range msgs {
-		merged[add[msg.Dst]] = msg
-		add[msg.Dst]++
-	}
-	m.inbox = merged
-	m.inOff = newOff
-}
-
-// Reset clears inboxes and time, preserving processors and RNG state.
-func (m *Machine) Reset() {
-	m.inbox = nil
-	for i := range m.inOff {
-		m.inOff[i] = 0
-		m.spareOff[i] = 0
-	}
-	m.core.ResetClock()
-}

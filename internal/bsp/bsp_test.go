@@ -214,34 +214,6 @@ func TestSelfSchedCost(t *testing.T) {
 	}
 }
 
-func TestDeliverAndInbox(t *testing.T) {
-	m := newBSPg(2, 1, 1)
-	m.Deliver([]Msg{{Dst: 1, A: 5}})
-	if len(m.Inbox(1)) != 1 || m.Inbox(1)[0].A != 5 {
-		t.Fatal("Deliver did not reach inbox")
-	}
-	if m.Time() != 0 {
-		t.Fatal("Deliver charged time")
-	}
-}
-
-func TestChargeTime(t *testing.T) {
-	m := newBSPg(2, 1, 1)
-	m.ChargeTime(17)
-	if m.Time() != 17 {
-		t.Fatalf("Time = %v, want 17", m.Time())
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := newBSPg(2, 1, 1)
-	m.Superstep(func(c *Ctx) { c.Send(1-c.ID(), 0, 1) })
-	m.Reset()
-	if m.Time() != 0 || m.Supersteps() != 0 || len(m.Inbox(0)) != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Msg {
 		m := New(Config{P: 16, Cost: model.BSPmLinear(4, 1), Seed: 99})
@@ -357,8 +329,9 @@ func TestMsgFlits(t *testing.T) {
 // A superstep whose program panics commits nothing, and the next clean
 // superstep sees none of the panicked one's queued sends, charged work or
 // slot cursors: its Stats and observed step match the same superstep on a
-// fresh machine given the same input. The panic that reaches the caller is
-// the program's own, although an earlier processor's schedule is invalid.
+// fresh machine primed with the same first superstep. The panic that
+// reaches the caller is the program's own, although an earlier processor's
+// schedule is invalid.
 func TestPanickedSuperstepCommitsNothing(t *testing.T) {
 	const p, k = 8, 5
 	var views []engine.StepStats
@@ -368,7 +341,12 @@ func TestPanickedSuperstepCommitsNothing(t *testing.T) {
 				st.Hist = slices.Clone(st.Hist)
 				views = append(views, st)
 			})})
-		m.Deliver([]Msg{{Dst: 1, A: 7}, {Dst: 6, A: 9}})
+		m.Superstep(func(c *Ctx) {
+			if c.ID() == 0 {
+				c.Send(1, 0, 7)
+				c.Send(6, 0, 9)
+			}
+		})
 		return m
 	}
 	clean := func(c *Ctx) {
@@ -378,6 +356,7 @@ func TestPanickedSuperstepCommitsNothing(t *testing.T) {
 	}
 
 	m := newMachine()
+	primed := m.Time()
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -395,8 +374,8 @@ func TestPanickedSuperstepCommitsNothing(t *testing.T) {
 			}
 		})
 	}()
-	if m.Time() != 0 || m.Supersteps() != 0 || len(views) != 0 {
-		t.Fatalf("panicked superstep committed: time %v, supersteps %d, %d observed", m.Time(), m.Supersteps(), len(views))
+	if m.Time() != primed || m.Supersteps() != 1 || len(views) != 1 {
+		t.Fatalf("panicked superstep committed: time %v (primed %v), supersteps %d, %d observed", m.Time(), primed, m.Supersteps(), len(views))
 	}
 	if in := m.Inbox(1); len(in) != 1 || in[0].A != 7 {
 		t.Fatalf("panicked superstep changed inbox 1 to %+v", in)
@@ -408,7 +387,7 @@ func TestPanickedSuperstepCommitsNothing(t *testing.T) {
 	if got != want {
 		t.Fatalf("after a panic Stats = %+v, fresh machine %+v", got, want)
 	}
-	if len(views) != 2 || !reflect.DeepEqual(views[0], views[1]) {
+	if len(views) != 4 || !reflect.DeepEqual(views[1], views[3]) {
 		t.Fatalf("observed %+v, want the same step after a panic as on a fresh machine", views)
 	}
 	for i := range p {

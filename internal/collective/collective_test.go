@@ -402,21 +402,6 @@ func TestGatherQSM(t *testing.T) {
 	}
 }
 
-func TestScatterQSM(t *testing.T) {
-	p := 12
-	vals := make([]int64, p)
-	for i := range vals {
-		vals[i] = int64(50 - i)
-	}
-	m := qsmMachine(p, qsmmLin(4))
-	out := ScatterQSM(m, 3, vals)
-	for i, v := range out {
-		if v != vals[i] {
-			t.Fatalf("scatter out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestBroadcastVecQSM(t *testing.T) {
 	for _, cost := range qsmCosts {
 		for _, p := range []int{1, 2, 8, 17} {
@@ -487,41 +472,6 @@ func TestGatherBSPSeparation(t *testing.T) {
 	GatherBSP(gm, 0, vals)
 	if gm.Time() >= lm.Time() {
 		t.Fatalf("BSP(m) gather (%v) not faster than BSP(g) (%v)", gm.Time(), lm.Time())
-	}
-}
-
-func TestScatterBSP(t *testing.T) {
-	p := 16
-	vals := make([]int64, p)
-	for i := range vals {
-		vals[i] = int64(i + 100)
-	}
-	m := bspMachine(p, model.BSPmLinear(4, 2))
-	out := ScatterBSP(m, 2, vals)
-	for i, v := range out {
-		if v != vals[i] {
-			t.Fatalf("scatter out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestAllGatherBSP(t *testing.T) {
-	for _, cost := range bspCosts {
-		p := 16
-		vals := make([]int64, p)
-		for i := range vals {
-			vals[i] = int64(i*i + 1)
-		}
-		m := bspMachine(p, cost)
-		out := AllGatherBSP(m, vals)
-		if len(out) != p {
-			t.Fatalf("%v: allgather returned %d items", cost.Kind, len(out))
-		}
-		for i, v := range out {
-			if v != vals[i] {
-				t.Fatalf("%v: out[%d] = %d, want %d", cost.Kind, i, v, vals[i])
-			}
-		}
 	}
 }
 

@@ -41,22 +41,6 @@ func GatherBSP(m *bsp.Machine, root int, vals []int64) []int64 {
 	return out
 }
 
-// ScatterBSP distributes vals[i] from root to each processor i (one-to-all
-// personalized communication by another name; kept for API symmetry).
-func ScatterBSP(m *bsp.Machine, root int, vals []int64) []int64 {
-	return OneToAllBSP(m, root, vals)
-}
-
-// AllGatherBSP makes every processor know every processor's value:
-// a gather at processor 0 followed by a pipelined broadcast of the p
-// values. Returns the full vector (identical at each processor; the driver
-// returns one copy). Cost Θ(p + stuff) on the BSP(m) versus Θ(g·p) on the
-// BSP(g).
-func AllGatherBSP(m *bsp.Machine, vals []int64) []int64 {
-	g := GatherBSP(m, 0, vals)
-	return BroadcastVecBSP(m, 0, g)
-}
-
 // BroadcastVecBSP broadcasts a k-item vector from root to every processor
 // using a pipelined binary tree: item j follows item j−1 down the tree one
 // superstep behind, so the total is O((k + depth)·stage) rather than

@@ -42,12 +42,6 @@ func GatherQSM(m *qsm.Machine, root int, vals []int64) []int64 {
 	return out
 }
 
-// ScatterQSM distributes vals[i] from root to each processor i (the shared
-// memory one-to-all; kept for API symmetry).
-func ScatterQSM(m *qsm.Machine, root int, vals []int64) []int64 {
-	return OneToAllQSM(m, root, vals)
-}
-
 // BroadcastVecQSM broadcasts a k-item vector from root through shared
 // memory with a pipelined binary doubling of readers per item: item j's
 // copies double one phase behind item j−1's, so the total is

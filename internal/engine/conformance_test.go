@@ -9,6 +9,7 @@ package engine_test
 // per-step overload — plus the ordering contract of the observer layer.
 
 import (
+	"slices"
 	"testing"
 
 	"parbw/internal/bsp"
@@ -268,38 +269,81 @@ func TestProgramsRunInCallerOrder(t *testing.T) {
 }
 
 // Every processor's program runs exactly once per committed step, on each
-// machine whose steps its Core commits, across several steps.
+// machine whose steps its Core commits, across several steps. And a
+// machine's clock is the sum of its observed steps: after every step, Time()
+// equals the sum of the Costs the observer saw since the machine was built,
+// and the step count the number of steps it saw. The steps cost different
+// amounts, so a clock that skipped or repeated a step would read otherwise.
 func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 	const p, steps = 100, 3
 	hits := make([]int, p)
-	committed := 0
-	obs := engine.ObserverFunc(func(engine.StepStats) { committed++ })
+	var costs []model.Time
+	var sum model.Time
+	obs := engine.ObserverFunc(func(st engine.StepStats) {
+		costs = append(costs, st.Cost)
+		sum += st.Cost
+	})
+	stepped := func(name string, now model.Time, n int) {
+		t.Helper()
+		if now != sum || n != len(costs) {
+			t.Fatalf("%s: Time %v after %d steps, but the observer saw %d steps costing %v", name, now, n, len(costs), sum)
+		}
+	}
 	check := func(name string) {
 		t.Helper()
-		if committed != steps {
-			t.Fatalf("%s: %d steps committed, want %d", name, committed, steps)
+		if len(costs) != steps {
+			t.Fatalf("%s: %d steps committed, want %d", name, len(costs), steps)
 		}
 		for i, h := range hits {
 			if h != steps {
 				t.Fatalf("%s: processor %d ran %d times in %d steps", name, i, h, steps)
 			}
 		}
+		for i := 1; i < len(costs); i++ {
+			if slices.Contains(costs[:i], costs[i]) {
+				t.Fatalf("%s: step costs %v repeat; the steps must cost different amounts", name, costs)
+			}
+		}
 		clear(hits)
-		committed = 0
+		costs, sum = costs[:0], 0
 	}
-	b := bsp.New(bsp.Config{P: p, Cost: model.BSPg(1, 1), Seed: 1, Observer: obs})
+	// Step s charges s+1 units of work, and its first 6(s+1) processors send
+	// or write once each over s+1 slots: six per slot, past m = 4, so each
+	// step charges one more overloaded slot than the last.
+	b := bsp.New(bsp.Config{P: p, Cost: model.BSPm(4, 1), Seed: 1, Observer: obs})
 	for s := 0; s < steps; s++ {
-		b.Superstep(func(c *bsp.Ctx) { hits[c.ID()]++ })
+		b.Superstep(func(c *bsp.Ctx) {
+			hits[c.ID()]++
+			c.Charge(s + 1)
+			if c.ID() < 6*(s+1) {
+				c.SendAt(c.ID()%(s+1), (c.ID()+1)%p, bsp.Msg{})
+			}
+		})
+		stepped("bsp", b.Time(), b.Supersteps())
 	}
 	check("bsp")
-	q := qsm.New(qsm.Config{P: p, Mem: 1, Cost: model.QSMg(1), Seed: 1, Observer: obs})
+	q := qsm.New(qsm.Config{P: p, Mem: p, Cost: model.QSMm(4), Seed: 1, Observer: obs})
 	for s := 0; s < steps; s++ {
-		q.Phase(func(c *qsm.Ctx) { hits[c.ID()]++ })
+		q.Phase(func(c *qsm.Ctx) {
+			hits[c.ID()]++
+			c.Charge(s + 1)
+			if c.ID() < 6*(s+1) {
+				c.WriteAt(c.ID()%(s+1), c.ID(), 1)
+			}
+		})
+		stepped("qsm", q.Time(), q.Phases())
 	}
 	check("qsm")
-	m := pram.New(pram.Config{P: p, Mem: 1, Mode: pram.EREW, Seed: 1, Observer: obs})
+	// On the QRQW PRAM, step s queues s+2 writes on one cell and costs s+2.
+	m := pram.New(pram.Config{P: p, Mem: 1, Mode: pram.QRQW, Seed: 1, Observer: obs})
 	for s := 0; s < steps; s++ {
-		m.Step(func(c *pram.Ctx) { hits[c.ID()]++ })
+		m.Step(func(c *pram.Ctx) {
+			hits[c.ID()]++
+			if c.ID() < s+2 {
+				c.Write(0, 1)
+			}
+		})
+		stepped("pram", m.Time(), m.Steps())
 	}
 	check("pram")
 }

@@ -50,9 +50,6 @@ func (c *Core) Time() model.Time { return c.time }
 // Steps returns the number of supersteps committed.
 func (c *Core) Steps() int { return c.steps }
 
-// ChargeTime adds t units of simulated time outside any superstep.
-func (c *Core) ChargeTime(t model.Time) { c.time += t }
-
 // Hist returns the recycled histogram buffer resized and zeroed to n slots.
 // The returned slice is owned by the Core and valid until the next call.
 func (c *Core) Hist(n int) []int {
@@ -77,12 +74,4 @@ func (c *Core) Commit(view StepStats) {
 	if c.obs != nil {
 		c.obs.OnStep(view)
 	}
-}
-
-// ResetClock clears time and step count. The histogram and the observer
-// are preserved, matching the machines' Reset semantics (processor RNG
-// state lives in the machines).
-func (c *Core) ResetClock() {
-	c.time = 0
-	c.steps = 0
 }

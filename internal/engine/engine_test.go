@@ -27,18 +27,6 @@ func TestCoreClockAndTrace(t *testing.T) {
 	if len(trace) != 2 || trace[0].Cost != 3 || trace[1].Cost != 5 || trace[0].Index != 0 || trace[1].Index != 1 {
 		t.Fatalf("observed trace = %+v", trace)
 	}
-	c.ChargeTime(10)
-	if c.Time() != 18 {
-		t.Fatalf("Time after ChargeTime = %v", c.Time())
-	}
-	c.ResetClock()
-	if c.Time() != 0 || c.Steps() != 0 {
-		t.Fatal("ResetClock did not clear state")
-	}
-	step(c, 1, 0, 0, 0)
-	if last := trace[len(trace)-1]; len(trace) != 3 || last.Index != 0 {
-		t.Fatalf("after ResetClock the next step is %+v of %d", last, len(trace))
-	}
 }
 
 func TestHistRecycled(t *testing.T) {

@@ -36,7 +36,7 @@ func TestExpPenalty(t *testing.T) {
 	if got := ExpPenalty(16, 8); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ExpPenalty(2m) = %v, want %v", got, want)
 	}
-	if got := ExpPenalty(1<<40, 8); got != MaxPenalty {
+	if got := ExpPenalty(1<<30, 8); got != MaxPenalty {
 		t.Errorf("ExpPenalty huge = %v, want saturation %v", got, MaxPenalty)
 	}
 }

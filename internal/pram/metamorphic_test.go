@@ -80,7 +80,9 @@ func TestWinnerOrdering(t *testing.T) {
 // Steps are compositional: running k idle steps costs exactly k.
 func TestIdleStepsLinear(t *testing.T) {
 	m := New(Config{P: 4, Mem: 4, Mode: EREW, Seed: 1})
-	m.Run(13, func(step int, c *Ctx) {})
+	for range 13 {
+		m.Step(func(c *Ctx) {})
+	}
 	if m.Time() != 13 {
 		t.Fatalf("13 idle steps cost %v", m.Time())
 	}

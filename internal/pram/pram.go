@@ -388,20 +388,3 @@ func (m *Machine) merge(active int) (Stats, engine.StepStats) {
 		Steps: 1, MaxSlot: st.Kappa, Cost: st.Cost,
 	}
 }
-
-// Run executes fn for steps consecutive steps, passing the step index.
-func (m *Machine) Run(steps int, fn func(step int, c *Ctx)) {
-	for s := 0; s < steps; s++ {
-		m.Step(func(c *Ctx) { fn(s, c) })
-	}
-}
-
-// Reset zeroes shared memory and clears time, preserving RNG state and ROM.
-func (m *Machine) Reset() {
-	for i := range m.mem {
-		m.mem[i] = 0
-	}
-	m.bits = 0
-	m.romRead = 0
-	m.core.ResetClock()
-}

@@ -177,28 +177,6 @@ func TestBitsAccounting(t *testing.T) {
 	}
 }
 
-func TestRunStepIndices(t *testing.T) {
-	m := New(Config{P: 2, Mem: 4, Mode: EREW, Seed: 1})
-	var steps []int
-	m.Run(3, func(step int, c *Ctx) {
-		if c.ID() == 0 {
-			steps = append(steps, step)
-		}
-	})
-	if len(steps) != 3 || steps[0] != 0 || steps[2] != 2 {
-		t.Fatalf("steps = %v", steps)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := New(Config{P: 2, Mem: 2, Mode: CRCWArbitrary, Seed: 1})
-	m.Step(func(c *Ctx) { c.Write(0, 1) })
-	m.Reset()
-	if m.Load(0) != 0 || m.Time() != 0 || m.Steps() != 0 || m.BitsMoved() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestModeStrings(t *testing.T) {
 	for m, want := range map[Mode]string{
 		EREW: "EREW", QRQW: "QRQW", CRCWCommon: "CRCW-Common",

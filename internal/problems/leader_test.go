@@ -68,7 +68,7 @@ func TestLeaderERProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		p := 2 + int(seed%100)
 		mm := 1 + int(seed%7)
-		leader := int(seed>>8) % p
+		leader := int((seed >> 8) % uint64(p))
 		m := erMachine(p, mm, 64, LeaderInput(p, leader))
 		out := LeaderER(m, mm)
 		for _, v := range out {

@@ -548,20 +548,6 @@ func TestSampleSortBSPProperty(t *testing.T) {
 	}
 }
 
-func TestSampleSortSeeded(t *testing.T) {
-	rng := xrand.New(4)
-	n := 500
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(n - i) // adversarially ordered
-	}
-	m := bspM(16, 8, 2, 5)
-	got := SampleSortSeeded(m, keys, 8, rng)
-	if !IsSorted(got) || len(got) != n {
-		t.Fatal("seeded sample sort failed")
-	}
-}
-
 // In the n ≫ p regime sample sort should beat columnsort (splitter
 // broadcast amortized, single routing round vs 4·depth permutes).
 func TestSampleSortBeatsColumnsortLargeN(t *testing.T) {

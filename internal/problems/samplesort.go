@@ -4,7 +4,6 @@ import (
 	"parbw/internal/bsp"
 	"parbw/internal/collective"
 	"parbw/internal/sched"
-	"parbw/internal/xrand"
 )
 
 // SampleSortBSP sorts n keys (distributed blockwise over the p processors)
@@ -135,21 +134,4 @@ func SampleSortBSP(m *bsp.Machine, keys []int64, oversample int) []int64 {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// SampleSortSeeded is SampleSortBSP with explicit sampling randomness — the
-// deterministic evenly-spaced sampling above makes the function fully
-// deterministic, so this variant perturbs the sample offsets for
-// sensitivity experiments.
-func SampleSortSeeded(m *bsp.Machine, keys []int64, oversample int, rng *xrand.Source) []int64 {
-	if len(keys) > 1 && rng != nil {
-		// Pre-shuffle a copy so adversarially ordered inputs cannot skew
-		// the evenly spaced sampling; the multiset is unchanged.
-		shuffled := append([]int64(nil), keys...)
-		rng.Shuffle(len(shuffled), func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
-		keys = shuffled
-	}
-	return SampleSortBSP(m, keys, oversample)
 }

@@ -181,15 +181,6 @@ func TestBSPKindRejected(t *testing.T) {
 	New(Config{P: 2, Mem: 2, Cost: model.BSPg(1, 1)})
 }
 
-func TestReset(t *testing.T) {
-	m := newQSMg(2, 4, 1)
-	m.Phase(func(c *Ctx) { c.Write(0, 9) })
-	m.Reset()
-	if m.Load(0) != 0 || m.Time() != 0 || m.Phases() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 // Property: concurrent reads return the stored value for all readers, and κ
 // equals the reader count when all processors read one cell.
 func TestConcurrentReadConsistency(t *testing.T) {
@@ -235,14 +226,6 @@ func TestGroupedEmulationDominance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChargeTime(t *testing.T) {
-	m := newQSMg(2, 2, 1)
-	m.ChargeTime(3.5)
-	if m.Time() != 3.5 {
-		t.Fatal("ChargeTime not applied")
 	}
 }
 

@@ -102,26 +102,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MaxInt returns the maximum of xs, or 0 for an empty slice.
-func MaxInt(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// SumInt returns the sum of xs.
-func SumInt(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Histogram is a fixed-width bucket histogram over [0, width*buckets), with
 // an overflow bucket for larger values.
 type Histogram struct {

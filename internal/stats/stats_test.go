@@ -101,18 +101,6 @@ func TestMeanMaxSum(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
 	}
-	if MaxInt([]int{3, 9, 1}) != 9 {
-		t.Fatal("MaxInt wrong")
-	}
-	if MaxInt(nil) != 0 {
-		t.Fatal("MaxInt(nil) != 0")
-	}
-	if MaxInt([]int{-5, -2}) != -2 {
-		t.Fatal("MaxInt negative wrong")
-	}
-	if SumInt([]int{1, 2, 3}) != 6 {
-		t.Fatal("SumInt wrong")
-	}
 }
 
 func TestHistogram(t *testing.T) {

@@ -81,9 +81,6 @@ func (b *Builder) SendAt(proc, slot, dst, len int) *Builder {
 	return b
 }
 
-// SetPrec attaches the precedence layer.
-func (b *Builder) SetPrec(pr *Prec) *Builder { b.ir.Prec = pr; return b }
-
 // IR finalizes the build: declared totals are sealed from the step data and
 // the finished IR returned. The builder must not be reused afterwards.
 func (b *Builder) IR() *IR {

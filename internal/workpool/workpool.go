@@ -61,15 +61,11 @@ type spec struct {
 	fn   func(i int)
 }
 
-// loop is the claim counter of one call, shared by the caller and helpers.
-type loop struct {
-	spec
-	next atomic.Int64 // the next claim; set to n once a claim panics
-}
-
-// team is a loop with helpers: it waits for them and keeps the lowest panic.
+// team is one call run by the caller and its helpers: they share the claim
+// counter, and the team waits for the helpers and keeps the lowest panic.
 type team struct {
-	loop
+	spec
+	next atomic.Int64   // the next claim; set to n once a claim panics
 	wg   sync.WaitGroup // helpers still claiming
 	mu   sync.Mutex     // guards pidx and pval
 	pidx int
@@ -77,21 +73,27 @@ type team struct {
 }
 
 // run drives s to completion on the caller and up to workers-1 helpers,
-// then re-raises the lowest claim's panic, if any. Without helpers the loop
-// stays on the caller's stack, so a serial call allocates nothing.
+// then re-raises the lowest claim's panic, if any. Without helpers the
+// caller walks the indices itself and fn's panic propagates unchanged. It
+// makes no atomic claim counter, which a 32-bit stack cannot align and would
+// move to the heap, so a serial call allocates nothing on any platform.
 func (p *Pool) run(s spec) {
 	if s.n <= 0 {
 		return
 	}
 	helpers := min(p.workers, s.n) - 1
 	if helpers == 0 {
-		l := loop{spec: s}
-		if _, v := l.work(); v != nil {
-			panic(v)
+		for i := range s.n {
+			select {
+			case <-s.done:
+				return
+			default:
+			}
+			s.fn(i)
 		}
 		return
 	}
-	t := &team{loop: loop{spec: s}}
+	t := &team{spec: s}
 	t.wg.Add(helpers)
 	for range helpers {
 		go t.help()
@@ -122,22 +124,22 @@ func (t *team) record(i int, v any) {
 // work runs claims until none remain, the done channel closes, or a claim
 // panics. It recovers that panic, stops every worker's further claims, and
 // returns the claim with the panic value; v is nil if nothing panicked.
-func (l *loop) work() (i int, v any) {
+func (t *team) work() (i int, v any) {
 	defer func() {
 		if v = recover(); v != nil {
-			l.next.Store(int64(l.n))
+			t.next.Store(int64(t.n))
 		}
 	}()
 	for {
 		select {
-		case <-l.done:
+		case <-t.done:
 			return
 		default:
 		}
-		i = int(l.next.Add(1) - 1)
-		if i >= l.n {
+		i = int(t.next.Add(1) - 1)
+		if i >= t.n {
 			return
 		}
-		l.fn(i)
+		t.fn(i)
 	}
 }

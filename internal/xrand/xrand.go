@@ -97,11 +97,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / float64(1<<53)

@@ -311,12 +311,3 @@ func TestNewZipfPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestInt63NonNegative(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
