@@ -19,16 +19,17 @@ test:
 
 # Full suite under the race detector (CI runs this), then the worker pool,
 # the machines and every package that fans work out on the pool, the run
-# store the service's workers read concurrently, the asynchronous machine
-# and the whole experiment harness with its goldens again at 1, 2 and 4
-# cores: core count is a test axis, not an assumption.
+# store the service's workers read concurrently, the asynchronous machine,
+# the whole experiment harness with its goldens, and the serve path's
+# cluster client, retry loop and fault plans again at 1, 2 and 4 cores:
+# core count is a test axis, not an assumption.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workpool ./internal/engine \
 		./internal/bsp ./internal/qsm ./internal/pram ./internal/collective \
 		./internal/oracle ./internal/service ./internal/runstore ./internal/sched \
 		./internal/shrink ./internal/work/... ./internal/workgen ./internal/async \
-		./internal/harness
+		./internal/harness ./internal/cluster ./internal/retry ./internal/fault
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault
 # framework, the hardened run store, and the service chaos tests — fixed

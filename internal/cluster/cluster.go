@@ -105,8 +105,6 @@ type Options struct {
 	// host, no trailing slash). An entry for Self is tolerated and ignored,
 	// so all nodes can share one membership list verbatim.
 	Peers map[string]string
-	// Replicas is the virtual-point count per node; <= 0 → DefaultReplicas.
-	Replicas int
 
 	// Transport is the HTTP transport for peer calls; chaos tests wrap it
 	// with fault.InjectTransport. Nil → http.DefaultTransport.
@@ -117,14 +115,10 @@ type Options struct {
 
 	// AttemptTimeout is the per-attempt forward deadline; <= 0 → 2s.
 	AttemptTimeout time.Duration
-	// Retries is the number of extra forward attempts after a failure;
-	// < 0 → 0, 0 → 2 (the service's retry convention).
+	// Retries and Backoff pace forward attempts; they are retry.Policy's
+	// fields, with its defaults (2 retries, 50ms first pause).
 	Retries int
-	// Backoff paces retries: the pause before the first retry, doubling per
-	// attempt with deterministic per-(key, attempt) jitter, capped at
-	// BackoffMax. 0 → 50ms; < 0 → no backoff. BackoffMax 0 → 2s.
-	Backoff    time.Duration
-	BackoffMax time.Duration
+	Backoff time.Duration
 
 	// Per-peer circuit breaker: BreakerThreshold consecutive forward
 	// failures open a peer's breaker for BreakerCooldown, during which
@@ -149,9 +143,7 @@ type Client struct {
 	urls           map[string]string
 	clients        map[string]*http.Client
 	attemptTimeout time.Duration
-	retries        int
-	backoff        time.Duration
-	backoffMax     time.Duration
+	policy         retry.Policy
 
 	mu    sync.Mutex
 	peers map[string]*peerState
@@ -164,23 +156,6 @@ func New(opts Options) (*Client, error) {
 	}
 	if opts.AttemptTimeout <= 0 {
 		opts.AttemptTimeout = 2 * time.Second
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = 2
-	}
-	if opts.Backoff == 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 2 * time.Second
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 5 * time.Second
 	}
 	members := []string{opts.Self}
 	urls := map[string]string{}
@@ -213,13 +188,11 @@ func New(opts Options) (*Client, error) {
 	}
 	return &Client{
 		self:           opts.Self,
-		ring:           NewRing(opts.Replicas, members...),
+		ring:           NewRing(DefaultReplicas, members...),
 		urls:           urls,
 		clients:        clients,
 		attemptTimeout: opts.AttemptTimeout,
-		retries:        opts.Retries,
-		backoff:        opts.Backoff,
-		backoffMax:     opts.BackoffMax,
+		policy:         retry.Policy{Retries: opts.Retries, Backoff: opts.Backoff},
 		peers:          peers,
 	}, nil
 }
@@ -256,36 +229,36 @@ func (c *Client) Forward(ctx context.Context, owner string, req ForwardRequest) 
 	ps := c.peers[owner]
 	c.mu.Unlock()
 
-	var lastErr error
-	for attempt := 1; attempt <= 1+c.retries; attempt++ {
-		if attempt > 1 {
+	var res *ForwardResult
+	err := c.policy.Do(ctx, req.Key, func(n int) error {
+		if n > 1 {
 			c.count(owner, func(st *PeerStats) { st.Retries++ })
-			sleepCtx(ctx, retry.BackoffDelay(c.backoff, c.backoffMax, req.Key, attempt))
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
 		}
 		if !ps.breaker.Allow(time.Now()) {
-			lastErr = fmt.Errorf("cluster: peer %s breaker open", owner)
-			break
+			return retry.Stop(fmt.Errorf("cluster: peer %s breaker open", owner))
 		}
-		res, err := c.attempt(ctx, owner, base, req)
-		if err == nil {
-			ps.breaker.Success()
-			c.count(owner, func(st *PeerStats) {
-				st.Forwards++
-				if res.RemoteCached {
-					st.RemoteHits++
-				}
-			})
-			return res, nil
+		var err error
+		if res, err = c.attempt(ctx, owner, base, req); err != nil {
+			ps.breaker.Failure(time.Now())
+			c.count(owner, func(st *PeerStats) { st.Failures++ })
+			return err
 		}
-		ps.breaker.Failure(time.Now())
-		c.count(owner, func(st *PeerStats) { st.Failures++ })
-		lastErr = err
+		ps.breaker.Success()
+		c.count(owner, func(st *PeerStats) {
+			st.Forwards++
+			if res.RemoteCached {
+				st.RemoteHits++
+			}
+		})
+		return nil
+	})
+	if err == nil {
+		return res, nil
 	}
-	c.count(owner, func(st *PeerStats) { st.Degraded++ })
-	return nil, lastErr
+	if err != ctx.Err() { // a cancelled caller abandons the task; it does not degrade
+		c.count(owner, func(st *PeerStats) { st.Degraded++ })
+	}
+	return nil, err
 }
 
 // attempt is one HTTP round trip to the owner, with its own deadline so a
@@ -430,17 +403,4 @@ func (c *Client) PeerHealth(ctx context.Context) map[string]string {
 		out[p.name] = p.status
 	}
 	return out
-}
-
-// sleepCtx pauses for d, cut short if ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }

@@ -24,7 +24,7 @@ import (
 )
 
 // DefaultReplicas is the number of virtual points each node contributes to
-// the ring when Options.Replicas is unset.
+// a Client's ring.
 const DefaultReplicas = 128
 
 // hash64 maps a string to a point on the ring: the first 8 bytes of its

@@ -24,10 +24,13 @@ import (
 )
 
 // GroupedSend issues one message from the calling processor inside a
-// superstep, scheduled by the Section 4 group emulation: the k-th message of
-// processor i is injected at step k·g + (i mod g), so every step carries at
-// most p/g = m messages. k is the caller's running message index within the
-// superstep.
+// superstep, scheduled by the Section 4 group emulation: processor i's
+// message starts at step k·g + (i mod g), where k is the number of flits i
+// sent before it in the superstep. When every message has Len = 1, every
+// step carries at most p/g = m messages. A longer message's flits occupy
+// consecutive steps and run into the next group's slots, so the bound fails:
+// at p = 16, g = 4 with three two-flit messages per processor, the max slot
+// load is 8 and 9 steps are overloaded (ROADMAP, group-emulation oracle).
 func GroupedSend(c *bsp.Ctx, g, k, dst int, msg bsp.Msg) {
 	c.SendAt(k*g+(c.ID()%g), dst, msg)
 }
@@ -35,7 +38,8 @@ func GroupedSend(c *bsp.Ctx, g, k, dst int, msg bsp.Msg) {
 // RunGroupedBSP runs one emulated BSP(g) superstep on a globally-limited
 // machine: fn receives a send function that queues messages under the group
 // schedule. It returns the superstep stats. On a machine with m >= p/g the
-// schedule never exceeds the aggregate limit.
+// schedule never exceeds the aggregate limit provided every message has
+// Len = 1; with multi-flit messages it can (see GroupedSend).
 func RunGroupedBSP(m *bsp.Machine, g int, fn func(c *bsp.Ctx, send func(dst int, msg bsp.Msg))) bsp.Stats {
 	if g < 1 {
 		panic("emulate: group emulation needs g >= 1")

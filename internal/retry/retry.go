@@ -1,13 +1,16 @@
-// Package retry holds the retry discipline shared by the sweep executor
-// (internal/service) and the cluster forwarding client (internal/cluster):
-// a consecutive-failure circuit breaker and exponential backoff with
-// deterministic jitter. Both echo the paper's thesis — pace injections
-// instead of hammering a collapsing resource (the f_m^u penalty regime): a
-// dependency that just failed is "overloaded", so callers back off or route
-// around it rather than piling on.
+// Package retry holds the retry discipline of the serve path: Policy, the
+// one attempt loop that the sweep executor (internal/service), the owner
+// side of a cluster forward and the cluster forwarding client
+// (internal/cluster) all run, paced by exponential backoff with
+// deterministic jitter, and a consecutive-failure circuit breaker. Both echo
+// the paper's thesis — pace injections instead of hammering a collapsing
+// resource (the f_m^u penalty regime): a dependency that just failed is
+// "overloaded", so callers back off or route around it rather than piling
+// on.
 package retry
 
 import (
+	"context"
 	"hash/fnv"
 	"sync"
 	"time"
@@ -32,8 +35,15 @@ type Breaker struct {
 }
 
 // NewBreaker builds a breaker that opens after threshold consecutive
-// failures and stays open for cooldown.
+// failures and stays open for cooldown. A threshold of 0 selects 3 and a
+// cooldown <= 0 selects 5s; a threshold < 0 disables the breaker.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+	if threshold == 0 {
+		threshold = 3
+	}
+	if cooldown <= 0 {
+		cooldown = 5 * time.Second
+	}
 	return &Breaker{threshold: threshold, cooldown: cooldown}
 }
 
@@ -154,4 +164,74 @@ func BackoffDelay(base, max time.Duration, key string, attempt int) time.Duratio
 		d = max
 	}
 	return d
+}
+
+// maxBackoff caps every pause Policy.Do takes between attempts.
+const maxBackoff = 2 * time.Second
+
+// Policy is the one attempt loop: a failed attempt is retried up to Retries
+// times, each retry paced by BackoffDelay. The zero value is the serve
+// path's default discipline.
+type Policy struct {
+	// Retries is the number of extra attempts after a failure; 0 → 2,
+	// < 0 → 0.
+	Retries int
+	// Backoff is the pause before the first retry, doubling per retry with
+	// deterministic per-(key, attempt) jitter, capped at 2s; 0 → 50ms,
+	// < 0 → no pause.
+	Backoff time.Duration
+}
+
+// stopError marks a failure that a retry cannot fix.
+type stopError struct{ err error }
+
+func (e stopError) Error() string { return e.err.Error() }
+func (e stopError) Unwrap() error { return e.err }
+
+// Stop marks err as final: Do returns it, unwrapped, without another
+// attempt. Stop(nil) is nil.
+func Stop(err error) error {
+	if err == nil {
+		return nil
+	}
+	return stopError{err}
+}
+
+// Do calls attempt with n = 1, 2, … until it returns nil, returns an error
+// marked by Stop, or the retries run out; it returns the last attempt's
+// error. Before each retry it pauses BackoffDelay(Backoff, 2s, key, n). Once
+// ctx is done it makes no further attempt and returns ctx.Err() itself, so a
+// caller tells "ctx ended the loop" apart from "the attempts failed" with
+// err == ctx.Err().
+func (p Policy) Do(ctx context.Context, key string, attempt func(n int) error) error {
+	retries, backoff := p.Retries, p.Backoff
+	if retries < 0 {
+		retries = 0
+	} else if retries == 0 {
+		retries = 2
+	}
+	if backoff == 0 {
+		backoff = 50 * time.Millisecond
+	}
+	var err error
+	for n := 1; n <= 1+retries; n++ {
+		if d := BackoffDelay(backoff, maxBackoff, key, n); d > 0 {
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if err = attempt(n); err == nil {
+			return nil
+		}
+		if stop, ok := err.(stopError); ok {
+			return stop.err
+		}
+	}
+	return err
 }

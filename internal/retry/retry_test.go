@@ -1,6 +1,8 @@
 package retry
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,5 +140,113 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	// No backoff before the first retry, or when disabled.
 	if BackoffDelay(base, max, key, 1) != 0 || BackoffDelay(-1, max, key, 3) != 0 {
 		t.Fatal("expected zero delay")
+	}
+}
+
+// countAttempts runs p.Do with an attempt that always fails and returns how
+// many attempts it made.
+func countAttempts(p Policy) int {
+	n := 0
+	p.Do(context.Background(), "k", func(int) error {
+		n++
+		return errors.New("boom")
+	})
+	return n
+}
+
+func TestPolicyAttempts(t *testing.T) {
+	for _, tc := range []struct {
+		retries, want int
+	}{
+		{-1, 1},
+		{0, 3}, // the default: 2 retries
+		{2, 3},
+	} {
+		if got := countAttempts(Policy{Retries: tc.retries, Backoff: -1}); got != tc.want {
+			t.Errorf("Retries %d: %d attempts, want %d", tc.retries, got, tc.want)
+		}
+	}
+	// Attempts are numbered from 1 and the first success ends the loop.
+	var seen []int
+	err := Policy{Backoff: -1}.Do(context.Background(), "k", func(n int) error {
+		seen = append(seen, n)
+		if n < 2 {
+			return errors.New("boom")
+		}
+		return nil
+	})
+	if err != nil || len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Fatalf("err %v, attempts %v; want success on attempt 2", err, seen)
+	}
+}
+
+func TestPolicyStopEndsLoopUnwrapped(t *testing.T) {
+	final := errors.New("cannot encode")
+	n := 0
+	err := Policy{Retries: 5, Backoff: -1}.Do(context.Background(), "k", func(int) error {
+		n++
+		return Stop(final)
+	})
+	if n != 1 || err != final {
+		t.Fatalf("%d attempts, err %v; want 1 attempt returning the unwrapped error", n, err)
+	}
+	if Stop(nil) != nil {
+		t.Fatal("Stop(nil) != nil")
+	}
+}
+
+func TestPolicyDoneContextMakesNoAttempt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n := 0
+	err := Policy{}.Do(ctx, "k", func(int) error {
+		n++
+		return nil
+	})
+	if n != 0 || err != ctx.Err() {
+		t.Fatalf("%d attempts, err %v; want none and ctx.Err()", n, err)
+	}
+
+	// A context that ends during the backoff pause cuts the pause short and
+	// ends the loop without another attempt.
+	ctx, cancel = context.WithCancel(context.Background())
+	n = 0
+	start := time.Now()
+	err = Policy{Retries: 3, Backoff: time.Hour}.Do(ctx, "k", func(int) error {
+		n++
+		cancel()
+		return errors.New("boom")
+	})
+	if n != 1 || err != context.Canceled {
+		t.Fatalf("%d attempts, err %v; want 1 and context.Canceled", n, err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("cancelled pause took %s", d)
+	}
+}
+
+func TestPolicyNegativeBackoffNeverSleeps(t *testing.T) {
+	// 20 retries at the default pacing would pause for well over 10s (all
+	// but the first few pauses sit at the 2s cap).
+	start := time.Now()
+	if n := countAttempts(Policy{Retries: 20, Backoff: -1}); n != 21 {
+		t.Fatalf("%d attempts, want 21", n)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Backoff -1 loop took %s; it must not pause", d)
+	}
+}
+
+func TestBreakerDefaults(t *testing.T) {
+	b := NewBreaker(0, 0) // threshold 3, cooldown 5s
+	t0 := time.Unix(1000, 0)
+	b.Failure(t0)
+	b.Failure(t0)
+	if b.Open(t0) {
+		t.Fatal("default breaker opened after 2 failures")
+	}
+	b.Failure(t0)
+	if !b.Open(t0) || !b.Open(t0.Add(4*time.Second)) || b.Open(t0.Add(5*time.Second)) {
+		t.Fatal("default breaker did not open for 5s after 3 failures")
 	}
 }

@@ -18,8 +18,6 @@ import (
 	"parbw/internal/cluster"
 	"parbw/internal/engine"
 	"parbw/internal/harness"
-	"parbw/internal/retry"
-	"parbw/internal/runstore"
 )
 
 // forwardTask ships one task to its owning peer. Params travel as the
@@ -122,12 +120,7 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, ParamErrorEnvelope(err))
 		return
 	}
-	key := runstore.Key(runstore.KeySpec{
-		Experiment: req.Experiment,
-		Seed:       req.Seed,
-		Params:     vals.Canonical(),
-		Version:    harness.CodeVersion,
-	})
+	key := taskKey(req.Experiment, req.Seed, vals.Canonical())
 	if key != req.Key {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest,
 			"key mismatch: caller sent %s, owner derives %s (code-version skew between nodes?)", req.Key, key)
@@ -135,12 +128,8 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The owner's store is authoritative for this key: serve a hit directly.
-	if data, ok, err := s.opts.Store.GetBytes(key); err != nil {
-		s.countStoreError()
-	} else if ok {
-		s.mu.Lock()
-		s.stats.TasksCached++
-		s.mu.Unlock()
+	ctx := r.Context()
+	if data, ok := s.lookup(ctx, key); ok {
 		s.writeForwardResult(w, data, true, false)
 		return
 	}
@@ -154,7 +143,7 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	cfg := harness.Config{Seed: req.Seed, Params: req.Params}
 	if req.WantEvents && req.Origin != "" && req.Job != "" {
 		var flush func()
-		emit, flush = s.remoteEmitter(r.Context(), req.Origin, req.Job, req.TaskIndex)
+		emit, flush = s.remoteEmitter(ctx, req.Origin, req.Job, req.TaskIndex)
 		defer flush()
 		if s.opts.StepSample > 0 {
 			cfg.Observer = s.stepSampler(func(st engine.StepStats) {
@@ -163,41 +152,17 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	emit(Event{Type: EventStarted, Experiment: req.Experiment, Seed: req.Seed, Key: key, Node: s.cluster.Self()})
-	ctx := r.Context()
-	var lastErr error
-	for attempt := 1; attempt <= 1+s.opts.Retries; attempt++ {
-		if attempt > 1 {
-			s.mu.Lock()
-			s.stats.TaskRetries++
-			s.mu.Unlock()
-			sleepCtx(ctx, retry.BackoffDelay(s.opts.Backoff, s.opts.BackoffMax, key, attempt))
-		}
-		if ctx.Err() != nil {
-			// The origin gave up (per-attempt deadline, job cancel); it will
-			// degrade to local compute, so just abandon the response.
-			s.writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "forward abandoned: %s", contextReason(ctx))
-			return
-		}
-		res, err := s.safeRun(ctx, req.Experiment, cfg)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, degraded, err := s.storeResult(ctx, key, res)
-		if err != nil {
-			lastErr = err
-			break
-		}
-		s.mu.Lock()
-		s.stats.TasksRun++
-		if degraded {
-			s.stats.TasksDegraded++
-		}
-		s.mu.Unlock()
+	data, degraded, _, err := s.compute(ctx, key, req.Experiment, cfg, nil)
+	switch {
+	case err == nil:
 		s.writeForwardResult(w, data, false, degraded)
-		return
+	case err == ctx.Err():
+		// The origin gave up (per-attempt deadline, job cancel); it will
+		// degrade to local compute, so just abandon the response.
+		s.writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "forward abandoned: %s", contextReason(ctx))
+	default:
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, "forwarded task failed: %v", err)
 	}
-	s.writeError(w, http.StatusInternalServerError, CodeInternal, "forwarded task failed: %v", lastErr)
 }
 
 // writeForwardResult answers a forward with the canonical result bytes plus

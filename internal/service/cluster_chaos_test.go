@@ -11,7 +11,6 @@ import (
 	"parbw/internal/cluster"
 	"parbw/internal/fault"
 	"parbw/internal/harness"
-	"parbw/internal/runstore"
 )
 
 // The cluster chaos suite: a 3-node in-process cluster is driven through
@@ -190,13 +189,7 @@ func seedOwnedBy(t *testing.T, cl *cluster.Client, owner string, after uint64) u
 	}
 	canon := vals.Canonical()
 	for seed := after + 1; seed < after+1000; seed++ {
-		key := runstore.Key(runstore.KeySpec{
-			Experiment: "table1/broadcast",
-			Seed:       seed,
-			Params:     canon,
-			Version:    harness.CodeVersion,
-		})
-		if cl.Owner(key) == owner {
+		if cl.Owner(taskKey("table1/broadcast", seed, canon)) == owner {
 			return seed
 		}
 	}
@@ -583,4 +576,73 @@ func TestClusterForwardRefusesKeyMismatch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched key status %d, want 400", resp.StatusCode)
 	}
+}
+
+// The owner's cache read goes through the same lookup as a local task, so a
+// chaos plan reaches it: with every service.store.get on node-1 failing,
+// node-1 recomputes the keys it owns on a repeat sweep instead of serving
+// them from its store, and nothing degrades or changes bytes.
+func TestClusterChaosOwnerFiresStoreGet(t *testing.T) {
+	plan := fault.NewPlan(chaosSeed, fault.Rule{Point: PointStoreGet, Kind: fault.Error})
+	nodes := newTestCluster(t, 3, func(i int, so *Options, co *cluster.Options) {
+		if i == 1 {
+			so.Fault = plan
+		}
+	})
+	req := chaosSweep()
+	baseline := singleNodeBaseline(t, req)
+
+	owned := 0
+	for key := range baseline {
+		if nodes[0].client.Owner(key) == "node-1" {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Fatal("no key of the sweep lands on node-1; owner lookup untested")
+	}
+	for sweep := 1; sweep <= 2; sweep++ {
+		assertSameResults(t, runSweep(t, nodes[0].srv, req), baseline)
+		views := nodes[0].srv.Jobs()
+		for _, tv := range views[len(views)-1].Tasks {
+			if tv.Degraded {
+				t.Fatalf("sweep %d: task %s/%d degraded", sweep, tv.Experiment, tv.Seed)
+			}
+		}
+		st := nodes[1].srv.Stats()
+		if st.TasksRun != uint64(sweep*owned) || st.TasksCached != 0 {
+			t.Fatalf("sweep %d: node-1 stats = %+v, want %d runs and no cache hits", sweep, st, sweep*owned)
+		}
+	}
+	if got := plan.Fired(PointStoreGet); got != 2*owned {
+		t.Fatalf("node-1 fired %s %d times, want %d", PointStoreGet, got, 2*owned)
+	}
+	assertAllStoresClean(t, nodes)
+}
+
+// The owner retries a forwarded run the way a local task is retried: one
+// injected panic on node-1 costs a retry there, and the origin sees a clean
+// forward.
+func TestClusterChaosOwnerRetriesPanickingRun(t *testing.T) {
+	plan := fault.NewPlan(chaosSeed, fault.Rule{Point: PointRunner, Kind: fault.Panic, Count: 1})
+	nodes := newTestCluster(t, 3, func(i int, so *Options, co *cluster.Options) {
+		if i == 1 {
+			so.Fault = plan
+		}
+	})
+	seed := seedOwnedBy(t, nodes[0].client, "node-1", 0)
+	req := RunRequest{Experiments: []string{"table1/broadcast"}, Seeds: []uint64{seed}, Quick: true}
+	assertSameResults(t, runSweep(t, nodes[0].srv, req), singleNodeBaseline(t, req))
+
+	views := nodes[0].srv.Jobs()
+	if tv := views[len(views)-1].Tasks[0]; !tv.Forwarded || tv.Degraded {
+		t.Fatalf("task = %+v, want forwarded and not degraded", tv)
+	}
+	if st := nodes[1].srv.Stats(); st.TaskPanics != 1 || st.TaskRetries != 1 || st.TasksRun != 1 {
+		t.Fatalf("node-1 stats = %+v, want 1 panic, 1 retry, 1 run", st)
+	}
+	if st := nodes[0].srv.Stats(); st.TasksForwarded != 1 || st.ForwardDegraded != 0 {
+		t.Fatalf("origin stats = %+v, want 1 clean forward", st)
+	}
+	assertAllStoresClean(t, nodes)
 }

@@ -449,9 +449,9 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 // bytes live under /v1/results/{key}. NextCursor appears when more tasks
 // remain; pass it back as ?cursor= to resume.
 type taskPage struct {
-	Tasks      []TaskView `json:"tasks"`
-	Total      int        `json:"total"`
-	NextCursor string     `json:"next_cursor,omitempty"`
+	Tasks      []Task `json:"tasks"`
+	Total      int    `json:"total"`
+	NextCursor string `json:"next_cursor,omitempty"`
 }
 
 // handleRunTasks pages through a job's tasks. ?limit= (1..500, default the
@@ -493,7 +493,7 @@ func (s *Server) handleRunTasks(w http.ResponseWriter, r *http.Request) {
 		window = window[:limit]
 		page.NextCursor = strconv.Itoa(start + limit)
 	}
-	page.Tasks = make([]TaskView, len(window))
+	page.Tasks = make([]Task, len(window))
 	for i, t := range window {
 		t.Result = nil // bytes live under /v1/results/{key}
 		page.Tasks[i] = t

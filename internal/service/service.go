@@ -82,10 +82,10 @@ type Options struct {
 	MaxTasks   int             // per-job task bound; <=0 → 4096
 	Runner     Runner          // nil → DefaultRunner
 
-	// Retry discipline. Backoff is the pause before the first retry,
-	// doubling per attempt with deterministic jitter, capped at BackoffMax.
-	Backoff    time.Duration // 0 → 50ms; <0 → no backoff
-	BackoffMax time.Duration // 0 → 2s
+	// Retry discipline: Retries and Backoff are retry.Policy's fields, with
+	// its defaults. Backoff is the pause before the first retry, doubling per
+	// retry with deterministic jitter, capped at 2s.
+	Backoff time.Duration // 0 → 50ms; <0 → no backoff
 
 	// Circuit breaker around run-store writes: BreakerThreshold consecutive
 	// write failures open it for BreakerCooldown, during which tasks
@@ -154,7 +154,7 @@ type Task struct {
 
 	// Result is the canonical JSON of the structured result, exactly the
 	// bytes held by the run store — byte-identical across repeated requests.
-	Result []byte `json:"-"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // Job is one submitted request moving through the queue. job.mu guards
@@ -181,23 +181,6 @@ type Job struct {
 // handler, tests, and the cluster event back-channel).
 func (j *Job) Events() *bus { return j.bus }
 
-// TaskView is the JSON shape of a task, including the cached result bytes.
-type TaskView struct {
-	Experiment string          `json:"experiment"`
-	Seed       uint64          `json:"seed"`
-	Params     []result.Param  `json:"params"`
-	Key        string          `json:"key"`
-	Owner      string          `json:"owner,omitempty"`
-	Status     string          `json:"status"`
-	Cached     bool            `json:"cached"`
-	Forwarded  bool            `json:"forwarded,omitempty"`
-	Degraded   bool            `json:"degraded,omitempty"`
-	Attempts   int             `json:"attempts"`
-	WallMS     float64         `json:"wall_ms"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-}
-
 // JobView is the JSON shape of a job.
 type JobView struct {
 	ID        string     `json:"id"`
@@ -206,7 +189,7 @@ type JobView struct {
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
 	TimeoutMS int64      `json:"timeout_ms"`
-	Tasks     []TaskView `json:"tasks"`
+	Tasks     []Task     `json:"tasks"`
 }
 
 // JobSummary is the HTTP shape of a job since the jobs/results resource
@@ -266,7 +249,7 @@ func (j *Job) View() JobView {
 		State:     j.state,
 		Created:   j.created,
 		TimeoutMS: j.timeout.Milliseconds(),
-		Tasks:     make([]TaskView, len(j.tasks)),
+		Tasks:     make([]Task, len(j.tasks)),
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -277,21 +260,7 @@ func (j *Job) View() JobView {
 		v.Finished = &t
 	}
 	for i, t := range j.tasks {
-		v.Tasks[i] = TaskView{
-			Experiment: t.Experiment,
-			Seed:       t.Seed,
-			Params:     t.Params,
-			Key:        t.Key,
-			Owner:      t.Owner,
-			Status:     t.Status,
-			Cached:     t.Cached,
-			Forwarded:  t.Forwarded,
-			Degraded:   t.Degraded,
-			Attempts:   t.Attempts,
-			WallMS:     t.WallMS,
-			Error:      t.Error,
-			Result:     json.RawMessage(t.Result),
-		}
+		v.Tasks[i] = *t
 	}
 	return v
 }
@@ -393,11 +362,6 @@ func New(opts Options) (*Server, error) {
 	if opts.JobTimeout <= 0 {
 		opts.JobTimeout = 5 * time.Minute
 	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = 2
-	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
@@ -406,18 +370,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Runner == nil {
 		opts.Runner = DefaultRunner
-	}
-	if opts.Backoff == 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 2 * time.Second
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 5 * time.Second
 	}
 	if opts.SubscriberBuffer <= 0 {
 		opts.SubscriberBuffer = 4096
@@ -682,13 +634,8 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 					Experiment: id,
 					Seed:       seed,
 					Params:     params,
-					Key: runstore.Key(runstore.KeySpec{
-						Experiment: id,
-						Seed:       seed,
-						Params:     canon,
-						Version:    harness.CodeVersion,
-					}),
-					Status: StatusPending,
+					Key:        taskKey(id, seed, canon),
+					Status:     StatusPending,
 				})
 			}
 		}
@@ -870,6 +817,18 @@ func paramString(v any) (string, error) {
 	default:
 		return "", fmt.Errorf("unsupported value type %T (use a number, bool, string, or a flat array of those)", v)
 	}
+}
+
+// taskKey is the run-store key of one task: its experiment, seed and
+// canonical parameter assignment under this build's code version. Submit and
+// the owner side of a cluster forward both derive keys here.
+func taskKey(id string, seed uint64, canon string) string {
+	return runstore.Key(runstore.KeySpec{
+		Experiment: id,
+		Seed:       seed,
+		Params:     canon,
+		Version:    harness.CodeVersion,
+	})
 }
 
 // paramMap rebuilds the raw override map from a task's resolved params; the
@@ -1119,24 +1078,11 @@ func (s *Server) countStoreError() {
 	s.mu.Unlock()
 }
 
-// sleepCtx pauses for d, cut short if ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// runTask executes one task: run-store lookup first, then the experiment
-// with panic recovery and bounded retries paced by backoffDelay. Task
-// fields are only touched under job.mu so HTTP snapshots never race the
-// executor. Store failures degrade (recompute, or complete uncached); they
-// never fail a task whose experiment ran successfully.
+// runTask executes one task: run-store lookup first, then (in cluster mode)
+// a forward to the key's owner, then local compute. Task fields are only
+// touched under job.mu so HTTP snapshots never race the executor. Store
+// failures degrade (recompute, or complete uncached); they never fail a
+// task whose experiment ran successfully.
 func (s *Server) runTask(ctx context.Context, job *Job, idx int, t *Task) {
 	setTask := func(fn func()) {
 		job.mu.Lock()
@@ -1146,22 +1092,21 @@ func (s *Server) runTask(ctx context.Context, job *Job, idx int, t *Task) {
 	setTask(func() { t.Status = StatusRunning })
 	job.bus.publish(Event{Type: EventStarted, Task: idx, Experiment: t.Experiment, Seed: t.Seed, Key: t.Key, Node: s.nodeName()})
 
-	if ferr := s.fault.Fire(ctx, PointStoreGet); ferr != nil {
-		s.countStoreError()
-	} else if data, ok, err := s.opts.Store.GetBytes(t.Key); err != nil {
-		// A store that cannot read is a cache miss, not a task failure.
-		s.countStoreError()
-	} else if ok {
+	if data, ok := s.lookup(ctx, t.Key); ok {
 		setTask(func() {
 			t.Cached = true
 			t.Result = data
 			t.Status = StatusDone
 		})
-		s.mu.Lock()
-		s.stats.TasksCached++
-		s.mu.Unlock()
 		job.bus.publish(Event{Type: EventCached, Task: idx, Key: t.Key, Cached: true, Node: s.nodeName()})
 		return
+	}
+	cancelled := func() {
+		setTask(func() {
+			t.Status = StatusCancelled
+			t.Error = contextReason(ctx)
+		})
+		job.bus.publish(Event{Type: EventCancelled, Task: idx, Key: t.Key, Error: contextReason(ctx)})
 	}
 
 	// Cluster mode: a cache miss on a key owned by a peer is forwarded
@@ -1194,11 +1139,7 @@ func (s *Server) runTask(ctx context.Context, job *Job, idx int, t *Task) {
 				return
 			}
 			if ctx.Err() != nil {
-				setTask(func() {
-					t.Status = StatusCancelled
-					t.Error = contextReason(ctx)
-				})
-				job.bus.publish(Event{Type: EventCancelled, Task: idx, Key: t.Key, Error: contextReason(ctx)})
+				cancelled()
 				return
 			}
 			degradeLocal = true
@@ -1218,61 +1159,88 @@ func (s *Server) runTask(ctx context.Context, job *Job, idx int, t *Task) {
 			job.bus.publish(Event{Type: EventStep, Task: idx, Machine: st.Machine, Superstep: st.Index, Cost: st.Cost, Node: node})
 		})
 	}
-	var lastErr error
-	for attempt := 1; attempt <= 1+s.opts.Retries; attempt++ {
-		if attempt > 1 {
-			s.mu.Lock()
-			s.stats.TaskRetries++
-			s.mu.Unlock()
-			sleepCtx(ctx, retry.BackoffDelay(s.opts.Backoff, s.opts.BackoffMax, t.Key, attempt))
-		}
-		if ctx.Err() != nil {
-			setTask(func() {
-				t.Status = StatusCancelled
-				t.Error = contextReason(ctx)
-			})
-			job.bus.publish(Event{Type: EventCancelled, Task: idx, Key: t.Key, Error: contextReason(ctx)})
-			return
-		}
-		setTask(func() { t.Attempts = attempt })
-		start := time.Now()
-		res, err := s.safeRun(ctx, t.Experiment, cfg)
-		wall := time.Since(start)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, degraded, err := s.storeResult(ctx, t.Key, res)
-		if err != nil {
-			// Only reachable when the result cannot even be encoded;
-			// retrying the run cannot fix that.
-			lastErr = err
-			break
-		}
+	data, degraded, wall, err := s.compute(ctx, t.Key, t.Experiment, cfg, func(n int) {
+		setTask(func() { t.Attempts = n })
+	})
+	switch {
+	case err == nil:
 		setTask(func() {
 			t.Result = data
 			t.Degraded = degraded || degradeLocal
 			t.WallMS = float64(wall.Microseconds()) / 1000
 			t.Status = StatusDone
 		})
-		s.mu.Lock()
-		s.stats.TasksRun++
-		if degraded {
-			s.stats.TasksDegraded++
-		}
-		s.mu.Unlock()
 		job.bus.publish(Event{Type: EventCompleted, Task: idx, Key: t.Key, Degraded: degraded || degradeLocal, Node: s.nodeName()})
-		return
+	case err == ctx.Err():
+		cancelled()
+	default:
+		setTask(func() {
+			t.Status = StatusFailed
+			t.Error = err.Error()
+		})
+		job.bus.publish(Event{Type: EventFailed, Task: idx, Key: t.Key, Error: err.Error()})
 	}
-	errMsg := ""
-	if lastErr != nil {
-		errMsg = lastErr.Error()
+}
+
+// lookup reads key from the run store behind the PointStoreGet fault. A
+// store that cannot read is a cache miss, not a task failure: the error is
+// counted and the caller computes.
+func (s *Server) lookup(ctx context.Context, key string) ([]byte, bool) {
+	if err := s.fault.Fire(ctx, PointStoreGet); err != nil {
+		s.countStoreError()
+		return nil, false
 	}
-	setTask(func() {
-		t.Status = StatusFailed
-		t.Error = errMsg
+	data, ok, err := s.opts.Store.GetBytes(key)
+	if err != nil {
+		s.countStoreError()
+		return nil, false
+	}
+	if ok {
+		s.mu.Lock()
+		s.stats.TasksCached++
+		s.mu.Unlock()
+	}
+	return data, ok
+}
+
+// compute runs experiment id under the retry policy — safeRun, then
+// storeResult — and counts the run. It returns the canonical bytes, whether
+// they went uncached, and the wall time of the successful run. attempted
+// (nil for none) hears each attempt's 1-based number before it starts. An
+// error equal to ctx.Err() means ctx ended the loop; any other error is the
+// task's failure.
+func (s *Server) compute(ctx context.Context, key, id string, cfg harness.Config, attempted func(n int)) (data []byte, degraded bool, wall time.Duration, err error) {
+	policy := retry.Policy{Retries: s.opts.Retries, Backoff: s.opts.Backoff}
+	err = policy.Do(ctx, key, func(n int) error {
+		if n > 1 {
+			s.mu.Lock()
+			s.stats.TaskRetries++
+			s.mu.Unlock()
+		}
+		if attempted != nil {
+			attempted(n)
+		}
+		start := time.Now()
+		res, err := s.safeRun(ctx, id, cfg)
+		wall = time.Since(start)
+		if err != nil {
+			return err
+		}
+		data, degraded, err = s.storeResult(ctx, key, res)
+		// Only an unencodable result fails here; retrying the run cannot
+		// fix that.
+		return retry.Stop(err)
 	})
-	job.bus.publish(Event{Type: EventFailed, Task: idx, Key: t.Key, Error: errMsg})
+	if err != nil {
+		return nil, false, 0, err
+	}
+	s.mu.Lock()
+	s.stats.TasksRun++
+	if degraded {
+		s.stats.TasksDegraded++
+	}
+	s.mu.Unlock()
+	return data, degraded, wall, nil
 }
 
 // storeResult persists res under key through the circuit breaker. When the

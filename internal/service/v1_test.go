@@ -108,7 +108,7 @@ func submitJob(t *testing.T, ts *httptest.Server, experiment string) JobSummary 
 }
 
 // jobTasks fetches one page of a job's tasks via GET /v1/runs/{id}/tasks.
-func jobTasks(t *testing.T, ts *httptest.Server, id string) []TaskView {
+func jobTasks(t *testing.T, ts *httptest.Server, id string) []Task {
 	t.Helper()
 	var page taskPage
 	if code := getJSON(t, ts, "/v1/runs/"+id+"/tasks", &page); code != http.StatusOK {
