@@ -29,7 +29,8 @@ race:
 		./internal/bsp ./internal/qsm ./internal/pram ./internal/collective \
 		./internal/oracle ./internal/service ./internal/runstore ./internal/sched \
 		./internal/shrink ./internal/work/... ./internal/workgen ./internal/async \
-		./internal/harness ./internal/cluster ./internal/retry ./internal/fault
+		./internal/harness ./internal/cluster ./internal/retry ./internal/fault \
+		./internal/dynamic ./internal/netsim
 
 # Deterministic fault-injection suite (CI runs this): the internal/fault
 # framework, the hardened run store, and the service chaos tests — fixed

@@ -42,7 +42,7 @@ func main() {
 	burst := netsim.Run(netsim.Config{Sources: p, Channels: m, Seed: seed},
 		netsim.NaiveSchedule(x))
 	backoff := netsim.RunBackoff(netsim.Config{Sources: p, Channels: m, Seed: seed},
-		netsim.NaiveSchedule(x), 10)
+		netsim.NaiveSchedule(x))
 
 	fmt.Printf("%d flits through %d channels (%d sources):\n\n", n, m, p)
 	fmt.Printf("  %-28s makespan %8d   collisions %8d\n", "Unbalanced-Send paced (ε=4):", paced.Makespan, paced.Collided)

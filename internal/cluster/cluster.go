@@ -218,7 +218,9 @@ func (c *Client) count(peer string, fn func(*PeerStats)) {
 // Forward ships one task to its owning peer and returns the verified result
 // bytes. Attempts carry a per-attempt deadline (derived from ctx) and are
 // paced by deterministic-jitter backoff; a peer whose breaker is open is
-// refused immediately. Any non-nil error means the caller should degrade to
+// refused immediately, and a failure that opens it ends the loop without
+// another pause. A retry is counted only once the breaker lets its attempt
+// through. Any non-nil error means the caller should degrade to
 // local compute — Forward never partially succeeds.
 func (c *Client) Forward(ctx context.Context, owner string, req ForwardRequest) (*ForwardResult, error) {
 	base, ok := c.urls[owner]
@@ -231,16 +233,21 @@ func (c *Client) Forward(ctx context.Context, owner string, req ForwardRequest) 
 
 	var res *ForwardResult
 	err := c.policy.Do(ctx, req.Key, func(n int) error {
-		if n > 1 {
-			c.count(owner, func(st *PeerStats) { st.Retries++ })
-		}
 		if !ps.breaker.Allow(time.Now()) {
 			return retry.Stop(fmt.Errorf("cluster: peer %s breaker open", owner))
 		}
+		if n > 1 {
+			c.count(owner, func(st *PeerStats) { st.Retries++ })
+		}
 		var err error
 		if res, err = c.attempt(ctx, owner, base, req); err != nil {
-			ps.breaker.Failure(time.Now())
+			now := time.Now()
+			ps.breaker.Failure(now)
 			c.count(owner, func(st *PeerStats) { st.Failures++ })
+			if ps.breaker.Open(now) {
+				// No pause or retry for an attempt the breaker would refuse.
+				return retry.Stop(err)
+			}
 			return err
 		}
 		ps.breaker.Success()

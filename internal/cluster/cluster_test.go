@@ -206,6 +206,37 @@ func TestForwardRetriesThenDegrades(t *testing.T) {
 	}
 }
 
+// A failure that opens the breaker ends Forward at once: no backoff pause,
+// and no retry counted for an attempt the open breaker would refuse.
+func TestForwardStopsWhenBreakerOpens(t *testing.T) {
+	var hits int
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits++
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	const backoff = time.Second
+	c := testClient(t, ts.URL, func(o *Options) {
+		o.Retries = 2
+		o.Backoff = backoff
+		o.BreakerThreshold = 1
+	})
+	start := time.Now()
+	if _, err := c.Forward(context.Background(), "node-1", ForwardRequest{Key: testKey}); err == nil {
+		t.Fatal("failing peer forwarded")
+	}
+	if took := time.Since(start); took >= backoff {
+		t.Fatalf("Forward took %v, want no backoff pause (< %v)", took, backoff)
+	}
+	if hits != 1 {
+		t.Fatalf("attempts = %d, want 1", hits)
+	}
+	ps := c.Snapshot().Peers["node-1"]
+	if ps.Retries != 0 || ps.Failures != 1 || ps.Degraded != 1 {
+		t.Fatalf("peer stats = %+v, want 0 retries, 1 failure, 1 degraded", ps)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("New without Self succeeded")

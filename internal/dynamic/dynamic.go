@@ -5,7 +5,7 @@
 // messages per w consecutive steps) and a local arrival rate β (at most
 // ⌈βw⌉ of them from any one source or to any one destination).
 //
-// Routers:
+// Routers, each one window loop (route) around a static scheduler:
 //
 //   - RunBSPgInterval is Theorem 6.5's BSP(g) router: the time line is cut
 //     into intervals of max(g·⌈w/g⌉, L); each interval's arrivals are routed
@@ -16,7 +16,8 @@
 //     known), starting at the later of the next window boundary and the
 //     completion of the previous batch. It is stable for α up to ~m and β
 //     up to ~1 — a factor g more local traffic than any locally-limited
-//     router can absorb.
+//     router can absorb. RunAlgorithmBWith fills Theorem 6.7's "algorithm
+//     A" slot with any sched scheduler and messages of any length.
 //
 // The simulation keeps two clocks: the arrival clock (discrete unit steps,
 // the adversary's time line) and the machine's simulated-time clock, which
@@ -155,51 +156,35 @@ func (r Result) LooksStable() bool {
 	return second <= 2*first+3
 }
 
-// collectWindow refills plan, one row per source, with the adversary's
-// arrivals for window i (steps [i·w, (i+1)·w)) and returns their count. The
-// rows are reset to [:0] and keep their capacity, so one plan serves every
-// window; sched.UnbalancedSend copies what it needs and keeps no reference.
-func collectWindow(plan sched.Plan, adv Adversary, w, i int) int {
-	for s := range plan {
-		plan[s] = plan[s][:0]
-	}
-	n := 0
-	for t := i * w; t < (i+1)*w; t++ {
-		for _, a := range adv.Step(t) {
-			plan[a.Src] = append(plan[a.Src], bsp.Msg{Dst: int32(a.Dst), A: int64(t)})
-			n++
-		}
-	}
-	return n
-}
-
-// RunAlgorithmB routes the adversary's traffic on a globally-limited
-// machine per Theorem 6.7: window i's batch is sent with Unbalanced-Send
-// (KnownN = ⌈αw⌉, so τ = 0) starting at the later of the window's close and
-// the previous batch's completion.
-func RunAlgorithmB(m *bsp.Machine, adv Adversary, l Limits, windows int, eps float64) Result {
-	if !m.Cost().Global() {
-		panic("dynamic: RunAlgorithmB needs a globally-limited machine")
-	}
-	p := m.P()
+// route is the one window loop every router runs. Window i covers arrival
+// steps [i·w, (i+1)·w); its arrivals, each flits long, are refilled into one
+// plan row per source — the rows keep their capacity, so one plan serves
+// every window, and the schedulers copy what they need and keep no
+// reference — and send transmits the batch, starting at the later of the
+// window's close and the previous batch's completion, and returns how long
+// it took. Backlog is sampled at each window boundary.
+func route(p int, adv Adversary, w, windows, flits int, send func(sched.Plan) model.Time) Result {
 	res := Result{Windows: windows}
 	free := 0.0 // machine-time point at which the sender is next free
 	var closed []int
 	var completed []float64
 	plan := make(sched.Plan, p)
 	for i := 0; i < windows; i++ {
-		n := collectWindow(plan, adv, l.W, i)
-		closeAt := float64((i + 1) * l.W)
-		start := closeAt
-		if free > start {
-			start = free
+		for s := range plan {
+			plan[s] = plan[s][:0]
 		}
+		n := 0
+		for t := i * w; t < (i+1)*w; t++ {
+			for _, a := range adv.Step(t) {
+				plan[a.Src] = append(plan[a.Src], bsp.Msg{Dst: int32(a.Dst), Len: int32(flits), A: int64(t)})
+				n++
+			}
+		}
+		closeAt := float64((i + 1) * w)
+		free = max(free, closeAt)
 		if n > 0 {
-			r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps, KnownN: l.MaxPerWindow()})
-			free = start + r.Time
+			free += send(plan)
 			res.TotalSent += n
-		} else {
-			free = start
 		}
 		closed = append(closed, n)
 		completed = append(completed, free)
@@ -213,66 +198,48 @@ func RunAlgorithmB(m *bsp.Machine, adv Adversary, l Limits, windows int, eps flo
 			}
 		}
 		res.Backlog = append(res.Backlog, pending)
-		if pending > res.MaxBacklog {
-			res.MaxBacklog = pending
-		}
+		res.MaxBacklog = max(res.MaxBacklog, pending)
 	}
 	return res
 }
 
+// RunAlgorithmB routes the adversary's traffic on a globally-limited
+// machine per Theorem 6.7: window i's batch is sent with Unbalanced-Send
+// (KnownN = ⌈αw⌉, so τ = 0) starting at the later of the window's close and
+// the previous batch's completion.
+func RunAlgorithmB(m *bsp.Machine, adv Adversary, l Limits, windows int, eps float64) Result {
+	return RunAlgorithmBWith(m, adv, l, windows, 1, sched.UnbalancedSend, eps)
+}
+
+// RunAlgorithmBWith is RunAlgorithmB with an explicit static scheduler A —
+// Theorem 6.7 holds for any A — and message length (flits per message; 1
+// for the unit case). A runs with Options{Eps: eps, KnownN: ⌈αw⌉·flits},
+// the per-window budget in flits; pairing long messages with
+// sched.UnbalancedConsecutiveSend is the Theorem 6.3 + 6.7 composition.
+func RunAlgorithmBWith(m *bsp.Machine, adv Adversary, l Limits, windows int, flits int,
+	schedule func(*bsp.Machine, sched.Plan, sched.Options) sched.Result, eps float64) Result {
+	if !m.Cost().Global() {
+		panic("dynamic: Algorithm B needs a globally-limited machine")
+	}
+	flits = max(flits, 1)
+	opt := sched.Options{Eps: eps, KnownN: l.MaxPerWindow() * flits}
+	return route(m.P(), adv, l.W, windows, flits, func(plan sched.Plan) model.Time {
+		return schedule(m, plan, opt).Time
+	})
+}
+
 // RunBSPgInterval routes the adversary's traffic on a locally-limited
 // machine per Theorem 6.5: intervals of size max(g·⌈w/g⌉, L), each routed in
-// one plain superstep during the next interval.
+// one plain superstep (one h-relation) during the next interval.
 func RunBSPgInterval(m *bsp.Machine, adv Adversary, l Limits, windows int) Result {
 	if m.Cost().Kind != model.KindBSPg {
 		panic("dynamic: RunBSPgInterval needs a BSP(g) machine")
 	}
-	p := m.P()
 	g := m.Cost().G
-	interval := g * ((l.W + g - 1) / g)
-	if m.Cost().L > interval {
-		interval = m.Cost().L
-	}
-	res := Result{Windows: windows}
-	free := 0.0
-	var closed []int
-	var completed []float64
-	for i := 0; i < windows; i++ {
-		plan := make(sched.Plan, p)
-		n := 0
-		for t := i * interval; t < (i+1)*interval; t++ {
-			for _, a := range adv.Step(t) {
-				plan[a.Src] = append(plan[a.Src], bsp.Msg{Dst: int32(a.Dst), A: int64(t)})
-				n++
-			}
-		}
-		closeAt := float64((i + 1) * interval)
-		start := closeAt
-		if free > start {
-			start = free
-		}
-		if n > 0 {
-			r := sched.NaiveSend(m, plan) // one h-relation superstep
-			free = start + r.Time
-			res.TotalSent += n
-		} else {
-			free = start
-		}
-		closed = append(closed, n)
-		completed = append(completed, free)
-		res.ServiceTimes = append(res.ServiceTimes, free-closeAt)
-		pending := 0
-		for j := 0; j <= i; j++ {
-			if completed[j] > closeAt {
-				pending += closed[j]
-			}
-		}
-		res.Backlog = append(res.Backlog, pending)
-		if pending > res.MaxBacklog {
-			res.MaxBacklog = pending
-		}
-	}
-	return res
+	interval := max(g*((l.W+g-1)/g), m.Cost().L)
+	return route(m.P(), adv, interval, windows, 1, func(plan sched.Plan) model.Time {
+		return sched.NaiveSend(m, plan).Time
+	})
 }
 
 // --- Adversaries ---
@@ -418,93 +385,4 @@ func (a *BurstAdversary) Step(t int) []Arrival {
 	}
 	a.mem[t] = out
 	return out
-}
-
-// Scheduler is the static routing algorithm A that Theorem 6.7
-// parameterizes Algorithm B over: anything that sends a batch and reports
-// its completion time.
-type Scheduler func(m *bsp.Machine, plan sched.Plan, knownN int) model.Time
-
-// UnbalancedSendScheduler adapts Theorem 6.2's scheduler.
-func UnbalancedSendScheduler(eps float64) Scheduler {
-	return func(m *bsp.Machine, plan sched.Plan, knownN int) model.Time {
-		return sched.UnbalancedSend(m, plan, sched.Options{Eps: eps, KnownN: knownN}).Time
-	}
-}
-
-// ConsecutiveSendScheduler adapts Theorem 6.3's scheduler (for flows with
-// long messages whose flits must be contiguous).
-func ConsecutiveSendScheduler(eps float64) Scheduler {
-	return func(m *bsp.Machine, plan sched.Plan, knownN int) model.Time {
-		return sched.UnbalancedConsecutiveSend(m, plan, sched.Options{Eps: eps, KnownN: knownN}).Time
-	}
-}
-
-// FlitAdversary wraps an Adversary, assigning every injected message a
-// fixed flit length — the variable-length extension of the dynamic problem
-// (the paper's Theorem 6.7 statement is for an arbitrary scheduler A, so
-// pairing a flit adversary with ConsecutiveSendScheduler exercises the
-// Theorem 6.3 + 6.7 composition).
-type FlitAdversary struct {
-	Inner Adversary
-	Len   int
-}
-
-// Step returns the inner arrivals (lengths are applied by RunAlgorithmBWith
-// via the plan builder, which reads FlitAdversary.Len).
-func (f FlitAdversary) Step(t int) []Arrival { return f.Inner.Step(t) }
-
-// RunAlgorithmBWith is RunAlgorithmB with an explicit scheduler A and
-// message length (flits per message; 1 for the unit case). The knownN
-// handed to A is ⌈αw⌉·flits, the per-window budget in flits.
-func RunAlgorithmBWith(m *bsp.Machine, adv Adversary, l Limits, windows int,
-	flits int, schedule Scheduler) Result {
-	if !m.Cost().Global() {
-		panic("dynamic: RunAlgorithmBWith needs a globally-limited machine")
-	}
-	if flits < 1 {
-		flits = 1
-	}
-	p := m.P()
-	res := Result{Windows: windows}
-	free := 0.0
-	var closed []int
-	var completed []float64
-	for i := 0; i < windows; i++ {
-		plan := make(sched.Plan, p)
-		n := 0
-		for t := i * l.W; t < (i+1)*l.W; t++ {
-			for _, a := range adv.Step(t) {
-				plan[a.Src] = append(plan[a.Src],
-					bsp.Msg{Dst: int32(a.Dst), Len: int32(flits), A: int64(t)})
-				n++
-			}
-		}
-		closeAt := float64((i + 1) * l.W)
-		start := closeAt
-		if free > start {
-			start = free
-		}
-		if n > 0 {
-			took := schedule(m, plan, l.MaxPerWindow()*flits)
-			free = start + took
-			res.TotalSent += n
-		} else {
-			free = start
-		}
-		closed = append(closed, n)
-		completed = append(completed, free)
-		res.ServiceTimes = append(res.ServiceTimes, free-closeAt)
-		pending := 0
-		for j := 0; j <= i; j++ {
-			if completed[j] > closeAt {
-				pending += closed[j]
-			}
-		}
-		res.Backlog = append(res.Backlog, pending)
-		if pending > res.MaxBacklog {
-			res.MaxBacklog = pending
-		}
-	}
-	return res
 }

@@ -5,6 +5,7 @@ import (
 
 	"parbw/internal/bsp"
 	"parbw/internal/model"
+	"parbw/internal/sched"
 )
 
 func bspgM(p, g, l int) *bsp.Machine {
@@ -210,7 +211,7 @@ func TestAlgorithmBWithFlits(t *testing.T) {
 	l := Limits{W: 64, Alpha: float64(mm) / float64(4*flits), Beta: 0.25}
 	adv := NewUniformAdversary(p, l, 21)
 	m := bspmM(p, mm, lL)
-	res := RunAlgorithmBWith(m, adv, l, 80, flits, ConsecutiveSendScheduler(0.25))
+	res := RunAlgorithmBWith(m, adv, l, 80, flits, sched.UnbalancedConsecutiveSend, 0.25)
 	if !res.LooksStable() {
 		t.Fatalf("flit Algorithm B unstable: backlog %v", res.Backlog)
 	}
@@ -226,7 +227,7 @@ func TestAlgorithmBWithFlitsOverload(t *testing.T) {
 	l := Limits{W: 64, Alpha: float64(mm), Beta: 1} // α·flits = 8m ≫ m
 	adv := NewUniformAdversary(p, l, 22)
 	m := bspmM(p, mm, lL)
-	res := RunAlgorithmBWith(m, adv, l, 60, flits, ConsecutiveSendScheduler(0.25))
+	res := RunAlgorithmBWith(m, adv, l, 60, flits, sched.UnbalancedConsecutiveSend, 0.25)
 	if res.LooksStable() {
 		t.Fatalf("flit-overloaded Algorithm B reported stable: backlog %v", res.Backlog)
 	}
@@ -239,20 +240,8 @@ func TestRunWithMatchesRunAlgorithmB(t *testing.T) {
 	a1 := NewUniformAdversary(p, l, 23)
 	r1 := RunAlgorithmB(bspmM(p, mm, lL), a1, l, 40, 0.25)
 	a2 := NewUniformAdversary(p, l, 23)
-	r2 := RunAlgorithmBWith(bspmM(p, mm, lL), a2, l, 40, 1, UnbalancedSendScheduler(0.25))
+	r2 := RunAlgorithmBWith(bspmM(p, mm, lL), a2, l, 40, 1, sched.UnbalancedSend, 0.25)
 	if r1.TotalSent != r2.TotalSent || r1.MaxBacklog != r2.MaxBacklog {
 		t.Fatalf("generalized runner diverged: %+v vs %+v", r1, r2)
-	}
-}
-
-func TestFlitAdversaryPassthrough(t *testing.T) {
-	l := Limits{W: 8, Alpha: 1, Beta: 1}
-	inner := SingleTargetAdversary{L: l}
-	f := FlitAdversary{Inner: inner, Len: 3}
-	for tt := 0; tt < 16; tt++ {
-		a, b := inner.Step(tt), f.Step(tt)
-		if len(a) != len(b) {
-			t.Fatal("FlitAdversary altered arrivals")
-		}
 	}
 }

@@ -3,11 +3,11 @@ package harness
 import (
 	"fmt"
 
-	"parbw/internal/bsp"
 	"parbw/internal/dynamic"
 	"parbw/internal/lower"
 	"parbw/internal/problems"
 	"parbw/internal/queue"
+	"parbw/internal/sched"
 	"parbw/internal/tablefmt"
 	"parbw/internal/xrand"
 )
@@ -144,8 +144,7 @@ func runDynBSPm(rec *Recorder) {
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.5}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
 		m := newBSPmExp(p, mm, l, cfg)
-		res := dynamic.RunAlgorithmBWith(m, adv, lmt, windows, fl,
-			dynamic.ConsecutiveSendScheduler(0.25))
+		res := dynamic.RunAlgorithmBWith(m, adv, lmt, windows, fl, sched.UnbalancedConsecutiveSend, 0.25)
 		row(fl, alpha*float64(fl), stableStr(res.LooksStable()), res.MaxBacklog, res.MeanService())
 	})
 	rec.Emit(t3)
@@ -163,11 +162,11 @@ func runListRankAblation(rec *Recorder) {
 	ns := rec.IntSweep("n", []int{512, 1024, 4096}, []int{256})
 	rec.Rows(t, len(ns), func(i int, row func(...any)) {
 		p := ns[i]
-		list := randomListFor(cfg.Seed, p)
+		list := problems.RandomList(xrand.New(cfg.Seed), p)
 		mj := newBSPmL(p, mm, l, cfg)
-		problemsListRankJump(mj, list)
+		problems.ListRankJumpBSP(mj, list)
 		mc := newBSPmL(p, mm, l, cfg)
-		problemsListRankContract(mc, list)
+		problems.ListRankContractBSP(mc, list)
 		row(p, mj.Time(), mc.Time(), mj.Time()/mc.Time())
 	})
 	rec.Emit(t)
@@ -179,11 +178,3 @@ func stableStr(b bool) string {
 	}
 	return "UNSTABLE"
 }
-
-// Small indirections keeping dynexp.go's imports tidy.
-func randomListFor(seed uint64, n int) problems.List {
-	return problems.RandomList(xrand.New(seed), n)
-}
-
-func problemsListRankJump(m *bsp.Machine, l problems.List)     { problems.ListRankJumpBSP(m, l) }
-func problemsListRankContract(m *bsp.Machine, l problems.List) { problems.ListRankContractBSP(m, l) }

@@ -381,7 +381,7 @@ func runChannels(rec *Recorder) {
 		burst := netsim.Run(netsim.Config{Sources: p, Channels: mm, Seed: netSeed},
 			netsim.NaiveSchedule(x))
 		backoff := netsim.RunBackoff(netsim.Config{Sources: p, Channels: mm, Seed: netSeed},
-			netsim.NaiveSchedule(x), 10)
+			netsim.NaiveSchedule(x))
 		ideal := float64(n) / (float64(mm) / 2.718281828)
 		row(mm, n, paced.Makespan, burst.Makespan, backoff.Makespan,
 			float64(burst.Makespan)/float64(paced.Makespan), ideal)

@@ -30,7 +30,8 @@ type Config struct {
 	Sources  int    // p
 	Channels int    // m
 	Seed     uint64 // contention randomness
-	// MaxSteps aborts a run that fails to drain (0 = 100·(n + p) steps).
+	// MaxSteps aborts a run that fails to drain (0 = 100·(n+p+1) steps,
+	// 1000·(n+p+1) under backoff).
 	MaxSteps int
 }
 
@@ -49,39 +50,62 @@ type Result struct {
 // flit injection times (any order; sorted internally): source i offers its
 // next flit at max(planned time, previous flit's delivery attempt chain),
 // one attempt per step.
-func Run(cfg Config, planned [][]int) Result {
+func Run(cfg Config, planned [][]int) Result { return drain(cfg, planned, false) }
+
+// RunBackoff drains the schedule with binary exponential backoff (the
+// protocol family studied by Goldberg & MacKenzie in the paper's Section 3
+// citations): after a collision a source waits a uniform number of steps
+// in [0, 2^c) where c is its collision count (capped at maxExp), instead of
+// retrying immediately. Backoff stabilizes moderate overloads without
+// global coordination — the decentralized alternative to Unbalanced-Send's
+// schedule — at the price of idle steps at low load.
+func RunBackoff(cfg Config, planned [][]int) Result { return drain(cfg, planned, true) }
+
+// maxExp caps a backing-off source's collision count c.
+const maxExp = 10
+
+// drain is the one step loop of Run and RunBackoff. Each step every source
+// with a ready flit — and, under backoff, past its backoff deadline — picks
+// a channel; a channel carries a flit only when exactly one source picked
+// it. The default step cap is 100·(n+p+1), or 1000·(n+p+1) under backoff,
+// whose idle waits drain more slowly.
+func drain(cfg Config, planned [][]int, backoff bool) Result {
 	queues, total := newQueues(cfg, planned)
 	rng := xrand.New(cfg.Seed)
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 100 * (total + cfg.Sources + 1)
+		if backoff {
+			maxSteps *= 10
+		}
 	}
 
 	var res Result
 	pick := make([]int, cfg.Sources) // channel chosen this step, -1 = idle
 	count := make([]int, cfg.Channels)
+	var waitUntil, collisions []int // backoff deadline and collision count per source
+	if backoff {
+		waitUntil = make([]int, cfg.Sources)
+		collisions = make([]int, cfg.Sources)
+	}
 	for t := 0; res.Delivered < total && t < maxSteps; t++ {
 		for c := range count {
 			count[c] = 0
 		}
-		offering := 0
 		backlog := 0
 		for i := range queues {
 			pick[i] = -1
 			ready := queues[i].ready(t)
 			backlog += ready
-			if ready == 0 {
+			if ready == 0 || backoff && t < waitUntil[i] {
 				continue
 			}
 			ch := rng.Intn(cfg.Channels)
 			pick[i] = ch
 			count[ch]++
-			offering++
 			res.Attempts++
 		}
-		if backlog > res.MaxQueue {
-			res.MaxQueue = backlog
-		}
+		res.MaxQueue = max(res.MaxQueue, backlog)
 		for i := range queues {
 			ch := pick[i]
 			if ch < 0 {
@@ -91,8 +115,15 @@ func Run(cfg Config, planned [][]int) Result {
 				queues[i].head++
 				res.Delivered++
 				res.Makespan = t + 1
+				if backoff {
+					collisions[i] = 0
+				}
 			} else {
 				res.Collided++
+				if backoff {
+					collisions[i] = min(collisions[i]+1, maxExp)
+					waitUntil[i] = t + 1 + rng.Intn(1<<collisions[i])
+				}
 			}
 		}
 	}
@@ -202,76 +233,4 @@ func ExpectedThroughput(k, m int) float64 {
 		p *= base
 	}
 	return float64(k) * p
-}
-
-// RunBackoff drains the schedule with binary exponential backoff (the
-// protocol family studied by Goldberg & MacKenzie in the paper's Section 3
-// citations): after a collision a source waits a uniform number of steps
-// in [0, 2^c) where c is its collision count (capped), instead of retrying
-// immediately. Backoff stabilizes moderate overloads without global
-// coordination — the decentralized alternative to Unbalanced-Send's
-// schedule — at the price of idle steps at low load.
-func RunBackoff(cfg Config, planned [][]int, maxExp int) Result {
-	queues, total := newQueues(cfg, planned)
-	if maxExp < 1 {
-		maxExp = 10
-	}
-	rng := xrand.New(cfg.Seed)
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1000 * (total + cfg.Sources + 1)
-	}
-
-	var res Result
-	pick := make([]int, cfg.Sources)
-	count := make([]int, cfg.Channels)
-	waitUntil := make([]int, cfg.Sources) // backoff deadline per source
-	collisions := make([]int, cfg.Sources)
-	for t := 0; res.Delivered < total && t < maxSteps; t++ {
-		for c := range count {
-			count[c] = 0
-		}
-		backlog := 0
-		for i := range queues {
-			pick[i] = -1
-			ready := queues[i].ready(t)
-			backlog += ready
-			if ready == 0 || t < waitUntil[i] {
-				continue
-			}
-			ch := rng.Intn(cfg.Channels)
-			pick[i] = ch
-			count[ch]++
-			res.Attempts++
-		}
-		if backlog > res.MaxQueue {
-			res.MaxQueue = backlog
-		}
-		for i := range queues {
-			ch := pick[i]
-			if ch < 0 {
-				continue
-			}
-			if count[ch] == 1 {
-				queues[i].head++
-				res.Delivered++
-				res.Makespan = t + 1
-				collisions[i] = 0
-			} else {
-				res.Collided++
-				if collisions[i] < maxExp {
-					collisions[i]++
-				}
-				waitUntil[i] = t + 1 + rng.Intn(1<<collisions[i])
-			}
-		}
-	}
-	if res.Delivered < total {
-		res.Truncated = true
-		res.Makespan = maxSteps
-	}
-	if res.Makespan > 0 {
-		res.Goodput = float64(res.Delivered) / float64(res.Makespan)
-	}
-	return res
 }

@@ -155,7 +155,7 @@ func TestBackoffDrains(t *testing.T) {
 			x[i] = rng.Intn(8)
 			total += x[i]
 		}
-		res := RunBackoff(Config{Sources: p, Channels: 2, Seed: seed}, NaiveSchedule(x), 10)
+		res := RunBackoff(Config{Sources: p, Channels: 2, Seed: seed}, NaiveSchedule(x))
 		return res.Delivered == total && !res.Truncated
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -176,7 +176,7 @@ func TestBackoffBetweenNaiveAndPaced(t *testing.T) {
 	paced := Run(Config{Sources: p, Channels: m, Seed: 11},
 		UnbalancedSchedule(rng, x, m, 4.0))
 	burstNoBackoff := Run(Config{Sources: p, Channels: m, Seed: 11}, NaiveSchedule(x))
-	burstBackoff := RunBackoff(Config{Sources: p, Channels: m, Seed: 11}, NaiveSchedule(x), 10)
+	burstBackoff := RunBackoff(Config{Sources: p, Channels: m, Seed: 11}, NaiveSchedule(x))
 	if burstBackoff.Makespan >= burstNoBackoff.Makespan {
 		t.Fatalf("backoff (%d) did not improve on blind retry (%d)",
 			burstBackoff.Makespan, burstNoBackoff.Makespan)
@@ -192,5 +192,5 @@ func TestBackoffValidation(t *testing.T) {
 			t.Fatal("bad config accepted")
 		}
 	}()
-	RunBackoff(Config{Sources: 1, Channels: 0}, make([][]int, 1), 4)
+	RunBackoff(Config{Sources: 1, Channels: 0}, make([][]int, 1))
 }

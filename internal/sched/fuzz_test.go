@@ -1,5 +1,5 @@
 // Native fuzzing of the slot-schedule rejection path sched relies on:
-// Replay gates every IR on work.IR.Validate, so a schedule Validate accepts
+// ReplayAll gates every IR on work.IR.Validate, so a schedule Validate accepts
 // must drive a real machine without panicking. This file lives in the
 // external sched_test package so it can seed from the oracle's checked-in
 // corpus, which is decoded with the oracle package.
@@ -76,7 +76,7 @@ func checkSlotSchedule(t *testing.T, procs int, data []byte) {
 		return
 	}
 	m := bsp.New(bsp.Config{P: procs, Cost: model.BSPm(1, 1), Seed: 1})
-	sched.Replay(m, ir, 0)
+	sched.ReplayAll(m, ir)
 }
 
 // FuzzCheckSlotSchedule runs the slot-schedule contract from hand-written

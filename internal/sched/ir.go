@@ -7,11 +7,11 @@ import (
 	"parbw/internal/work"
 )
 
-// This file prices a work.IR superstep exactly as scheduled. The
-// schedulers choose their own slots, so they take one superstep's traffic
-// as a Plan — sched.Plan(ir.Rows(step)) — while Replay injects the IR's
-// explicit slot schedule verbatim, pricing a lowered schedule as-is (the
-// DAG experiments) rather than re-scheduling it.
+// This file prices a work.IR exactly as scheduled. The schedulers choose
+// their own slots, so they take one superstep's traffic as a Plan —
+// sched.Plan(ir.Rows(step)) — while ReplayAll injects the IR's explicit slot
+// schedule verbatim, pricing a lowered schedule as-is (the DAG experiments)
+// rather than re-scheduling it.
 
 // compileIR groups one IR superstep's sends by processor: order lists send
 // indices with processor i's at order[row[i]:row[i+1]], in stored send
@@ -43,48 +43,32 @@ func compileIR(m *bsp.Machine, ir *work.IR, step int) (row, order []int) {
 	return row, order
 }
 
-// mustValidate panics on an IR that fails work.IR.Validate, so callers
-// holding adversarial input must Validate first.
-func mustValidate(ir *work.IR) {
+// ReplayAll runs every superstep of the IR in order, exactly as scheduled,
+// and returns the per-superstep stats: each processor is charged its
+// compute work, then injects every send at the send's explicit slot. This
+// prices a lowered schedule as-is — no re-scheduling — under whatever cost
+// model the machine carries, and is what the DAG experiments drive. It
+// panics on an IR that fails work.IR.Validate (checked once, not once per
+// superstep), so callers holding adversarial input must Validate first.
+func ReplayAll(m *bsp.Machine, ir *work.IR) []bsp.Stats {
 	if err := ir.Validate(); err != nil {
 		panic(err.Error())
 	}
-}
-
-// Replay runs one IR superstep exactly as scheduled: each processor is
-// charged its compute work, then injects every send at the send's explicit
-// slot. This prices a lowered schedule as-is — no re-scheduling — under
-// whatever cost model the machine carries, and is what the DAG experiments
-// drive.
-func Replay(m *bsp.Machine, ir *work.IR, step int) bsp.Stats {
-	mustValidate(ir)
-	return replay(m, ir, step)
-}
-
-// ReplayAll replays every superstep of the IR in order and returns the
-// per-superstep stats. The IR is validated once, not once per superstep.
-func ReplayAll(m *bsp.Machine, ir *work.IR) []bsp.Stats {
-	mustValidate(ir)
 	out := make([]bsp.Stats, len(ir.Steps))
 	for step := range ir.Steps {
-		out[step] = replay(m, ir, step)
+		row, order := compileIR(m, ir, step)
+		sends := ir.Steps[step].Sends
+		workVec := ir.Steps[step].Work
+		out[step] = m.Superstep(func(c *bsp.Ctx) {
+			i := c.ID()
+			if i < len(workVec) {
+				c.Charge(int(workVec[i]))
+			}
+			for _, k := range order[row[i]:row[i+1]] {
+				s := &sends[k]
+				c.SendAt(s.Slot, s.Dst, s.Msg())
+			}
+		})
 	}
 	return out
-}
-
-// replay is Replay over an already validated IR.
-func replay(m *bsp.Machine, ir *work.IR, step int) bsp.Stats {
-	row, order := compileIR(m, ir, step)
-	sends := ir.Steps[step].Sends
-	workVec := ir.Steps[step].Work
-	return m.Superstep(func(c *bsp.Ctx) {
-		i := c.ID()
-		if i < len(workVec) {
-			c.Charge(int(workVec[i]))
-		}
-		for _, k := range order[row[i]:row[i+1]] {
-			s := &sends[k]
-			c.SendAt(s.Slot, s.Dst, s.Msg())
-		}
-	})
 }

@@ -86,10 +86,12 @@ func TestReplayDeliversAndCharges(t *testing.T) {
 		t.Fatalf("stats = %d supersteps", len(stats))
 	}
 	// Inboxes hold only the latest superstep's deliveries, so replay again
-	// step by step to tally all of them.
-	m2 := machine(4, 2, 1, 1)
+	// one superstep at a time to tally all of them.
 	for step := range ir.Steps {
-		Replay(m2, ir, step)
+		one := ir.Clone()
+		one.Steps = one.Steps[step : step+1]
+		m2 := machine(4, 2, 1, 1)
+		ReplayAll(m2, one)
 		f, _ := deliveredFlits(m2)
 		flits += f
 	}
@@ -111,14 +113,14 @@ func TestReplayPanicsOnInvalidIR(t *testing.T) {
 		Steps: []work.Step{{Sends: []work.Send{{Proc: 0, Slot: 0, Dst: 9}}}}}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Replay accepted an invalid IR")
+			t.Fatal("ReplayAll accepted an invalid IR")
 		}
 	}()
-	Replay(machine(2, 1, 1, 1), ir, 0)
+	ReplayAll(machine(2, 1, 1, 1), ir)
 }
 
 // One superstep's slot schedule is accepted by the IR's validation exactly
-// when Replay drives it through the engine, and the rejections name the
+// when ReplayAll drives it through the engine, and the rejections name the
 // offending slot, endpoint or length.
 func TestCheckSlotScheduleTable(t *testing.T) {
 	cases := []struct {
@@ -152,11 +154,11 @@ func TestCheckSlotScheduleTable(t *testing.T) {
 			}
 			panicked := func() (p bool) {
 				defer func() { p = recover() != nil }()
-				Replay(machine(4, 2, 1, 1), ir, 0)
+				ReplayAll(machine(4, 2, 1, 1), ir)
 				return
 			}()
 			if (err != nil) != panicked {
-				t.Fatalf("Validate err=%v but Replay panicked=%v", err, panicked)
+				t.Fatalf("Validate err=%v but ReplayAll panicked=%v", err, panicked)
 			}
 			if c.wantErr == "" {
 				if err != nil {

@@ -48,10 +48,10 @@ type QSMResult struct {
 	Period int
 }
 
-// checkQSMPlan validates shape and addresses. Duplicate detection sorts a
-// reused address scratch per processor instead of filling a map — the
-// per-phase map allocation and hashing showed up in the scheduling sweeps.
-func checkQSMPlan(m *qsm.Machine, plan QSMPlan) {
+// checkQSMPlan validates shape and addresses and returns each processor's
+// request count. Duplicate detection sorts a reused address scratch per
+// processor instead of filling a map per phase.
+func checkQSMPlan(m *qsm.Machine, plan QSMPlan) []int {
 	if len(plan) != m.P() {
 		panic(fmt.Sprintf("sched: QSM plan has %d rows for %d processors", len(plan), m.P()))
 	}
@@ -71,100 +71,57 @@ func checkQSMPlan(m *qsm.Machine, plan QSMPlan) {
 			}
 		}
 	}
-}
-
-// learnNQSM makes n known to every processor (Options.KnownN or the
-// prefix-sum/broadcast protocol on the QSM, charging τ).
-func learnNQSM(m *qsm.Machine, x []int, opt Options) (n int, tau model.Time) {
-	if opt.KnownN > 0 {
-		return opt.KnownN, 0
-	}
-	counts := make([]int64, len(x))
-	for i, v := range x {
-		counts[i] = int64(v)
-	}
-	before := m.Time()
-	total := collective.SumAllQSM(m, counts, collective.Sum)
-	return int(total), m.Time() - before
-}
-
-// UnbalancedSendQSM is Unbalanced-Send on a QSM machine: processor i with
-// x_i <= T picks a uniform phase j_i in the period T = ⌈(1+ε)n/m⌉ and
-// issues its requests at steps (j_i + k) mod T; an overloaded processor
-// issues consecutively from step 0.
-func UnbalancedSendQSM(m *qsm.Machine, plan QSMPlan, opt Options) QSMResult {
-	checkQSMPlan(m, plan)
 	x, _ := plan.Counts(m.P())
-	n, tau := learnNQSM(m, x, opt)
-	mm := m.Cost().M
-	if m.Cost().Kind == model.KindQSMg {
-		mm = m.P() // no aggregate limit; schedule degenerates
-	}
-	T := period(n, mm, opt.eps())
-	st := m.Phase(func(c *qsm.Ctx) {
-		i := c.ID()
-		if x[i] == 0 {
-			return
-		}
-		if x[i] > T {
-			for k, w := range plan[i] {
-				c.WriteAt(k, w.Addr, w.Val)
-			}
-			return
-		}
-		j := c.RNG().Intn(T)
-		for k, w := range plan[i] {
-			c.WriteAt((j+k)%T, w.Addr, w.Val)
-		}
-	})
-	return finishQSM(m.P(), plan, st, tau, T)
+	return x
 }
 
-// UnbalancedConsecutiveSendQSM issues all of a processor's requests
-// consecutively from a random start (Theorem 6.3's variant on the QSM).
-func UnbalancedConsecutiveSendQSM(m *qsm.Machine, plan QSMPlan, opt Options) QSMResult {
-	checkQSMPlan(m, plan)
-	x, _ := plan.Counts(m.P())
-	n, tau := learnNQSM(m, x, opt)
+// learnQSM validates plan, makes n known to every processor (Options.KnownN
+// or the prefix-sum/broadcast protocol on the QSM, charging τ) and returns
+// the request counts, τ and the period T = ⌈(1+ε)n/m⌉. A QSM(g) has no
+// aggregate limit, so there the schedule degenerates to m = p.
+func learnQSM(m *qsm.Machine, plan QSMPlan, opt Options) (x []int, tau model.Time, T int) {
+	x = checkQSMPlan(m, plan)
+	n := opt.KnownN
+	if n <= 0 {
+		counts := make([]int64, len(x))
+		for i, v := range x {
+			counts[i] = int64(v)
+		}
+		before := m.Time()
+		n = int(collective.SumAllQSM(m, counts, collective.Sum))
+		tau = m.Time() - before
+	}
 	mm := m.Cost().M
 	if m.Cost().Kind == model.KindQSMg {
 		mm = m.P()
 	}
-	T := period(n, mm, opt.eps())
+	return x, tau, period(n, mm, opt.eps())
+}
+
+// writeQSM is the one write phase every QSM scheduler runs, the QSM
+// counterpart of send: start(c, x) returns the first step of a processor
+// holding x > 0 requests and its wrap period (0 = no wrap), and request k
+// goes at start + k, taken mod wrap when wrap > 0.
+func writeQSM(m *qsm.Machine, plan QSMPlan, x []int, tau model.Time, T int,
+	start func(c *qsm.Ctx, x int) (slot, wrap int)) QSMResult {
 	st := m.Phase(func(c *qsm.Ctx) {
 		i := c.ID()
 		if x[i] == 0 {
 			return
 		}
-		start := 0
-		if x[i] <= T {
-			start = c.RNG().Intn(T)
-		}
+		slot, wrap := start(c, x[i])
 		for k, w := range plan[i] {
-			c.WriteAt(start+k, w.Addr, w.Val)
+			s := slot + k
+			if wrap > 0 {
+				s %= wrap
+			}
+			c.WriteAt(s, w.Addr, w.Val)
 		}
 	})
-	return finishQSM(m.P(), plan, st, tau, T)
-}
-
-// NaiveSendQSM issues every processor's requests from step 0.
-func NaiveSendQSM(m *qsm.Machine, plan QSMPlan) QSMResult {
-	checkQSMPlan(m, plan)
-	st := m.Phase(func(c *qsm.Ctx) {
-		for k, w := range plan[c.ID()] {
-			c.WriteAt(k, w.Addr, w.Val)
-		}
-	})
-	return finishQSM(m.P(), plan, st, 0, 0)
-}
-
-func finishQSM(p int, plan QSMPlan, st qsm.Stats, tau model.Time, T int) QSMResult {
-	x, n := plan.Counts(p)
-	xb := 0
+	n, xb := 0, 0
 	for _, v := range x {
-		if v > xb {
-			xb = v
-		}
+		n += v
+		xb = max(xb, v)
 	}
 	return QSMResult{
 		Time:   st.Cost + tau,
@@ -174,6 +131,38 @@ func finishQSM(p int, plan QSMPlan, st qsm.Stats, tau model.Time, T int) QSMResu
 		XBar:   xb,
 		Period: T,
 	}
+}
+
+// UnbalancedSendQSM is Unbalanced-Send on a QSM machine: processor i with
+// x_i <= T picks a uniform phase j_i in the period T = ⌈(1+ε)n/m⌉ and
+// issues its requests at steps (j_i + k) mod T; an overloaded processor
+// issues consecutively from step 0.
+func UnbalancedSendQSM(m *qsm.Machine, plan QSMPlan, opt Options) QSMResult {
+	x, tau, T := learnQSM(m, plan, opt)
+	return writeQSM(m, plan, x, tau, T, func(c *qsm.Ctx, x int) (int, int) {
+		if x > T {
+			return 0, 0
+		}
+		return c.RNG().Intn(T), T
+	})
+}
+
+// UnbalancedConsecutiveSendQSM issues all of a processor's requests
+// consecutively from a random start (Theorem 6.3's variant on the QSM).
+func UnbalancedConsecutiveSendQSM(m *qsm.Machine, plan QSMPlan, opt Options) QSMResult {
+	x, tau, T := learnQSM(m, plan, opt)
+	return writeQSM(m, plan, x, tau, T, func(c *qsm.Ctx, x int) (int, int) {
+		if x > T {
+			return 0, 0
+		}
+		return c.RNG().Intn(T), 0
+	})
+}
+
+// NaiveSendQSM issues every processor's requests from step 0.
+func NaiveSendQSM(m *qsm.Machine, plan QSMPlan) QSMResult {
+	return writeQSM(m, plan, checkQSMPlan(m, plan), 0, 0,
+		func(*qsm.Ctx, int) (int, int) { return 0, 0 })
 }
 
 // OptimalOfflineQSM returns the offline bound max(⌈n/m⌉, x̄, κ) for a run

@@ -36,9 +36,12 @@
 // the optimal offline schedule up to rounding).
 //
 // Each scheduler has one entry point, over a Plan: x_i messages per
-// processor with the slots left to the scheduler. Traffic held in the
-// canonical work.IR enters as Plan(ir.Rows(step)); Replay instead injects an
-// IR superstep's own slot schedule verbatim.
+// processor with the slots left to the scheduler. Every BSP scheduler is a
+// start rule — a processor's first slot and whether it wraps at the period —
+// over one injection superstep (send); the QSM schedulers likewise share one
+// write phase (writeQSM). Traffic held in the canonical work.IR enters as
+// Plan(ir.Rows(step)); ReplayAll instead injects an IR's own slot schedule
+// verbatim.
 package sched
 
 import (
@@ -161,7 +164,7 @@ func (r Result) OptimalOffline(m, l int) model.Time {
 // array reads and an add — no nested slices, no repeated Flits calls, and
 // no recomputation of the flit tallies that both the period computation and
 // the result assembly need. Compilation also validates the plan (shape and
-// destinations), subsuming the old checkPlan.
+// destinations).
 type compiled struct {
 	msgs []bsp.Msg // all rows concatenated in processor order
 	row  []int     // len p+1; msgs[row[i]:row[i+1]] is processor i's row
@@ -207,7 +210,7 @@ func compile(m *bsp.Machine, plan Plan) *compiled {
 	return c
 }
 
-// xbar returns max x_i, max y_i.
+// bars returns max x_i, max y_i.
 func (c *compiled) bars() (xb, yb int) {
 	for i := range c.x {
 		if c.x[i] > xb {
@@ -235,22 +238,6 @@ func learnN(m *bsp.Machine, x []int, opt Options) (n int, tau model.Time) {
 	return int(total), m.Time() - before
 }
 
-// finish assembles the Result from the compiled plan's precomputed tallies
-// (the pre-compaction code walked the ragged plan twice per run to recount
-// them).
-func finish(cp *compiled, st bsp.Stats, tau model.Time, period int) Result {
-	xb, yb := cp.bars()
-	return Result{
-		Time:   st.Cost + tau,
-		Tau:    tau,
-		Send:   st,
-		N:      cp.n,
-		XBar:   xb,
-		YBar:   yb,
-		Period: period,
-	}
-}
-
 // period returns the cyclic schedule period T = ⌈(1+ε)n/m⌉, at least 1.
 func period(n, m int, eps float64) int {
 	t := int((1 + eps) * float64(n) / float64(m))
@@ -260,37 +247,53 @@ func period(n, m int, eps float64) int {
 	return t
 }
 
-// UnbalancedSend runs Algorithm Unbalanced-Send (Theorem 6.2). Messages of
-// length > 1 use the paper's long-message modification: a message whose
-// cyclic allocation crosses the period boundary is sent straight through in
-// consecutive steps (additive ℓ̂).
-func UnbalancedSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	cp := compile(m, plan)
-	n, tau := learnN(m, cp.x, opt)
-	T := period(n, m.Cost().M, opt.eps())
+// send is the one injection superstep every BSP scheduler runs; the
+// schedulers differ only in their start rule. start(c, x) returns the first
+// slot of a processor holding x > 0 flits and its wrap period (0 = no wrap);
+// it is not called for idle processors. Message k of the row [lo, hi) goes
+// at start + off[k] + (k−lo)·sep, taken mod wrap when wrap > 0. The flits
+// of one message go consecutively from that slot, so a message whose
+// allocation would wrap past the period simply runs past it (the paper's
+// long-message modification; at most one message per processor crosses,
+// since a wrapping processor holds x·(sep+1) <= wrap flits).
+func send(m *bsp.Machine, cp *compiled, tau model.Time, T, sep int,
+	start func(c *bsp.Ctx, x int) (slot, wrap int)) Result {
 	st := m.Superstep(func(c *bsp.Ctx) {
 		i := c.ID()
 		if cp.x[i] == 0 {
 			return
 		}
+		slot, wrap := start(c, cp.x[i])
 		lo, hi := cp.row[i], cp.row[i+1]
-		if cp.x[i] > T {
-			// Overloaded processor: send everything consecutively from 0.
-			for k := lo; k < hi; k++ {
-				c.SendAt(cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
-			}
-			return
-		}
-		j := c.RNG().Intn(T)
 		for k := lo; k < hi; k++ {
-			// The flits of one message go consecutively from the cyclic
-			// start; if the allocation would wrap past T the message simply
-			// runs past the period (at most one message per processor can
-			// cross, since x_i <= T).
-			c.SendAt((j+cp.off[k])%T, int(cp.msgs[k].Dst), cp.msgs[k])
+			s := slot + cp.off[k] + (k-lo)*sep
+			if wrap > 0 {
+				s %= wrap
+			}
+			c.SendAt(s, int(cp.msgs[k].Dst), cp.msgs[k])
 		}
 	})
-	return finish(cp, st, tau, T)
+	xb, yb := cp.bars()
+	return Result{
+		Time:   st.Cost + tau,
+		Tau:    tau,
+		Send:   st,
+		N:      cp.n,
+		XBar:   xb,
+		YBar:   yb,
+		Period: T,
+	}
+}
+
+// UnbalancedSend runs Algorithm Unbalanced-Send (Theorem 6.2): processor i
+// with x_i <= T sends cyclically from a uniform phase in the period
+// T = ⌈(1+ε)n/m⌉, an overloaded processor consecutively from step 0.
+// Messages of length > 1 use the paper's long-message modification: a
+// message whose cyclic allocation crosses the period boundary is sent
+// straight through in consecutive steps (additive ℓ̂). It is TemplateSend
+// with no separation.
+func UnbalancedSend(m *bsp.Machine, plan Plan, opt Options) Result {
+	return TemplateSend(m, plan, 0, opt)
 }
 
 // UnbalancedConsecutiveSend runs Algorithm Unbalanced-Consecutive-Send
@@ -301,20 +304,12 @@ func UnbalancedConsecutiveSend(m *bsp.Machine, plan Plan, opt Options) Result {
 	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	T := period(n, m.Cost().M, opt.eps())
-	st := m.Superstep(func(c *bsp.Ctx) {
-		i := c.ID()
-		if cp.x[i] == 0 {
-			return
+	return send(m, cp, tau, T, 0, func(c *bsp.Ctx, x int) (int, int) {
+		if x > T {
+			return 0, 0
 		}
-		slot := 0
-		if cp.x[i] <= T {
-			slot = c.RNG().Intn(T)
-		}
-		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(slot+cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
-		}
+		return c.RNG().Intn(T), 0
 	})
-	return finish(cp, st, tau, T)
 }
 
 // UnbalancedGranularSend runs Algorithm Unbalanced-Granular-Send
@@ -324,36 +319,18 @@ func UnbalancedConsecutiveSend(m *bsp.Machine, plan Plan, opt Options) Result {
 // c·n/m with c = Options.GranularC.
 func UnbalancedGranularSend(m *bsp.Machine, plan Plan, opt Options) Result {
 	cp := compile(m, plan)
-	p := m.P()
 	n, tau := learnN(m, cp.x, opt)
 	mm := m.Cost().M
-	tGran := n / p
-	if tGran < 1 {
-		tGran = 1
-	}
-	T := int(opt.granularC() * float64(n) / float64(mm))
-	if T < 1 {
-		T = 1
-	}
+	tGran := max(n/m.P(), 1)
+	T := max(int(opt.granularC()*float64(n)/float64(mm)), 1)
 	nOverM := n / mm
-	st := m.Superstep(func(c *bsp.Ctx) {
-		i := c.ID()
-		if cp.x[i] == 0 {
-			return
+	return send(m, cp, tau, T, 0, func(c *bsp.Ctx, x int) (int, int) {
+		// Random start among granules that leave room for x flits.
+		if granules := (T - x) / tGran; x <= nOverM && granules > 0 {
+			return c.RNG().Intn(granules) * tGran, 0
 		}
-		slot := 0
-		if cp.x[i] <= nOverM {
-			// Random start among granules that leave room for x_i flits.
-			granules := (T - cp.x[i]) / tGran
-			if granules > 0 {
-				slot = c.RNG().Intn(granules) * tGran
-			}
-		}
-		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(slot+cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
-		}
+		return 0, 0
 	})
-	return finish(cp, st, tau, T)
 }
 
 // NaiveSend injects every processor's messages consecutively from step 0 —
@@ -362,14 +339,7 @@ func UnbalancedGranularSend(m *bsp.Machine, plan Plan, opt Options) Result {
 // exponential penalty, is catastrophically slow; it is the ablation baseline
 // for the value of scheduling.
 func NaiveSend(m *bsp.Machine, plan Plan) Result {
-	cp := compile(m, plan)
-	st := m.Superstep(func(c *bsp.Ctx) {
-		i := c.ID()
-		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
-		}
-	})
-	return finish(cp, st, 0, 0)
+	return send(m, compile(m, plan), 0, 0, 0, func(*bsp.Ctx, int) (int, int) { return 0, 0 })
 }
 
 // OfflineSend injects messages according to the optimal offline schedule:
@@ -383,26 +353,15 @@ func OfflineSend(m *bsp.Machine, plan Plan) Result {
 	cp := compile(m, plan)
 	p := m.P()
 	xb, _ := cp.bars()
-	T := (cp.n + m.Cost().M - 1) / m.Cost().M
-	if xb > T {
-		T = xb
-	}
-	if T < 1 {
-		T = 1
-	}
+	T := max((cp.n+m.Cost().M-1)/m.Cost().M, xb, 1)
 	rank := make([]int, p) // global flit rank of proc i's first flit
 	for i, acc := 1, 0; i < p; i++ {
 		acc += cp.x[i-1]
 		rank[i] = acc
 	}
-	st := m.Superstep(func(c *bsp.Ctx) {
-		i := c.ID()
-		base := rank[i]
-		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt((base+cp.off[k])%T, int(cp.msgs[k].Dst), cp.msgs[k])
-		}
+	return send(m, cp, 0, T, 0, func(c *bsp.Ctx, _ int) (int, int) {
+		return rank[c.ID()], T
 	})
-	return finish(cp, st, 0, T)
 }
 
 // TemplateSend is the paper's closing remark on Unbalanced-Send: "the
@@ -415,32 +374,20 @@ func OfflineSend(m *bsp.Machine, plan Plan) Result {
 // Here the template enforces a gap of `sep` idle steps between consecutive
 // messages of one processor: message k occupies template slot k·(sep+1),
 // cyclically shifted by a uniform j. The period scales to
-// (1+ε)·n·(sep+1)/m so the per-step expected load stays m/(1+ε).
+// (1+ε)·n·(sep+1)/m so the per-step expected load stays m/(1+ε). A
+// processor whose template does not fit the period sends from step 0 with
+// the same separation.
 func TemplateSend(m *bsp.Machine, plan Plan, sep int, opt Options) Result {
 	if sep < 0 {
 		panic("sched: negative separation")
 	}
 	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
-	stride := sep + 1
-	T := period(n*stride, m.Cost().M, opt.eps())
-	st := m.Superstep(func(c *bsp.Ctx) {
-		i := c.ID()
-		if cp.x[i] == 0 {
-			return
+	T := period(n*(sep+1), m.Cost().M, opt.eps())
+	return send(m, cp, tau, T, sep, func(c *bsp.Ctx, x int) (int, int) {
+		if x*(sep+1) > T {
+			return 0, 0
 		}
-		lo, hi := cp.row[i], cp.row[i+1]
-		if cp.x[i]*stride > T {
-			// Overloaded: consecutive with the required separation, from 0.
-			for k := lo; k < hi; k++ {
-				c.SendAt(cp.off[k]+(k-lo)*sep, int(cp.msgs[k].Dst), cp.msgs[k])
-			}
-			return
-		}
-		j := c.RNG().Intn(T)
-		for k := lo; k < hi; k++ {
-			c.SendAt((j+cp.off[k]+(k-lo)*sep)%T, int(cp.msgs[k].Dst), cp.msgs[k])
-		}
+		return c.RNG().Intn(T), T
 	})
-	return finish(cp, st, tau, T)
 }

@@ -3,11 +3,13 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"parbw/internal/bsp"
 	"parbw/internal/model"
+	"parbw/internal/qsm"
 	"parbw/internal/xrand"
 )
 
@@ -439,7 +441,11 @@ func TestTemplateSendRespectsSeparation(t *testing.T) {
 
 // Unbalanced-Send's model outcome on the Section 6 skew shapes at the
 // sched/static experiment's scale (p=256, m=64, L=8, ε=0.25, scale 16) is
-// pinned: summed simulated time and flit count over the four plans.
+// pinned: summed simulated time and flit count over the four plans. Every
+// other scheduler is pinned per plan too — plus an unbalanced exchange, whose
+// multi-flit messages cross the period — by N, period, the sending step's
+// span and peak load, and the time. Times print with %.9g: an overloaded
+// step's penalty goes through math.Exp, whose last bit is host-dependent.
 func TestUnbalancedSendFingerprint(t *testing.T) {
 	const p, m, l, scale = 256, 64, 8, 16
 	rng := xrand.New(1)
@@ -458,5 +464,93 @@ func TestUnbalancedSendFingerprint(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("time=%g n=%d", total, n), "time=2482 n=13952"; got != want {
 		t.Errorf("fingerprint %q, want %q", got, want)
+	}
+
+	plans = append(plans, UnbalancedExchangePlan(rng, p, 4))
+	opt := Options{Eps: 0.25}
+	bspRuns := []algo{
+		{"unbalanced", UnbalancedSend},
+		{"consecutive", UnbalancedConsecutiveSend},
+		{"granular", UnbalancedGranularSend},
+		{"naive", func(m *bsp.Machine, plan Plan, _ Options) Result { return NaiveSend(m, plan) }},
+		{"offline", func(m *bsp.Machine, plan Plan, _ Options) Result { return OfflineSend(m, plan) }},
+		{"template2", func(m *bsp.Machine, plan Plan, opt Options) Result { return TemplateSend(m, plan, 2, opt) }},
+	}
+	var got []string
+	for _, a := range bspRuns {
+		for k, plan := range plans {
+			r := a.run(machine(p, m, l, 1), plan, opt)
+			got = append(got, fmt.Sprintf("%s/%d N=%d T=%d steps=%d max=%d time=%.9g",
+				a.name, k, r.N, r.Period, r.Send.Steps, r.Send.MaxSlot, r.Time))
+		}
+	}
+	qrng := xrand.New(2)
+	qplans := []QSMPlan{zipfQSMPlan(qrng, p, p*scale, 64, 1.2), zipfQSMPlan(qrng, p, p*4, 8, 0.5)}
+	qsmRuns := []struct {
+		name string
+		run  func(m *qsm.Machine, plan QSMPlan) QSMResult
+	}{
+		{"qsm-unbalanced", func(m *qsm.Machine, plan QSMPlan) QSMResult { return UnbalancedSendQSM(m, plan, opt) }},
+		{"qsm-consecutive", func(m *qsm.Machine, plan QSMPlan) QSMResult { return UnbalancedConsecutiveSendQSM(m, plan, opt) }},
+		{"qsm-naive", NaiveSendQSM},
+	}
+	for _, a := range qsmRuns {
+		for k, plan := range qplans {
+			r := a.run(qsmMachineFor(p, p*64, m, 1), plan)
+			got = append(got, fmt.Sprintf("%s/%d N=%d T=%d steps=%d max=%d kappa=%d time=%.9g",
+				a.name, k, r.N, r.Period, r.Phase.Steps, r.Phase.MaxSlot, r.Phase.Kappa, r.Time))
+		}
+	}
+	qg := qsm.New(qsm.Config{P: p, Mem: p * 64, Cost: model.QSMg(4), Seed: 1})
+	r := UnbalancedSendQSM(qg, qplans[0], opt)
+	got = append(got, fmt.Sprintf("qsmg-unbalanced N=%d T=%d steps=%d max=%d time=%.9g",
+		r.N, r.Period, r.Phase.Steps, r.Phase.MaxSlot, r.Time))
+
+	want := []string{
+		"unbalanced/0 N=4096 T=80 steps=80 max=63 time=128",
+		"unbalanced/1 N=4096 T=80 steps=1094 max=35 time=1142",
+		"unbalanced/2 N=4736 T=92 steps=92 max=63 time=140",
+		"unbalanced/3 N=1024 T=20 steps=1024 max=1 time=1072",
+		"unbalanced/4 N=130291 T=2544 steps=2547 max=63 time=2595",
+		"consecutive/0 N=4096 T=80 steps=95 max=63 time=143",
+		"consecutive/1 N=4096 T=80 steps=1094 max=35 time=1142",
+		"consecutive/2 N=4736 T=92 steps=123 max=60 time=171",
+		"consecutive/3 N=1024 T=20 steps=1024 max=1 time=1072",
+		"consecutive/4 N=130291 T=2544 steps=3054 max=63 time=3076",
+		"granular/0 N=4096 T=256 steps=240 max=25 time=288",
+		"granular/1 N=4096 T=256 steps=1094 max=34 time=1142",
+		"granular/2 N=4736 T=296 steps=275 max=38 time=319",
+		"granular/3 N=1024 T=64 steps=1024 max=1 time=1072",
+		"granular/4 N=130291 T=8143 steps=7633 max=39 time=7681",
+		"naive/0 N=4096 T=0 steps=16 max=256 time=321.368591",
+		"naive/1 N=4096 T=0 steps=1094 max=235 time=1120.98304",
+		"naive/2 N=4736 T=0 steps=32 max=256 time=173.821294",
+		"naive/3 N=1024 T=0 steps=1024 max=1 time=1024",
+		"naive/4 N=130291 T=0 steps=565 max=256 time=9859.79225",
+		"offline/0 N=4096 T=64 steps=64 max=64 time=64",
+		"offline/1 N=4096 T=1094 steps=1094 max=4 time=1094",
+		"offline/2 N=4736 T=74 steps=74 max=64 time=74",
+		"offline/3 N=1024 T=1024 steps=1024 max=1 time=1024",
+		"offline/4 N=130291 T=2036 steps=2039 max=64 time=2039",
+		"template2/0 N=4096 T=240 steps=240 max=30 time=288",
+		"template2/1 N=4096 T=240 steps=3280 max=24 time=1302",
+		"template2/2 N=4736 T=277 steps=277 max=25 time=325",
+		"template2/3 N=1024 T=60 steps=3070 max=1 time=1072",
+		"template2/4 N=130291 T=7634 steps=7637 max=31 time=7685",
+		"qsm-unbalanced/0 N=2180 T=42 steps=64 max=55 kappa=1 time=102",
+		"qsm-unbalanced/1 N=903 T=17 steps=17 max=68 kappa=1 time=55.0644945",
+		"qsm-consecutive/0 N=2180 T=42 steps=76 max=55 kappa=1 time=114",
+		"qsm-consecutive/1 N=903 T=17 steps=24 max=68 kappa=1 time=62.0644945",
+		"qsm-naive/0 N=2180 T=0 steps=64 max=241 kappa=1 time=91.4046405",
+		"qsm-naive/1 N=903 T=0 steps=8 max=245 kappa=1 time=36.3228008",
+		"qsmg-unbalanced N=2180 T=10 steps=64 max=123 time=356",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d fingerprint lines, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("fingerprint %q, want %q", got[k], want[k])
+		}
 	}
 }

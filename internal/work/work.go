@@ -11,7 +11,7 @@
 // Builder, and work/dagsched lowers computational DAGs into it. The
 // schedulers read one superstep's traffic as per-processor message rows
 // (Rows, the sched.Plan shape) and replay explicit slot schedules verbatim
-// (sched.Replay).
+// (sched.ReplayAll).
 //
 // The IR encodes byte-stably: compact JSON in struct declaration order,
 // newline-terminated, so identical IRs encode to identical bytes on every
