@@ -20,6 +20,18 @@ func benchMachine(p int) (*Machine, func() Stats) {
 	return m, func() Stats { return m.Superstep(body) }
 }
 
+// unorderedMachine is benchMachine with every processor's run sent out of
+// slot order, so the merge sorts and checks all p runs.
+func unorderedMachine(p int) (*Machine, func() Stats) {
+	m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1})
+	body := func(c *Ctx) {
+		c.Charge(4)
+		c.SendAt(1, (c.ID()+1)%p, Msg{Tag: 1, A: int64(c.ID())})
+		c.SendAt(0, (c.ID()+7)%p, Msg{Tag: 2, A: int64(c.ID())})
+	}
+	return m, func() Stats { return m.Superstep(body) }
+}
+
 // scaleMachine builds a p-processor BSP(g) machine whose program sends one
 // single-flit neighbor message per processor: the p-scaling workload, which
 // measures the per-processor engine overhead (context resets, arena
@@ -86,16 +98,22 @@ func BenchmarkSuperstepScale(b *testing.B) {
 	}
 }
 
-// The merge path recycles its histogram, receive ledger and inbox buffers;
-// after warmup a superstep must not allocate at all.
+// The merge path recycles its histogram, count columns, unordered-run list
+// and inbox buffers; after warmup a superstep must not allocate at all,
+// whether its runs were sent in slot order or not.
 const superstepAllocBudget = 0
 
 func TestSuperstepMergeAllocs(t *testing.T) {
-	_, step := benchMachine(256)
-	step() // warm the recycled buffers
-	avg := testing.AllocsPerRun(50, func() { step() })
-	if avg > superstepAllocBudget {
-		t.Errorf("superstep allocates %.1f objects/op, budget %d", avg, superstepAllocBudget)
+	for name, build := range map[string]func(int) (*Machine, func() Stats){
+		"in-order":     benchMachine,
+		"out-of-order": unorderedMachine,
+	} {
+		_, step := build(256)
+		step() // warm the recycled buffers
+		avg := testing.AllocsPerRun(50, func() { step() })
+		if avg > superstepAllocBudget {
+			t.Errorf("%s: superstep allocates %.1f objects/op, budget %d", name, avg, superstepAllocBudget)
+		}
 	}
 }
 

@@ -156,17 +156,80 @@ func TestLongMessageOccupiesConsecutiveSlots(t *testing.T) {
 	}
 }
 
+// Sent in slot order, the second message still starts inside the first's
+// flits: the run is marked unordered and fails the merge's check.
 func TestLongMessageOverlapPanics(t *testing.T) {
 	m := newBSPmLin(2, 4, 1)
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("overlapping long message did not panic")
+		}
+		if want := "bsp: proc 0 injects two flits in step 2"; !strings.HasPrefix(r.(string), want) {
+			t.Fatalf("panic %q, want prefix %q", r, want)
 		}
 	}()
 	m.Superstep(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.SendAt(0, 1, Msg{Len: 3})
 			c.SendAt(2, 1, Msg{Len: 1})
+		}
+	})
+}
+
+// A valid schedule sent out of slot order is sorted by the merge: it
+// delivers in slot order, and its Stats and observed step equal those of
+// the same schedule sent in order.
+func TestOutOfOrderRunMatchesInOrder(t *testing.T) {
+	run := func(slots []int) (Stats, engine.StepStats, []Msg) {
+		var view engine.StepStats
+		m := New(Config{P: 4, Cost: model.BSPmLinear(2, 1), Seed: 1,
+			Observer: engine.ObserverFunc(func(st engine.StepStats) {
+				st.Hist = slices.Clone(st.Hist)
+				view = st
+			})})
+		st := m.Superstep(func(c *Ctx) {
+			switch c.ID() {
+			case 0:
+				for _, s := range slots {
+					c.SendAt(s, 3, Msg{Len: 2, A: int64(s)})
+				}
+			case 1:
+				c.Send(3, 0, 100)
+			}
+		})
+		return st, view, slices.Clone(m.Inbox(3))
+	}
+	st, view, in := run([]int{5, 0, 2})
+	wantSt, wantView, wantIn := run([]int{0, 2, 5})
+	if st != wantSt {
+		t.Fatalf("out-of-order Stats %+v, in-order %+v", st, wantSt)
+	}
+	if !reflect.DeepEqual(view, wantView) {
+		t.Fatalf("out-of-order step %+v, in-order %+v", view, wantView)
+	}
+	if got := []int64{in[0].A, in[1].A, in[2].A, in[3].A}; !slices.Equal(got, []int64{0, 2, 5, 100}) || !slices.Equal(in, wantIn) {
+		t.Fatalf("inbox %+v, want slots 0, 2, 5 from proc 0 then proc 1's message", in)
+	}
+}
+
+// With bad schedules at two processors, the lowest-id one is named.
+func TestBadScheduleNamesLowestProcessor(t *testing.T) {
+	m := newBSPmLin(8, 4, 1)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("bad schedules did not panic")
+		}
+		if want := "bsp: proc 3 injects two flits"; !strings.HasPrefix(r.(string), want) {
+			t.Fatalf("panic %q, want prefix %q", r, want)
+		}
+	}()
+	m.Superstep(func(c *Ctx) {
+		c.Send((c.ID()+1)%8, 0, 0)
+		if c.ID() == 3 || c.ID() == 6 {
+			c.SendAt(4, 0, Msg{})
+			c.SendAt(4, 1, Msg{})
 		}
 	})
 }

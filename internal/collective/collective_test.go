@@ -563,6 +563,59 @@ func TestBroadcastVecMemoryLinear(t *testing.T) {
 	}
 }
 
+// broadcastVecP and broadcastVecK size the pinned vector broadcast: the
+// n = p sample sort's splitter broadcast in miniature, with a non-zero root
+// so the virtual-id rotation is exercised.
+const broadcastVecP, broadcastVecK, broadcastVecRoot = 1024, 1023, 341
+
+// broadcastVecInput is the pinned broadcast's vector: distinct items, so a
+// misrouted or reordered item moves the returned vector's sum.
+func broadcastVecInput() []int64 {
+	vec := make([]int64, broadcastVecK)
+	for j := range vec {
+		vec[j] = int64(j*j + 3*j + 1)
+	}
+	return vec
+}
+
+// The pipelined vector broadcast's model outcome is pinned on both
+// globally-limited penalties and on BSP(g): every superstep forwards up to
+// two items per processor on precomputed slots, so a change to the tree,
+// the slot striping or the send path moves one of these strings.
+func TestBroadcastVecBSPFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cost model.Cost
+		want string
+	}{
+		{"BSPmLinear(8,2)", model.BSPmLinear(8, 2), "time=262646 supersteps=1035 sum=357912577"},
+		{"BSPm(8,2)", model.BSPm(8, 2), "time=262646 supersteps=1035 sum=357912577"},
+		{"BSPg(4,2)", model.BSPg(4, 2), "time=8258 supersteps=1035 sum=357912577"},
+	} {
+		m := bspMachine(broadcastVecP, tc.cost)
+		var sum int64
+		for _, v := range BroadcastVecBSP(m, broadcastVecRoot, broadcastVecInput()) {
+			sum += v
+		}
+		got := fmt.Sprintf("time=%.9g supersteps=%d sum=%d", m.Time(), m.Supersteps(), sum)
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkSuperstepBroadcastVec times the pinned vector broadcast on the
+// linear-penalty BSP(m): ~k + lg p supersteps in which nearly every
+// processor receives one item and forwards it to two children.
+func BenchmarkSuperstepBroadcastVec(b *testing.B) {
+	vec := broadcastVecInput()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := bspMachine(broadcastVecP, model.BSPmLinear(8, 2))
+		BroadcastVecBSP(m, broadcastVecRoot, vec)
+	}
+}
+
 func TestReduceBSPDegree(t *testing.T) {
 	p := 64
 	vals := make([]int64, p)

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"testing"
 
 	"parbw/internal/bsp"
@@ -233,15 +234,34 @@ func TestAlgorithmBWithFlitsOverload(t *testing.T) {
 	}
 }
 
-// The generalized runner with the unit scheduler matches RunAlgorithmB.
-func TestRunWithMatchesRunAlgorithmB(t *testing.T) {
+// Algorithm B's outcome is pinned for both static schedulers at one and two
+// flits per message: the window loop drives the bsp send path (SendAt runs,
+// schedule validation, routing), so a change there that moves a delivery,
+// a backlog or a charged step moves one of these strings.
+func TestAlgorithmBFingerprint(t *testing.T) {
 	p, mm, lL := 16, 4, 2
 	l := Limits{W: 32, Alpha: 1, Beta: 0.5}
-	a1 := NewUniformAdversary(p, l, 23)
-	r1 := RunAlgorithmB(bspmM(p, mm, lL), a1, l, 40, 0.25)
-	a2 := NewUniformAdversary(p, l, 23)
-	r2 := RunAlgorithmBWith(bspmM(p, mm, lL), a2, l, 40, 1, sched.UnbalancedSend, 0.25)
-	if r1.TotalSent != r2.TotalSent || r1.MaxBacklog != r2.MaxBacklog {
-		t.Fatalf("generalized runner diverged: %+v vs %+v", r1, r2)
+	for _, tc := range []struct {
+		name     string
+		schedule func(*bsp.Machine, sched.Plan, sched.Options) sched.Result
+		flits    int
+		want     string
+	}{
+		{"unbalanced/1", sched.UnbalancedSend, 1,
+			"windows=40 sent=1240 maxbacklog=31 service=10.4855887 time=419.423547 supersteps=40"},
+		{"unbalanced/2", sched.UnbalancedSend, 2,
+			"windows=40 sent=1240 maxbacklog=31 service=21.505266 time=860.210641 supersteps=40"},
+		{"consecutive/1", sched.UnbalancedConsecutiveSend, 1,
+			"windows=40 sent=1240 maxbacklog=31 service=11.0889513 time=443.558054 supersteps=40"},
+		{"consecutive/2", sched.UnbalancedConsecutiveSend, 2,
+			"windows=40 sent=1240 maxbacklog=31 service=22.5497492 time=901.989967 supersteps=40"},
+	} {
+		m := bspmM(p, mm, lL)
+		r := RunAlgorithmBWith(m, NewUniformAdversary(p, l, 23), l, 40, tc.flits, tc.schedule, 0.25)
+		got := fmt.Sprintf("windows=%d sent=%d maxbacklog=%d service=%.9g time=%.9g supersteps=%d",
+			r.Windows, r.TotalSent, r.MaxBacklog, r.MeanService(), m.Time(), m.Supersteps())
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
