@@ -76,10 +76,10 @@ bench-tables:
 	$(GO) test -run '^$$' -bench=Experiment -benchmem .
 
 # Benchmark smoke: one iteration of each machine's superstep benchmarks and
-# of every experiment's sub-benchmark, proving the bench harnesses compile
-# and run (CI runs this).
+# of every experiment's and oracle family's sub-benchmark, proving the bench
+# harnesses compile and run (CI runs this).
 bench-smoke:
-	$(GO) test -run '^$$' -bench='Superstep|Experiment' -benchtime=1x -benchmem ./...
+	$(GO) test -run '^$$' -bench='Superstep|Experiment|CheckIR' -benchtime=1x -benchmem ./...
 
 # DAG lowering conformance (CI runs this): the work IR and dagsched unit
 # suites, the oracle's precedence-invariant tests, and a 200-seed

@@ -397,7 +397,7 @@ func (m *Machine) merge(st *Stats) engine.StepStats {
 	if m.cost.Kind == model.KindBSPm {
 		st.CM = m.cost.CM(hist)
 	}
-	st.Cost = m.cost.BSPSuperstep(st.W, st.H, st.N, hist)
+	st.Cost = m.cost.BSPSuperstep(st.W, st.H, st.N, st.CM)
 
 	m.inbox = slab
 	m.inOff, m.spareOff = m.spareOff, m.inOff

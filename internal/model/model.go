@@ -190,9 +190,10 @@ func (c Cost) SharedMemory() bool {
 //	w     — maximum local work over processors
 //	h     — maximum over processors of max(sends, receives)
 //	n     — total messages sent in the superstep
-//	slots — per-step injection histogram (may be nil for BSP(g) and the
-//	        self-scheduling model, which ignore it)
-func (c Cost) BSPSuperstep(w, h, n int, slots []int) Time {
+//	cm    — c_m of the per-step injection histogram, CM(hist), which the
+//	        caller has already computed (ignored by BSP(g) and the
+//	        self-scheduling model)
+func (c Cost) BSPSuperstep(w, h, n int, cm Time) Time {
 	t := float64(w)
 	if lt := float64(c.L); lt > t {
 		t = lt
@@ -206,7 +207,7 @@ func (c Cost) BSPSuperstep(w, h, n int, slots []int) Time {
 		if fh := float64(h); fh > t {
 			t = fh
 		}
-		if cm := c.CM(slots); cm > t {
+		if cm > t {
 			t = cm
 		}
 	case KindBSPSelfSched:
@@ -227,8 +228,9 @@ func (c Cost) BSPSuperstep(w, h, n int, slots []int) Time {
 //	w     — maximum local work over processors
 //	h     — max(1, maximum over processors of max(reads, writes))
 //	kappa — maximum per-location contention
-//	slots — per-step request histogram (ignored by QSM(g))
-func (c Cost) QSMPhase(w, h, kappa int, slots []int) Time {
+//	cm    — c_m of the per-step request histogram, CM(hist) (ignored by
+//	        QSM(g))
+func (c Cost) QSMPhase(w, h, kappa int, cm Time) Time {
 	if h < 1 {
 		h = 1
 	}
@@ -245,7 +247,7 @@ func (c Cost) QSMPhase(w, h, kappa int, slots []int) Time {
 		if fh := float64(h); fh > t {
 			t = fh
 		}
-		if cm := c.CM(slots); cm > t {
+		if cm > t {
 			t = cm
 		}
 	default:

@@ -82,11 +82,11 @@ func TestCM(t *testing.T) {
 func TestBSPSuperstepBSPg(t *testing.T) {
 	c := BSPg(4, 10)
 	// max(w=3, g*h=4*5=20, L=10) = 20
-	if got := c.BSPSuperstep(3, 5, 100, nil); got != 20 {
+	if got := c.BSPSuperstep(3, 5, 100, 0); got != 20 {
 		t.Fatalf("BSP(g) cost = %v, want 20", got)
 	}
 	// latency floor
-	if got := c.BSPSuperstep(0, 0, 0, nil); got != 10 {
+	if got := c.BSPSuperstep(0, 0, 0, 0); got != 10 {
 		t.Fatalf("BSP(g) idle cost = %v, want L=10", got)
 	}
 }
@@ -94,11 +94,11 @@ func TestBSPSuperstepBSPg(t *testing.T) {
 func TestBSPSuperstepBSPm(t *testing.T) {
 	c := BSPmLinear(4, 2)
 	// hist of 3 slots at exactly m: c_m = 3; h=2, w=1 -> 3
-	if got := c.BSPSuperstep(1, 2, 12, []int{4, 4, 4}); got != 3 {
+	if got := c.BSPSuperstep(1, 2, 12, c.CM([]int{4, 4, 4})); got != 3 {
 		t.Fatalf("BSP(m) cost = %v, want 3", got)
 	}
 	// h dominates
-	if got := c.BSPSuperstep(1, 9, 12, []int{4, 4, 4}); got != 9 {
+	if got := c.BSPSuperstep(1, 9, 12, c.CM([]int{4, 4, 4})); got != 9 {
 		t.Fatalf("BSP(m) h-dominated cost = %v, want 9", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestBSPSuperstepBSPm(t *testing.T) {
 func TestBSPSuperstepSelfSched(t *testing.T) {
 	c := BSPSelfSched(4, 2)
 	// max(w=1, h=3, n/m=40/4=10, L=2) = 10
-	if got := c.BSPSuperstep(1, 3, 40, nil); got != 10 {
+	if got := c.BSPSuperstep(1, 3, 40, 0); got != 10 {
 		t.Fatalf("self-sched cost = %v, want 10", got)
 	}
 }
@@ -114,17 +114,17 @@ func TestBSPSuperstepSelfSched(t *testing.T) {
 func TestQSMPhase(t *testing.T) {
 	g := QSMg(3)
 	// max(w=2, g*h=3*4=12, κ=5) = 12
-	if got := g.QSMPhase(2, 4, 5, nil); got != 12 {
+	if got := g.QSMPhase(2, 4, 5, 0); got != 12 {
 		t.Fatalf("QSM(g) cost = %v, want 12", got)
 	}
 	// h floor of 1: max(w=0, g*1=3, κ=0) = 3
-	if got := g.QSMPhase(0, 0, 0, nil); got != 3 {
+	if got := g.QSMPhase(0, 0, 0, 0); got != 3 {
 		t.Fatalf("QSM(g) idle cost = %v, want 3", got)
 	}
 	m := QSMm(4)
 	m.Penalty = LinearPenalty
 	// max(w=0, h=2, κ=9, c_m=2) = 9
-	if got := m.QSMPhase(0, 2, 9, []int{4, 4}); got != 9 {
+	if got := m.QSMPhase(0, 2, 9, m.CM([]int{4, 4})); got != 9 {
 		t.Fatalf("QSM(m) cost = %v, want 9", got)
 	}
 }
@@ -207,8 +207,8 @@ func TestGroupedEmulationCostDominance(t *testing.T) {
 		for t := range slots {
 			slots[t] = m
 		}
-		lc := local.BSPSuperstep(0, h, p, nil)
-		gc := global.BSPSuperstep(0, h, p, slots)
+		lc := local.BSPSuperstep(0, h, p, 0)
+		gc := global.BSPSuperstep(0, h, p, global.CM(slots))
 		return gc <= lc+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -246,7 +246,7 @@ func TestBSPSuperstepPanicsOnQSMKind(t *testing.T) {
 			t.Fatal("QSM kind accepted by BSPSuperstep")
 		}
 	}()
-	QSMg(2).BSPSuperstep(1, 1, 1, nil)
+	QSMg(2).BSPSuperstep(1, 1, 1, 0)
 }
 
 func TestQSMPhasePanicsOnBSPKind(t *testing.T) {
@@ -255,7 +255,7 @@ func TestQSMPhasePanicsOnBSPKind(t *testing.T) {
 			t.Fatal("BSP kind accepted by QSMPhase")
 		}
 	}()
-	BSPg(2, 2).QSMPhase(1, 1, 1, nil)
+	BSPg(2, 2).QSMPhase(1, 1, 1, 0)
 }
 
 func TestGlobalAndShared(t *testing.T) {

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -257,5 +259,101 @@ func TestDecodeEntryRejects(t *testing.T) {
 	}
 	if _, err := DecodeEntry([]byte(`{"violations":[]}`)); err == nil {
 		t.Fatal("entry without workload accepted")
+	}
+}
+
+// TestGroundTruthSlotBuckets replays a hand-built superstep whose
+// multi-flit sends come from several processors, share slots, and are
+// stored out of processor and slot order. Each slot's bucket must list its
+// flits in processor order, and the PRAM replay must write exactly hist[t]
+// flits at every step t.
+func TestGroundTruthSlotBuckets(t *testing.T) {
+	ir := &work.IR{Version: work.Version, Family: "hand", P: 4, M: 2, L: 1,
+		Steps: []work.Step{{Sends: []work.Send{
+			{Proc: 3, Slot: 1, Dst: 0, Len: 3}, // slots 1–3
+			{Proc: 0, Slot: 2, Dst: 1, Len: 2}, // slots 2–3
+			{Proc: 2, Slot: 0, Dst: 3},
+			{Proc: 1, Slot: 1, Dst: 2, Len: 2}, // slots 1–2
+			{Proc: 0, Slot: 0, Dst: 3},
+			{Proc: 2, Slot: 3, Dst: 1, Len: 2}, // slots 3–4
+			{Proc: 1, Slot: 4, Dst: 0},
+		}}},
+	}
+	ir.SealTotals()
+	if vs := CheckIR(ir); len(vs) != 0 {
+		t.Fatalf("violations: %+v", vs)
+	}
+
+	steps := []stepView{{ir: ir}}
+	tr := steps[0].truth()
+	wantHist := []int{2, 2, 3, 3, 2}
+	if !slices.Equal(tr.hist, wantHist) {
+		t.Fatalf("hist = %v, want %v", tr.hist, wantHist)
+	}
+	if tr.n != 12 || tr.steps != 5 || tr.maxSlot != 3 {
+		t.Fatalf("(n, steps, maxSlot) = (%d, %d, %d), want (12, 5, 3)", tr.n, tr.steps, tr.maxSlot)
+	}
+	g := steps[0].groups()
+	for i, want := range [][]int{{1, 4}, {3, 6}, {2, 5}, {0}} {
+		if got := g.of(i); !slices.Equal(got, want) {
+			t.Errorf("proc %d sends = %v, want %v", i, got, want)
+		}
+	}
+	sends := ir.Steps[0].Sends
+	off, bySlot := slotBuckets(sends, g, tr.hist)
+	for slot, want := range [][][2]int{ // (proc, dst) per flit, processor order
+		{{0, 3}, {2, 3}},
+		{{1, 2}, {3, 0}},
+		{{0, 1}, {1, 2}, {3, 0}},
+		{{0, 1}, {2, 1}, {3, 0}},
+		{{1, 0}, {2, 1}},
+	} {
+		var got [][2]int
+		for _, k := range bySlot[off[slot]:off[slot+1]] {
+			got = append(got, [2]int{sends[k].Proc, sends[k].Dst})
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("slot %d bucket = %v, want %v", slot, got, want)
+		}
+	}
+
+	var fails []string
+	checkGroundTruth(ir, steps, func(format string, args ...any) {
+		fails = append(fails, fmt.Sprintf(format, args...))
+	})
+	if len(fails) != 0 {
+		t.Fatalf("ground truth on the buckets: %v", fails)
+	}
+
+	// Groups out of processor order leave a slot bucket out of processor
+	// order too, which stalls the cursor on a processor that has already
+	// run: the replay writes fewer flits than the histogram and must say so.
+	g.order[0], g.order[6] = g.order[6], g.order[0] // procs 0 and 3 swap places
+	checkGroundTruth(ir, steps, func(format string, args ...any) {
+		fails = append(fails, fmt.Sprintf(format, args...))
+	})
+	wantFails := []string{
+		"superstep 0: pram step 1 writes = 1, want hist 2",
+		"superstep 0: pram step 2 writes = 1, want hist 3",
+		"superstep 0: pram step 3 writes = 1, want hist 3",
+		"superstep 0: pram total writes = 7, want 12",
+	}
+	if !slices.Equal(fails, wantFails) {
+		t.Fatalf("shuffled groups reported %q, want %q", fails, wantFails)
+	}
+}
+
+// TestLazySharesPanic: a shared derivation runs once, and a panic while
+// computing it reaches every reader with the same value.
+func TestLazySharesPanic(t *testing.T) {
+	var l lazy[int]
+	calls := 0
+	read := func() (r any) {
+		defer func() { r = recover() }()
+		l.get(func() int { calls++; panic("boom") })
+		return nil
+	}
+	if a, b := read(), read(); a != "boom" || b != "boom" || calls != 1 {
+		t.Fatalf("reads panicked with %v and %v after %d computations, want boom twice after 1", a, b, calls)
 	}
 }

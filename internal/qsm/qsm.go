@@ -369,7 +369,7 @@ func (m *Machine) merge(w int) (Stats, engine.StepStats) {
 	if m.cost.Kind == model.KindQSMm {
 		st.CM = m.cost.CM(hist)
 	}
-	st.Cost = m.cost.QSMPhase(st.W, st.H, st.Kappa, hist)
+	st.Cost = m.cost.QSMPhase(st.W, st.H, st.Kappa, st.CM)
 	return st, engine.StepStats{
 		W: st.W, H: st.H, N: st.Reads + st.Writes,
 		Steps: st.Steps, MaxSlot: st.MaxSlot, Overload: st.Overload,

@@ -7,6 +7,7 @@ package queue
 
 import (
 	"math"
+	"sync"
 
 	"parbw/internal/xrand"
 )
@@ -105,22 +106,29 @@ type SDoublePrime struct {
 	W, U int
 }
 
+// sdpMoments returns Σ k·p_k and Σ k²·p_k over 1 <= k < 100 000, with
+// p_k = 1/k⁴ − 1/(k+1)⁴: the first and second moments of S”₀ per unit of
+// W/U and of (W/U)². They do not depend on W or U, so the 200 000 Pow
+// calls run once per process.
+var sdpMoments = sync.OnceValues(func() (first, second float64) {
+	for k := 1; k < 100_000; k++ {
+		pk := 1/math.Pow(float64(k), 4) - 1/math.Pow(float64(k+1), 4)
+		first += float64(k) * pk
+		second += float64(k) * float64(k) * pk
+	}
+	return first, second
+})
+
 // Mean returns E[S”₀] = (W/U)·Σ_{k>=1} k(1/k⁴ − 1/(k+1)⁴) = (W/U)·ζ-ish
 // sum Σ 1/k³ ≈ 1.202.
 func (s SDoublePrime) Mean() float64 {
-	sum := 0.0
-	for k := 1; k < 100_000; k++ {
-		sum += float64(k) * (1/math.Pow(float64(k), 4) - 1/math.Pow(float64(k+1), 4))
-	}
+	sum, _ := sdpMoments()
 	return float64(s.W) / float64(s.U) * sum
 }
 
 // SecondMoment returns E[(S”₀)²].
 func (s SDoublePrime) SecondMoment() float64 {
-	sum := 0.0
-	for k := 1; k < 100_000; k++ {
-		sum += float64(k) * float64(k) * (1/math.Pow(float64(k), 4) - 1/math.Pow(float64(k+1), 4))
-	}
+	_, sum := sdpMoments()
 	return float64(s.W) * float64(s.W) / (float64(s.U) * float64(s.U)) * sum
 }
 

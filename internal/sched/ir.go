@@ -13,34 +13,17 @@ import (
 // schedule verbatim, pricing a lowered schedule as-is (the DAG experiments)
 // rather than re-scheduling it.
 
-// compileIR groups one IR superstep's sends by processor: order lists send
-// indices with processor i's at order[row[i]:row[i+1]], in stored send
-// order. It panics on a machine/IR shape mismatch or an out-of-range step;
-// the IR itself must already have passed work.IR.Validate.
+// compileIR groups one IR superstep's sends by processor (work.IR.ByProc).
+// It panics on a machine/IR shape mismatch or an out-of-range step; the IR
+// itself must already have passed work.IR.Validate.
 func compileIR(m *bsp.Machine, ir *work.IR, step int) (row, order []int) {
-	p := m.P()
-	if ir.P != p {
+	if p := m.P(); ir.P != p {
 		panic(fmt.Sprintf("sched: IR built for p=%d but machine has p=%d", ir.P, p))
 	}
 	if step < 0 || step >= len(ir.Steps) {
 		panic(fmt.Sprintf("sched: superstep %d out of range [0, %d)", step, len(ir.Steps)))
 	}
-	sends := ir.Steps[step].Sends
-	row = make([]int, p+1)
-	for i := range sends {
-		row[sends[i].Proc+1]++
-	}
-	for i := 0; i < p; i++ {
-		row[i+1] += row[i]
-	}
-	cursor := make([]int, p)
-	copy(cursor, row[:p])
-	order = make([]int, len(sends))
-	for i := range sends {
-		order[cursor[sends[i].Proc]] = i
-		cursor[sends[i].Proc]++
-	}
-	return row, order
+	return ir.ByProc(step)
 }
 
 // ReplayAll runs every superstep of the IR in order, exactly as scheduled,

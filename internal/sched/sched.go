@@ -52,7 +52,8 @@ import (
 
 // Plan assigns each processor the messages it must send: Plan[i] are
 // processor i's outgoing messages (Dst and Len must be set; Src is filled by
-// the engine).
+// the engine). The schedulers only read a plan — compile copies its
+// messages — so one plan may be run by any number of schedulers.
 type Plan [][]bsp.Msg
 
 // Flits returns per-processor flit counts x_i, the total n, and the

@@ -357,6 +357,27 @@ func (ir *IR) Hist(step int) []int {
 	return hist
 }
 
+// ByProc groups one superstep's sends by processor with a counting sort:
+// processor i's sends are Sends[order[off[i]:off[i+1]]], in stored order,
+// and off has length P+1.
+func (ir *IR) ByProc(step int) (off, order []int) {
+	sends := ir.Steps[step].Sends
+	off = make([]int, ir.P+1)
+	for i := range sends {
+		off[sends[i].Proc+1]++
+	}
+	for i := range ir.P {
+		off[i+1] += off[i]
+	}
+	next := append([]int(nil), off[:ir.P]...)
+	order = make([]int, len(sends))
+	for i := range sends {
+		order[next[sends[i].Proc]] = i
+		next[sends[i].Proc]++
+	}
+	return off, order
+}
+
 // Rows projects one superstep into per-processor message rows — the
 // sched.Plan shape, slots dropped (the randomized schedulers choose their
 // own). Messages keep their stored order within each processor's row.
