@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"parbw/internal/harness"
@@ -119,8 +120,10 @@ and shrinks failures with ddmin. Same flags => byte-identical output.`)
 		}
 		if *doShrink {
 			want := oracle.Names(c.vs)
+			// The predicate pins the exact failure mode: a candidate that
+			// fails differently, or stops failing, is rejected.
 			res := shrink.Minimize(c.w, func(cand *work.IR) bool {
-				return sameViolationNames(oracle.Names(oracle.CheckIR(cand)), want)
+				return slices.Equal(oracle.Names(oracle.CheckIR(cand)), want)
 			}, shrink.Options{})
 			fail.Shrunk = res.Workload
 			fail.ShrinkEvals = res.Evals
@@ -194,21 +197,6 @@ func familyNames() []string {
 		out = append(out, string(f))
 	}
 	return out
-}
-
-// sameViolationNames reports whether two violation-name lists are equal —
-// the shrink predicate pins the exact failure mode, so a candidate that
-// fails differently (or stops failing) is rejected.
-func sameViolationNames(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // writeCorpus writes one oracle corpus entry per failure, named

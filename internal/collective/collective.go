@@ -34,14 +34,6 @@ func Sum(a, b int64) int64 { return a + b }
 // Xor is bitwise exclusive-or (parity when values are bits).
 func Xor(a, b int64) int64 { return a ^ b }
 
-// Max returns the larger operand.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // treeDegree returns the fan-out used by local-model trees: ⌈L/g⌉ for the
 // BSP(g) (so that a superstep's g·d send cost stays within the latency
 // floor L), never below 2.

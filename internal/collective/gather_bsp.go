@@ -30,7 +30,7 @@ func GatherBSP(m *bsp.Machine, root int, vals []int64) []int64 {
 		}
 		if m.Cost().Global() {
 			mm := m.Cost().M
-			c.SendAt(slot%maxIntc((p+mm-1)/mm*2, 1), root, bsp.Msg{A: vals[i], B: int64(i)})
+			c.SendAt(slot%max((p+mm-1)/mm*2, 1), root, bsp.Msg{A: vals[i], B: int64(i)})
 		} else {
 			c.SendAt(0, root, bsp.Msg{A: vals[i], B: int64(i)})
 		}
@@ -164,11 +164,4 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 //go:noinline
 func outOfStep(i int, item int64, held int) {
 	panic(fmt.Sprintf("collective: pipelined broadcast out of step: processor %d got item %d holding %d unforwarded", i, item, held))
-}
-
-func maxIntc(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

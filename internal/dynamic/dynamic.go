@@ -302,20 +302,13 @@ func (a *UniformAdversary) Step(t int) []Arrival {
 			dstCount[d]++
 			si++
 			di++
-			arr[k*a.L.W/max1(total)] = append(arr[k*a.L.W/max1(total)], Arrival{Src: s, Dst: d})
+			arr[k*a.L.W/max(total, 1)] = append(arr[k*a.L.W/max(total, 1)], Arrival{Src: s, Dst: d})
 		}
 		for off := 0; off < a.L.W; off++ {
 			a.mem[win*a.L.W+off] = arr[off]
 		}
 	}
 	return a.mem[t]
-}
-
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
 
 // SingleTargetAdversary injects messages all from source 0 to destination 1
@@ -333,7 +326,7 @@ func (a SingleTargetAdversary) Step(t int) []Arrival {
 	}
 	off := t % a.L.W
 	// Place the k messages at offsets 0, W/k, 2W/k, ...
-	if k > 0 && off%max1(a.L.W/max1(k)) == 0 && off/max1(a.L.W/max1(k)) < k {
+	if k > 0 && off%max(a.L.W/max(k, 1), 1) == 0 && off/max(a.L.W/max(k, 1), 1) < k {
 		return []Arrival{{Src: 0, Dst: 1}}
 	}
 	return nil

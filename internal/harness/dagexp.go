@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"parbw/internal/model"
 	"parbw/internal/sched"
 	"parbw/internal/tablefmt"
 	"parbw/internal/work"
@@ -88,11 +89,11 @@ type pricing struct {
 
 func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, cfg Config) pricing {
 	var pr pricing
-	mg := newBSPg(p, g, l, cfg)
+	mg := newBSP(p, model.BSPg(g, l), cfg)
 	sched.ReplayAll(mg, comm)
 	pr.tg = float64(mg.Time())
 
-	mb := newBSPmExp(p, mm, l, cfg)
+	mb := newBSP(p, model.BSPm(mm, l), cfg)
 	for _, st := range sched.ReplayAll(mb, comm) {
 		pr.replayOv += st.Overload
 	}
@@ -100,7 +101,7 @@ func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, cfg Config) pric
 
 	// The lowering knows its own traffic, so Unbalanced-Send runs with n
 	// known (no learn-n collective); empty supersteps launch no comm phase.
-	ms := newBSPmExp(p, mm, l, cfg)
+	ms := newBSP(p, model.BSPm(mm, l), cfg)
 	for step := range comm.Steps {
 		n := 0
 		for _, s := range comm.Steps[step].Sends {
@@ -199,7 +200,7 @@ func runDAGComm(rec *Recorder) {
 		}
 		commG, commAB := commOnly(irG), commOnly(irAB)
 
-		mgG := newBSPg(p, g, l, cfg)
+		mgG := newBSP(p, model.BSPg(g, l), cfg)
 		sched.ReplayAll(mgG, commG)
 		tgG := float64(mgG.Time())
 		pr := priceLowering(commAB, p, mm, g, l, eps, cfg)

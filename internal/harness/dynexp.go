@@ -5,6 +5,7 @@ import (
 
 	"parbw/internal/dynamic"
 	"parbw/internal/lower"
+	"parbw/internal/model"
 	"parbw/internal/problems"
 	"parbw/internal/queue"
 	"parbw/internal/sched"
@@ -62,7 +63,7 @@ func runDynBSPg(rec *Recorder) {
 		beta := betas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
-		m := newBSPg(p, g, l, cfg)
+		m := newBSP(p, model.BSPg(g, l), cfg)
 		res := dynamic.RunBSPgInterval(m, adv, lmt, windows)
 		row(beta, beta*float64(g), stableStr(res.LooksStable()),
 			res.Backlog[len(res.Backlog)-1], res.MaxBacklog)
@@ -76,7 +77,7 @@ func runDynBSPg(rec *Recorder) {
 		beta := mBetas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
-		m := newBSPmExp(p, max(p/g, 1), l, cfg)
+		m := newBSP(p, model.BSPm(max(p/g, 1), l), cfg)
 		res := dynamic.RunAlgorithmB(m, adv, lmt, windows, 0.25)
 		row(beta, stableStr(res.LooksStable()),
 			res.Backlog[len(res.Backlog)-1], res.MaxBacklog)
@@ -92,7 +93,7 @@ func runDynBSPg(rec *Recorder) {
 		alpha := alphas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: alpha, Beta: alpha / float64(p) * 4}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-		m := newBSPg(p, g, l, cfg)
+		m := newBSP(p, model.BSPg(g, l), cfg)
 		res := dynamic.RunBSPgInterval(m, adv, lmt, windows)
 		row(alpha, alpha*float64(g)/float64(p), stableStr(res.LooksStable()), res.MaxBacklog)
 	})
@@ -112,7 +113,7 @@ func runDynBSPm(rec *Recorder) {
 		alpha := frac * float64(mm)
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.9}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		res := dynamic.RunAlgorithmB(m, adv, lmt, windows, 0.25)
 		row(alpha, frac, stableStr(res.LooksStable()), res.MaxBacklog,
 			res.MeanService(), wW)
@@ -143,7 +144,7 @@ func runDynBSPm(rec *Recorder) {
 		alpha := float64(mm) / float64(4*fl)
 		lmt := dynamic.Limits{W: wW, Alpha: alpha, Beta: 0.5}
 		adv := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		res := dynamic.RunAlgorithmBWith(m, adv, lmt, windows, fl, sched.UnbalancedConsecutiveSend, 0.25)
 		row(fl, alpha*float64(fl), stableStr(res.LooksStable()), res.MaxBacklog, res.MeanService())
 	})
@@ -163,9 +164,9 @@ func runListRankAblation(rec *Recorder) {
 	rec.Rows(t, len(ns), func(i int, row func(...any)) {
 		p := ns[i]
 		list := problems.RandomList(xrand.New(cfg.Seed), p)
-		mj := newBSPmL(p, mm, l, cfg)
+		mj := newBSP(p, model.BSPmLinear(mm, l), cfg)
 		problems.ListRankJumpBSP(mj, list)
-		mc := newBSPmL(p, mm, l, cfg)
+		mc := newBSP(p, model.BSPmLinear(mm, l), cfg)
 		problems.ListRankContractBSP(mc, list)
 		row(p, mj.Time(), mc.Time(), mj.Time()/mc.Time())
 	})

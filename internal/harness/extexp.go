@@ -78,9 +78,9 @@ func runSchedQSM(rec *Recorder) {
 		skew := skews[i]
 		rng := xrand.New(cfg.Seed)
 		plan := qsmZipfPlan(rng, p, p*30, blk, skew)
-		ms := newQSMmMem(p, p*blk, expQSMm(mm), cfg)
+		ms := newQSM(p, p*blk, model.QSMm(mm), cfg)
 		rs := sched.UnbalancedSendQSM(ms, plan, sched.Options{Eps: eps})
-		mn := newQSMmMem(p, p*blk, expQSMm(mm), cfg)
+		mn := newQSM(p, p*blk, model.QSMm(mm), cfg)
 		rn := sched.NaiveSendQSM(mn, plan)
 		row(fmt.Sprintf("zipf %.1f", skew), rs.N, rs.XBar, rs.Time, rn.Time,
 			rn.Time/rs.Time, rs.Phase.MaxSlot, mm)
@@ -105,11 +105,6 @@ func qsmZipfPlan(rng *xrand.Source, p, n, blk int, skew float64) sched.QSMPlan {
 	return plan
 }
 
-func expQSMm(mm int) (c modelCost) {
-	c = qsmmExpCost(mm)
-	return c
-}
-
 func runPRAMMap(rec *Recorder) {
 	cfg := rec.Cfg
 	n := rec.IntOr("n", 512, 128)
@@ -119,7 +114,7 @@ func runPRAMMap(rec *Recorder) {
 	rec.Rows(t, len(ms), func(i int, row func(...any)) {
 		mm := ms[i]
 		prog, final := emulate.PrefixDoublingSum(n)
-		m := newQSMmMem(64, 2*n, qsmmLinCost(mm), cfg)
+		m := newQSM(64, 2*n, model.QSMmLinear(mm), cfg)
 		for i := 0; i < n; i++ {
 			m.Store(i, 1)
 		}
@@ -151,10 +146,10 @@ func runDynPhase(rec *Recorder) {
 			}
 			lmt := dynamic.Limits{W: 32, Alpha: alpha, Beta: beta}
 			advG := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-			mg := newBSPg(p, g, l, cfg)
+			mg := newBSP(p, model.BSPg(g, l), cfg)
 			rg := dynamic.RunBSPgInterval(mg, advG, lmt, windows)
 			advM := dynamic.NewUniformAdversary(p, lmt, cfg.Seed)
-			mb := newBSPmExp(p, mm, l, cfg)
+			mb := newBSP(p, model.BSPm(mm, l), cfg)
 			rm := dynamic.RunAlgorithmB(mb, advM, lmt, windows, 0.25)
 			cell := verdictChar(rg.LooksStable()) + "/" + verdictChar(rm.LooksStable())
 			cells = append(cells, cell+" (g/m)")
@@ -170,9 +165,9 @@ func runDynPhase(rec *Recorder) {
 		beta := betas[i]
 		lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
 		adv := dynamic.SingleTargetAdversary{L: lmt}
-		mg := newBSPg(p, g, l, cfg)
+		mg := newBSP(p, model.BSPg(g, l), cfg)
 		rg := dynamic.RunBSPgInterval(mg, adv, lmt, windows)
-		mb := newBSPmExp(p, mm, l, cfg)
+		mb := newBSP(p, model.BSPm(mm, l), cfg)
 		rm := dynamic.RunAlgorithmB(mb, adv, lmt, windows, 0.25)
 		row(beta, stableStr(rg.LooksStable()), stableStr(rm.LooksStable()))
 	})
@@ -197,35 +192,21 @@ func runPipeline(rec *Recorder) {
 	rec.Rows(t, 2*len(ks), func(i int, row func(...any)) {
 		k, global := ks[i/2], i%2 == 1
 		name := fmt.Sprintf("BSP(g=%d)", g)
-		mk := func() *bsp.Machine { return newBSPg(p, g, l, cfg) }
+		mk := func() *bsp.Machine { return newBSP(p, model.BSPg(g, l), cfg) }
 		if global {
 			name = fmt.Sprintf("BSP(m=%d)", mm)
-			mk = func() *bsp.Machine { return newBSPmL(p, mm, l, cfg) }
+			mk = func() *bsp.Machine { return newBSP(p, model.BSPmLinear(mm, l), cfg) }
 		}
 		mp := mk()
-		collectiveBroadcastVec(mp, make([]int64, k))
+		collective.BroadcastVecBSP(mp, 0, make([]int64, k))
 		msq := mk()
 		for j := 0; j < k; j++ {
-			collectiveBroadcast(msq, int64(j))
+			collective.BroadcastBSP(msq, 0, int64(j))
 		}
 		row(name, k, mp.Time(), msq.Time(), msq.Time()/mp.Time())
 	})
 	rec.Emit(t)
 }
-
-// modelCost aliases keep extexp.go's helper signatures short.
-type modelCost = model.Cost
-
-func qsmmExpCost(mm int) model.Cost { return model.QSMm(mm) }
-
-func qsmmLinCost(mm int) model.Cost {
-	c := model.QSMm(mm)
-	c.Penalty = model.LinearPenalty
-	return c
-}
-
-func collectiveBroadcastVec(m *bsp.Machine, vec []int64) { collective.BroadcastVecBSP(m, 0, vec) }
-func collectiveBroadcast(m *bsp.Machine, v int64)        { collective.BroadcastBSP(m, 0, v) }
 
 func init() {
 	register(Experiment{
@@ -276,10 +257,10 @@ func runSortAblation(rec *Recorder) {
 		n := ns[i]
 		keys := sortKeys(cfg.Seed, n)
 		q := depth1Q(n, p)
-		mc := newBSPmL(p, mm, l, cfg)
-		problemsColumnsort(mc, keys, q)
-		ms := newBSPmL(p, mm, l, cfg)
-		problemsSampleSort(ms, keys)
+		mc := newBSP(p, model.BSPmLinear(mm, l), cfg)
+		problems.ColumnsortBSP(mc, keys, q)
+		ms := newBSP(p, model.BSPmLinear(mm, l), cfg)
+		problems.SampleSortBSP(ms, keys, 8)
 		row(n, n/p, mc.Time(), ms.Time(), sortWinner(mc.Time(), ms.Time()))
 	})
 	rec.Emit(t)
@@ -295,10 +276,10 @@ func runSortAblation(rec *Recorder) {
 		n := nps[i]
 		keys := sortKeys(cfg.Seed, n)
 		q := depth1Q(n, n)
-		mc := newBSPmL(n, mm, l, cfg)
-		problemsColumnsort(mc, keys, q)
-		ms := newBSPmL(n, mm, l, cfg)
-		problemsSampleSort(ms, keys)
+		mc := newBSP(n, model.BSPmLinear(mm, l), cfg)
+		problems.ColumnsortBSP(mc, keys, q)
+		ms := newBSP(n, model.BSPmLinear(mm, l), cfg)
+		problems.SampleSortBSP(ms, keys, 8)
 		row(n, mc.Time(), ms.Time(), ms.Time()/mc.Time(), sortWinner(mc.Time(), ms.Time()))
 	})
 	rec.Emit(t2)
@@ -333,15 +314,12 @@ func runTemplate(rec *Recorder) {
 	seps := []int{0, 1, 2, 4}
 	rec.Rows(t, len(seps), func(i int, row func(...any)) {
 		sep := seps[i]
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		r := sched.TemplateSend(m, plan, sep, sched.Options{Eps: eps})
 		row(sep, r.Period, r.Time, r.OptimalOffline(mm, l), r.Send.MaxSlot, r.Send.Overload)
 	})
 	rec.Emit(t)
 }
-
-func problemsColumnsort(m *bsp.Machine, keys []int64, q int) { problems.ColumnsortBSP(m, keys, q) }
-func problemsSampleSort(m *bsp.Machine, keys []int64)        { problems.SampleSortBSP(m, keys, 8) }
 
 func init() {
 	register(Experiment{
@@ -433,7 +411,7 @@ func runCombineTree(rec *Recorder) {
 			vals[i] = 1
 		}
 		run := func(d int) float64 {
-			m := newBSPmL(p, mm, l, cfg)
+			m := newBSP(p, model.BSPmLinear(mm, l), cfg)
 			if got := collective.ReduceBSPDegree(m, vals, collective.Sum, d); got != int64(p) {
 				panic("harness: reduce wrong")
 			}
@@ -454,9 +432,9 @@ func runWraparound(rec *Recorder) {
 	rng := xrand.New(cfg.Seed)
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 16)[name]
-		mw := newBSPmExp(p, mm, l, cfg)
+		mw := newBSP(p, model.BSPm(mm, l), cfg)
 		rw := sched.UnbalancedSend(mw, plan, sched.Options{Eps: eps})
-		mc := newBSPmExp(p, mm, l, cfg)
+		mc := newBSP(p, model.BSPm(mm, l), cfg)
 		rc := sched.UnbalancedConsecutiveSend(mc, plan, sched.Options{Eps: eps})
 		t.Row(name, rw.Time, rc.Time, rc.Time/rw.Time, rw.Send.MaxSlot, rc.Send.MaxSlot)
 	}
@@ -495,13 +473,13 @@ func runAsync(rec *Recorder) {
 		}
 	}
 	plan := sched.Plan(b.MustIR().Rows(0))
-	mb := newBSPmExp(p, mm, l, cfg)
+	mb := newBSP(p, model.BSPm(mm, l), cfg)
 	rNaive := sched.NaiveSend(mb, plan)
 	opt := rNaive.OptimalOffline(mm, l)
 	t.Row("bulk-sync naive (f^u)", rNaive.Time, rNaive.Time/opt)
 
 	// 2. Bulk-synchronous BSP(m) with Unbalanced-Send.
-	ms := newBSPmExp(p, mm, l, cfg)
+	ms := newBSP(p, model.BSPm(mm, l), cfg)
 	rSched := sched.UnbalancedSend(ms, plan, sched.Options{Eps: 0.25, KnownN: n})
 	t.Row("bulk-sync Unbalanced-Send", rSched.Time, rSched.Time/opt)
 

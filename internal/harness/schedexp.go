@@ -5,6 +5,7 @@ import (
 
 	"parbw/internal/bsp"
 	"parbw/internal/lower"
+	"parbw/internal/model"
 	"parbw/internal/sched"
 	"parbw/internal/tablefmt"
 	"parbw/internal/xrand"
@@ -118,7 +119,7 @@ func runSchedStatic(rec *Recorder) {
 		"workload", "n", "x̄", "ȳ", "measured", "offline opt", "Thm6.2 bound", "BSP(g) Θ(g(x̄+ȳ))", "maxslot", "overloads")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 16)[name]
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 		opt := r.OptimalOffline(mm, l)
 		bound := lower.UnbalancedSendBound(r.N, r.XBar, r.YBar, p, mm, l, eps)
@@ -137,10 +138,10 @@ func runSchedConsecutive(rec *Recorder) {
 		"workload", "n", "x̄", "measured", "Thm6.3 bound", "maxslot", "overloads")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 8)[name]
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		r := sched.UnbalancedConsecutiveSend(m, plan, sched.Options{Eps: eps})
 		// x̄' = max over non-overloaded senders; conservatively x̄.
-		bound := lower.ConsecutiveSendBound(r.N, r.XBar, minInt(r.XBar, r.Period), r.YBar, p, mm, l, eps)
+		bound := lower.ConsecutiveSendBound(r.N, r.XBar, min(r.XBar, r.Period), r.YBar, p, mm, l, eps)
 		t.Row(name, r.N, r.XBar, r.Time, bound, r.Send.MaxSlot, r.Send.Overload)
 	}
 	rec.Emit(t)
@@ -155,7 +156,7 @@ func runSchedGranular(rec *Recorder) {
 		"workload", "n", "t'", "measured", "c·n/m + x̄", "maxslot", "overloads")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 8)[name]
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		r := sched.UnbalancedGranularSend(m, plan, sched.Options{GranularC: float64(c)})
 		tg := r.N / p
 		if tg < 1 {
@@ -185,7 +186,7 @@ func runSchedFlits(rec *Recorder) {
 	rec.Rows(t, len(overheads), func(i int, row func(...any)) {
 		o := overheads[i]
 		plan := base.WithOverhead(o)
-		m := newBSPmExp(p, mm, l, cfg)
+		m := newBSP(p, model.BSPm(mm, l), cfg)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 		lhat := plan.MaxLen()
 		bound := (1+eps)*(1+float64(o)/lbar)*float64(n0)/float64(mm) +
@@ -204,9 +205,9 @@ func runSelfSched(rec *Recorder) {
 		"workload", "self-sched time", "BSP(m) measured", "ratio", "(1+ε) target")
 	for _, name := range workloadOrder {
 		plan := workloads(rng, p, 16)[name]
-		ss := newBSPSelfSched(p, mm, l, cfg)
+		ss := newBSP(p, model.BSPSelfSched(mm, l), cfg)
 		ssr := sched.NaiveSend(ss, plan) // metric ignores injection times
-		real := newBSPmExp(p, mm, l, cfg)
+		real := newBSP(p, model.BSPm(mm, l), cfg)
 		rr := sched.UnbalancedSend(real, plan, sched.Options{Eps: eps, KnownN: ssr.N})
 		t.Row(name, ssr.Time, rr.Time, rr.Time/ssr.Time, 1+eps)
 	}
@@ -226,8 +227,8 @@ func runPenaltyAblation(rec *Recorder) {
 		mk   func() *bsp.Machine
 	}
 	pens := []pen{
-		{"linear f^ℓ", func() *bsp.Machine { return newBSPmL(p, mm, l, cfg) }},
-		{"exponential f^u", func() *bsp.Machine { return newBSPmExp(p, mm, l, cfg) }},
+		{"linear f^ℓ", func() *bsp.Machine { return newBSP(p, model.BSPmLinear(mm, l), cfg) }},
+		{"exponential f^u", func() *bsp.Machine { return newBSP(p, model.BSPm(mm, l), cfg) }},
 	}
 	rec.Rows(t, len(pens), func(i int, row func(...any)) {
 		pc := pens[i]
@@ -247,17 +248,10 @@ func runEpsAblation(rec *Recorder) {
 	for _, mm := range rec.IntSweep("m", []int{16, 64}, []int{16}) {
 		plan := sched.ZipfPlan(rng, p, p*16, 1.1)
 		for _, eps := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
-			m := newBSPmExp(p, mm, l, cfg)
+			m := newBSP(p, model.BSPm(mm, l), cfg)
 			r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 			t.Row(mm, eps, r.Period, r.Time, r.OptimalOffline(mm, l), r.Send.MaxSlot, r.Send.Overload)
 		}
 	}
 	rec.Emit(t)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

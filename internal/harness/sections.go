@@ -10,7 +10,6 @@ import (
 	"parbw/internal/model"
 	"parbw/internal/pram"
 	"parbw/internal/problems"
-	"parbw/internal/qsm"
 	"parbw/internal/tablefmt"
 	"parbw/internal/xrand"
 )
@@ -69,10 +68,6 @@ func init() {
 	})
 }
 
-func newQSMmMem(p, mem int, c model.Cost, cfg Config) *qsm.Machine {
-	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: c, Seed: cfg.Seed, Observer: cfg.Observer})
-}
-
 func runBroadcastLB(rec *Recorder) {
 	cfg := rec.Cfg
 	t := tablefmt.New("single-bit broadcast on BSP(g): ternary algorithm vs Theorem 4.1 lower bound",
@@ -81,7 +76,7 @@ func runBroadcastLB(rec *Recorder) {
 	gls := [][2]int{{8, 8}, {16, 8}, {32, 4}}
 	rec.Rows(t, len(ps)*len(gls), func(i int, row func(...any)) {
 		p, g, l := ps[i/len(gls)], gls[i%len(gls)][0], gls[i%len(gls)][1]
-		m := newBSPg(p, g, l, cfg)
+		m := newBSP(p, model.BSPg(g, l), cfg)
 		collective.BroadcastTernaryBSPg(m, 1)
 		lb := lower.BroadcastLBBSPg(p, g, l)
 		pred := lower.BroadcastTernaryBSPg(p, g)
@@ -95,7 +90,7 @@ func runBroadcastLB(rec *Recorder) {
 	treeGLs := [][2]int{{1, 2}, {2, 8}, {4, 32}, {8, 128}}
 	rec.Rows(t2, len(treeGLs), func(i int, row func(...any)) {
 		g, l := treeGLs[i][0], treeGLs[i][1]
-		m := newBSPg(p, g, l, cfg)
+		m := newBSP(p, model.BSPg(g, l), cfg)
 		collective.BroadcastBSP(m, 0, 1)
 		lb := lower.BroadcastLBBSPg(p, g, l)
 		row(p, g, l, m.Time(), lb, m.Time()/lb)
@@ -120,7 +115,7 @@ func runHRelationCRCW(rec *Recorder) {
 			}
 		}
 		deg := problems.HRelationDegree(plan)
-		m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
+		m := newPRAM(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary}, cfg)
 		_, rounds := problems.HRelationCRCW(m, plan)
 		row(deg, rounds, m.Time(), m.Time()/float64(deg))
 	})
@@ -139,9 +134,9 @@ func runHRelationCRCW(rec *Recorder) {
 				plan[i] = append(plan[i], problems.HRelationMsg{Dst: 0, Val: int64(i*100 + j)})
 			}
 		}
-		mc := pram.New(pram.Config{P: 16, Mem: 32, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
+		mc := newPRAM(pram.Config{P: 16, Mem: 32, Mode: pram.CRCWArbitrary}, cfg)
 		problems.HRelationCRCW(mc, plan)
-		ms := pram.New(pram.Config{P: 16 * h, Mem: 48 * h, Mode: pram.CRCWArbitrary, Seed: cfg.Seed, Observer: cfg.Observer})
+		ms := newPRAM(pram.Config{P: 16 * h, Mem: 48 * h, Mode: pram.CRCWArbitrary}, cfg)
 		problems.HRelationRadixCRCW(ms, plan)
 		winner := "contention"
 		if ms.Time() < mc.Time() {
@@ -164,9 +159,7 @@ func runCRCWSim(rec *Recorder) {
 		mm, pattern := ms[i/len(patterns)], patterns[i%len(patterns)]
 		pmKind := emulate.PRAMm{Base: p, MCells: cells}
 		mem := pmKind.Base + cells + 2*p + p + 8
-		c := model.QSMm(mm)
-		c.Penalty = model.LinearPenalty
-		m := newQSMmMem(p, mem, c, cfg)
+		m := newQSM(p, mem, model.QSMmLinear(mm), cfg)
 		rng := xrand.Derive(cfg.Seed, fmt.Sprintf("crcw-sim/m=%d", mm))
 		for a := 0; a < cells; a++ {
 			m.Store(pmKind.Base+a, int64(a*3+1))
@@ -198,13 +191,13 @@ func runLeader(rec *Recorder) {
 	rec.Rows(t, len(ps), func(i int, row func(...any)) {
 		p := ps[i]
 		leader := p / 3
-		cr := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.CRCWArbitrary,
-			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed, Observer: cfg.Observer})
+		cr := newPRAM(pram.Config{P: p, Mem: mm, Mode: pram.CRCWArbitrary,
+			ROM: problems.LeaderInput(p, leader)}, cfg)
 		problems.LeaderCR(cr)
-		er := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.EREW,
-			ROM: problems.LeaderInput(p, leader), Seed: cfg.Seed, Observer: cfg.Observer})
+		er := newPRAM(pram.Config{P: p, Mem: mm, Mode: pram.EREW,
+			ROM: problems.LeaderInput(p, leader)}, cfg)
 		problems.LeaderER(er, mm)
-		qm := newQSMmMem(p, 3*p, qsmmLinCost(mm), cfg)
+		qm := newQSM(p, 3*p, model.QSMmLinear(mm), cfg)
 		problems.LeaderQSM(qm, 2*p, leader)
 		sep := lower.SeparationERCR(p, mm)
 		row(p, cr.Time(), er.Time(), qm.Time(), er.Time()/cr.Time(), sep)
@@ -221,13 +214,13 @@ func runGroupEmul(rec *Recorder) {
 	rec.Rows(t, len(gs)*len(hs), func(i int, row func(...any)) {
 		g, h := gs[i/len(hs)], hs[i%len(hs)]
 		mBW := p / g
-		lg := newBSPg(p, g, l, cfg)
+		lg := newBSP(p, model.BSPg(g, l), cfg)
 		lg.Superstep(func(c *bsp.Ctx) {
 			for k := 0; k < h; k++ {
 				c.Send((c.ID()+k+1)%p, 0, 1)
 			}
 		})
-		gm := newBSPmExp(p, mBW, l, cfg)
+		gm := newBSP(p, model.BSPm(mBW, l), cfg)
 		st := emulate.RunGroupedBSP(gm, g, func(c *bsp.Ctx, send func(int, bsp.Msg)) {
 			for k := 0; k < h; k++ {
 				send((c.ID()+k+1)%p, bsp.Msg{A: 1})

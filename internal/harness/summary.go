@@ -5,6 +5,7 @@ import (
 
 	"parbw/internal/collective"
 	"parbw/internal/lower"
+	"parbw/internal/model"
 	"parbw/internal/problems"
 	"parbw/internal/tablefmt"
 	"parbw/internal/xrand"
@@ -38,9 +39,9 @@ func runTable1Summary(rec *Recorder) {
 	{
 		g, l := 16, 8
 		vals := make([]int64, p)
-		lm := newBSPg(p, g, l, cfg)
+		lm := newBSP(p, model.BSPg(g, l), cfg)
 		collective.OneToAllBSP(lm, 0, vals)
-		gm := newBSPmL(p, p/g, l, cfg)
+		gm := newBSP(p, model.BSPmLinear(p/g, l), cfg)
 		collective.OneToAllBSP(gm, 0, vals)
 		if gm.Time() < lm.Time() {
 			wins++
@@ -54,9 +55,9 @@ func runTable1Summary(rec *Recorder) {
 	// Row 2: broadcasting, g = 8, L = 32.
 	{
 		g, l := 8, 32
-		lm := newBSPg(p, g, l, cfg)
+		lm := newBSP(p, model.BSPg(g, l), cfg)
 		collective.BroadcastBSP(lm, 0, 1)
-		gm := newBSPmL(p, p/g, l, cfg)
+		gm := newBSP(p, model.BSPmLinear(p/g, l), cfg)
 		collective.BroadcastBSP(gm, 0, 1)
 		pred := lower.BroadcastBSPg(p, g, l) / lower.BroadcastBSPm(p, p/g, l)
 		if gm.Time() < lm.Time() {
@@ -77,9 +78,9 @@ func runTable1Summary(rec *Recorder) {
 		for i := range bits {
 			bits[i] = int64(rng.Intn(2))
 		}
-		lm := newQSMg(p, 2*p, g, cfg)
+		lm := newQSM(p, 2*p, model.QSMg(g), cfg)
 		problems.ParityQSM(lm, bits)
-		gm := newQSMmL(p, 2*p, p/g, cfg)
+		gm := newQSM(p, 2*p, model.QSMmLinear(p/g), cfg)
 		problems.ParityQSM(gm, bits)
 		if gm.Time() < lm.Time() {
 			wins++
@@ -96,9 +97,9 @@ func runTable1Summary(rec *Recorder) {
 		g, l := 32, 2
 		rng := xrand.New(cfg.Seed)
 		list := problems.RandomList(rng, p)
-		lm := newBSPg(p, g, l, cfg)
+		lm := newBSP(p, model.BSPg(g, l), cfg)
 		problems.ListRankContractBSP(lm, list)
-		gm := newBSPmL(p, p/g, l, cfg)
+		gm := newBSP(p, model.BSPmLinear(p/g, l), cfg)
 		problems.ListRankContractBSP(gm, list)
 		if gm.Time() < lm.Time() {
 			wins++
@@ -118,9 +119,9 @@ func runTable1Summary(rec *Recorder) {
 		for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
 			q *= 2
 		}
-		lm := newBSPg(p, g, l, cfg)
+		lm := newBSP(p, model.BSPg(g, l), cfg)
 		problems.ColumnsortBSP(lm, keys, q)
-		gm := newBSPmL(p, p/g, l, cfg)
+		gm := newBSP(p, model.BSPmLinear(p/g, l), cfg)
 		problems.ColumnsortBSP(gm, keys, q)
 		if gm.Time() < lm.Time() {
 			wins++

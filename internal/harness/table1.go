@@ -7,37 +7,27 @@ import (
 	"parbw/internal/collective"
 	"parbw/internal/lower"
 	"parbw/internal/model"
+	"parbw/internal/pram"
 	"parbw/internal/problems"
 	"parbw/internal/qsm"
 	"parbw/internal/tablefmt"
 	"parbw/internal/xrand"
 )
 
-// Machine constructors for the standing Table 1 comparison: a locally
-// limited machine with gap g and its globally-limited counterpart with the
-// same aggregate bandwidth m = p/g. Every machine a run builds takes the
-// run's seed and observer from cfg.
+// Machine constructors, one per family. Every machine a run builds takes
+// the run's seed and observer from cfg; each call site names its cost model.
 
-func newBSPg(p, g, l int, cfg Config) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPg(g, l), Seed: cfg.Seed, Observer: cfg.Observer})
+func newBSP(p int, cost model.Cost, cfg Config) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: cost, Seed: cfg.Seed, Observer: cfg.Observer})
 }
 
-func newBSPmL(p, m, l int, cfg Config) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPmLinear(m, l), Seed: cfg.Seed, Observer: cfg.Observer})
+func newQSM(p, mem int, cost model.Cost, cfg Config) *qsm.Machine {
+	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: cost, Seed: cfg.Seed, Observer: cfg.Observer})
 }
 
-func newBSPmExp(p, m, l int, cfg Config) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: cfg.Seed, Observer: cfg.Observer})
-}
-
-func newQSMg(p, mem, g int, cfg Config) *qsm.Machine {
-	return newQSMmMem(p, mem, model.QSMg(g), cfg)
-}
-
-func newQSMmL(p, mem, m int, cfg Config) *qsm.Machine {
-	c := model.QSMm(m)
-	c.Penalty = model.LinearPenalty
-	return newQSMmMem(p, mem, c, cfg)
+func newPRAM(c pram.Config, cfg Config) *pram.Machine {
+	c.Seed, c.Observer = cfg.Seed, cfg.Observer
+	return pram.New(c)
 }
 
 // table1Params is the shared schema shape of the five Table 1 rows: the
@@ -103,9 +93,9 @@ func runOneToAll(rec *Recorder) {
 			vals[i] = int64(i)
 		}
 
-		lb := newBSPg(p, g, l, cfg)
+		lb := newBSP(p, model.BSPg(g, l), cfg)
 		collective.OneToAllBSP(lb, 0, vals)
-		gb := newBSPmL(p, m, l, cfg)
+		gb := newBSP(p, model.BSPmLinear(m, l), cfg)
 		collective.OneToAllBSP(gb, 0, vals)
 		predL := lower.OneToAllBSPg(p, g, l)
 		predG := lower.OneToAllBSPm(p, l)
@@ -113,9 +103,9 @@ func runOneToAll(rec *Recorder) {
 		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg)
+		lq := newQSM(p, 2*p, model.QSMg(g), cfg)
 		collective.OneToAllQSM(lq, 0, vals)
-		gq := newQSMmL(p, 2*p, m, cfg)
+		gq := newQSM(p, 2*p, model.QSMmLinear(m), cfg)
 		collective.OneToAllQSM(gq, 0, vals)
 		row(p, "QSM(g)", lq.Time(), lower.OneToAllQSMg(p, g),
 			lq.Time()/lower.OneToAllQSMg(p, g), "")
@@ -135,9 +125,9 @@ func runBroadcastRow(rec *Recorder) {
 		p := ps[i]
 		m := max(p/g, 1)
 
-		lb := newBSPg(p, g, l, cfg)
+		lb := newBSP(p, model.BSPg(g, l), cfg)
 		collective.BroadcastBSP(lb, 0, 7)
-		gb := newBSPmL(p, m, l, cfg)
+		gb := newBSP(p, model.BSPmLinear(m, l), cfg)
 		collective.BroadcastBSP(gb, 0, 7)
 		predL := lower.BroadcastBSPg(p, g, l)
 		predG := lower.BroadcastBSPm(p, m, l)
@@ -145,9 +135,9 @@ func runBroadcastRow(rec *Recorder) {
 		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg)
+		lq := newQSM(p, 2*p, model.QSMg(g), cfg)
 		collective.BroadcastQSM(lq, 0, 7)
-		gq := newQSMmL(p, 2*p, m, cfg)
+		gq := newQSM(p, 2*p, model.QSMmLinear(m), cfg)
 		collective.BroadcastQSM(gq, 0, 7)
 		row(p, "QSM(g)", lq.Time(), lower.BroadcastQSMg(p, g),
 			lq.Time()/lower.BroadcastQSMg(p, g), "")
@@ -172,9 +162,9 @@ func runParityRow(rec *Recorder) {
 			bits[i] = int64(rng.Intn(2))
 		}
 
-		lb := newBSPg(p, g, l, cfg)
+		lb := newBSP(p, model.BSPg(g, l), cfg)
 		problems.ParityBSP(lb, bits)
-		gb := newBSPmL(p, m, l, cfg)
+		gb := newBSP(p, model.BSPmLinear(m, l), cfg)
 		problems.ParityBSP(gb, bits)
 		predL := lower.ParityBSPg(p, g, l)
 		predG := lower.ParityBSPm(p, m, l)
@@ -182,9 +172,9 @@ func runParityRow(rec *Recorder) {
 		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg)
+		lq := newQSM(p, 2*p, model.QSMg(g), cfg)
 		problems.ParityQSM(lq, bits)
-		gq := newQSMmL(p, 2*p, m, cfg)
+		gq := newQSM(p, 2*p, model.QSMmLinear(m), cfg)
 		problems.ParityQSM(gq, bits)
 		predQL := lower.ParityQSMgLB(p, g) // lower bound for the weak model
 		predQG := lower.ParityQSMm(p, m)
@@ -209,9 +199,9 @@ func runListRankRow(rec *Recorder) {
 		rng := xrand.New(cfg.Seed)
 		list := problems.RandomList(rng, p)
 
-		lb := newBSPg(p, g, l, cfg)
+		lb := newBSP(p, model.BSPg(g, l), cfg)
 		problems.ListRankContractBSP(lb, list)
-		gb := newBSPmL(p, m, l, cfg)
+		gb := newBSP(p, model.BSPmLinear(m, l), cfg)
 		problems.ListRankContractBSP(gb, list)
 		predL := lower.ListRankLBg(p, g)
 		predG := lower.ListRankBSPm(p, m, l)
@@ -219,9 +209,9 @@ func runListRankRow(rec *Recorder) {
 		row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 3*p, g, cfg)
+		lq := newQSM(p, 3*p, model.QSMg(g), cfg)
 		problems.ListRankContractQSM(lq, list)
-		gq := newQSMmL(p, 3*p, m, cfg)
+		gq := newQSM(p, 3*p, model.QSMmLinear(m), cfg)
 		problems.ListRankContractQSM(gq, list)
 		predQG := lower.ListRankQSMm(p, m)
 		row(p, "QSM(g)", lq.Time(), predL, lq.Time()/predL, "")
@@ -248,9 +238,9 @@ func runSortRow(rec *Recorder) {
 		}
 		keys := sortKeys(cfg.Seed, p)
 
-		lb := newBSPg(p, g, l, cfg)
+		lb := newBSP(p, model.BSPg(g, l), cfg)
 		problems.ColumnsortBSP(lb, keys, q)
-		gb := newBSPmL(p, m, l, cfg)
+		gb := newBSP(p, model.BSPmLinear(m, l), cfg)
 		problems.ColumnsortBSP(gb, keys, q)
 		predL := lower.SortLBg(p, g)
 		predG := lower.SortBSPm(p, m, l)
@@ -258,9 +248,9 @@ func runSortRow(rec *Recorder) {
 		row(p, "BSP(m)", q, gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, p, g, cfg)
+		lq := newQSM(p, p, model.QSMg(g), cfg)
 		problems.ColumnsortQSM(lq, keys, q)
-		gq := newQSMmL(p, p, m, cfg)
+		gq := newQSM(p, p, model.QSMmLinear(m), cfg)
 		problems.ColumnsortQSM(gq, keys, q)
 		predQG := lower.SortQSMm(p, m)
 		row(p, "QSM(g)", q, lq.Time(), predL, lq.Time()/predL, "")
@@ -276,8 +266,4 @@ func ratioStr(local, global float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", local/global)
-}
-
-func newBSPSelfSched(p, m, l int, cfg Config) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(m, l), Seed: cfg.Seed, Observer: cfg.Observer})
 }

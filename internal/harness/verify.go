@@ -7,6 +7,7 @@ import (
 	"parbw/internal/collective"
 	"parbw/internal/dynamic"
 	"parbw/internal/lower"
+	"parbw/internal/model"
 	"parbw/internal/pram"
 	"parbw/internal/problems"
 	"parbw/internal/sched"
@@ -34,9 +35,9 @@ func Checks() []Check {
 			Run: func(seed uint64) (string, bool) {
 				p, g, l := 1024, 16, 8
 				vals := make([]int64, p)
-				lm := newBSPg(p, g, l, Config{Seed: seed})
+				lm := newBSP(p, model.BSPg(g, l), Config{Seed: seed})
 				collective.OneToAllBSP(lm, 0, vals)
-				gm := newBSPmL(p, p/g, l, Config{Seed: seed})
+				gm := newBSP(p, model.BSPmLinear(p/g, l), Config{Seed: seed})
 				collective.OneToAllBSP(gm, 0, vals)
 				sep := lm.Time() / gm.Time()
 				return fmt.Sprintf("separation %.2f vs g=%d", sep, g),
@@ -51,27 +52,27 @@ func Checks() []Check {
 				p, g, l := 512, 16, 8
 				wins := 0
 				// broadcast
-				lm := newBSPg(p, g, l, Config{Seed: seed})
+				lm := newBSP(p, model.BSPg(g, l), Config{Seed: seed})
 				collective.BroadcastBSP(lm, 0, 1)
-				gm := newBSPmL(p, p/g, l, Config{Seed: seed})
+				gm := newBSP(p, model.BSPmLinear(p/g, l), Config{Seed: seed})
 				collective.BroadcastBSP(gm, 0, 1)
 				if gm.Time() < lm.Time() {
 					wins++
 				}
 				// parity
 				bits := make([]int64, p)
-				lm2 := newBSPg(p, g, l, Config{Seed: seed})
+				lm2 := newBSP(p, model.BSPg(g, l), Config{Seed: seed})
 				problems.ParityBSP(lm2, bits)
-				gm2 := newBSPmL(p, p/g, l, Config{Seed: seed})
+				gm2 := newBSP(p, model.BSPmLinear(p/g, l), Config{Seed: seed})
 				problems.ParityBSP(gm2, bits)
 				if gm2.Time() < lm2.Time() {
 					wins++
 				}
 				// list ranking (g ≫ L regime)
 				list := problems.RandomList(xrand.New(seed), p)
-				lm3 := newBSPg(p, 32, 2, Config{Seed: seed})
+				lm3 := newBSP(p, model.BSPg(32, 2), Config{Seed: seed})
 				problems.ListRankContractBSP(lm3, list)
-				gm3 := newBSPmL(p, p/32, 2, Config{Seed: seed})
+				gm3 := newBSP(p, model.BSPmLinear(p/32, 2), Config{Seed: seed})
 				problems.ListRankContractBSP(gm3, list)
 				if gm3.Time() < lm3.Time() {
 					wins++
@@ -82,9 +83,9 @@ func Checks() []Check {
 				for i := range keys {
 					keys[i] = int64(rng.Uint64() % 9973)
 				}
-				lm4 := newBSPg(p, g, l, Config{Seed: seed})
+				lm4 := newBSP(p, model.BSPg(g, l), Config{Seed: seed})
 				problems.ColumnsortBSP(lm4, keys, 4)
-				gm4 := newBSPmL(p, p/g, l, Config{Seed: seed})
+				gm4 := newBSP(p, model.BSPmLinear(p/g, l), Config{Seed: seed})
 				problems.ColumnsortBSP(gm4, keys, 4)
 				if gm4.Time() < lm4.Time() {
 					wins++
@@ -100,7 +101,7 @@ func Checks() []Check {
 				p, mm, l := 256, 64, 8
 				eps := 0.25
 				plan := sched.ZipfPlan(xrand.New(seed), p, 8192, 1.1)
-				m := newBSPmExp(p, mm, l, Config{Seed: seed})
+				m := newBSP(p, model.BSPm(mm, l), Config{Seed: seed})
 				r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 				opt := r.OptimalOffline(mm, l)
 				ratio := (r.Time - r.Tau) / opt
@@ -115,8 +116,8 @@ func Checks() []Check {
 			Run: func(seed uint64) (string, bool) {
 				p, mm, l := 128, 8, 2
 				plan := sched.UniformPlan(xrand.New(seed), p, 32)
-				naive := sched.NaiveSend(newBSPmExp(p, mm, l, Config{Seed: seed}), plan)
-				schd := sched.UnbalancedSend(newBSPmExp(p, mm, l, Config{Seed: seed}), plan, sched.Options{})
+				naive := sched.NaiveSend(newBSP(p, model.BSPm(mm, l), Config{Seed: seed}), plan)
+				schd := sched.UnbalancedSend(newBSP(p, model.BSPm(mm, l), Config{Seed: seed}), plan, sched.Options{})
 				ratio := naive.Time / schd.Time
 				return fmt.Sprintf("naive/scheduled = %.3g", ratio), ratio > 1000
 			},
@@ -129,7 +130,7 @@ func Checks() []Check {
 				p, g, l := 16, 8, 4
 				at := func(beta float64) bool {
 					lmt := dynamic.Limits{W: 32, Alpha: beta, Beta: beta}
-					m := newBSPg(p, g, l, Config{Seed: seed})
+					m := newBSP(p, model.BSPg(g, l), Config{Seed: seed})
 					return dynamic.RunBSPgInterval(m, dynamic.SingleTargetAdversary{L: lmt}, lmt, 80).LooksStable()
 				}
 				below, above := at(1.0/float64(g)), at(2.0/float64(g))
@@ -144,7 +145,7 @@ func Checks() []Check {
 			Run: func(seed uint64) (string, bool) {
 				p, g, l := 16, 8, 4
 				lmt := dynamic.Limits{W: 32, Alpha: 1, Beta: 1}
-				m := newBSPmExp(p, p/g, l, Config{Seed: seed})
+				m := newBSP(p, model.BSPm(p/g, l), Config{Seed: seed})
 				res := dynamic.RunAlgorithmB(m, dynamic.SingleTargetAdversary{L: lmt}, lmt, 80, 0.25)
 				return fmt.Sprintf("max backlog %d over %d windows", res.MaxBacklog, res.Windows),
 					res.LooksStable()
@@ -157,11 +158,11 @@ func Checks() []Check {
 			Run: func(seed uint64) (string, bool) {
 				mm := 4
 				gap := func(p int) float64 {
-					cr := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.CRCWArbitrary,
-						ROM: problems.LeaderInput(p, p/2), Seed: seed})
+					cr := newPRAM(pram.Config{P: p, Mem: mm, Mode: pram.CRCWArbitrary,
+						ROM: problems.LeaderInput(p, p/2)}, Config{Seed: seed})
 					problems.LeaderCR(cr)
-					er := pram.New(pram.Config{P: p, Mem: mm, Mode: pram.EREW,
-						ROM: problems.LeaderInput(p, p/2), Seed: seed})
+					er := newPRAM(pram.Config{P: p, Mem: mm, Mode: pram.EREW,
+						ROM: problems.LeaderInput(p, p/2)}, Config{Seed: seed})
 					problems.LeaderER(er, mm)
 					return er.Time() / cr.Time()
 				}
@@ -184,7 +185,7 @@ func Checks() []Check {
 							plan[i] = append(plan[i], problems.HRelationMsg{Dst: (i + j + 1) % p, Val: 1})
 						}
 					}
-					m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary, Seed: seed})
+					m := newPRAM(pram.Config{P: p, Mem: 2 * p, Mode: pram.CRCWArbitrary}, Config{Seed: seed})
 					problems.HRelationCRCW(m, plan)
 					return m.Time() / float64(h)
 				}
@@ -199,7 +200,7 @@ func Checks() []Check {
 			Source: "Section 4.2",
 			Run: func(seed uint64) (string, bool) {
 				p, g, l := 729, 8, 8
-				m := newBSPg(p, g, l, Config{Seed: seed})
+				m := newBSP(p, model.BSPg(g, l), Config{Seed: seed})
 				collective.BroadcastTernaryBSPg(m, 1)
 				pred := lower.BroadcastTernaryBSPg(p, g)
 				lb := lower.BroadcastLBBSPg(p, g, l)
@@ -214,9 +215,9 @@ func Checks() []Check {
 			Run: func(seed uint64) (string, bool) {
 				p, mm, l := 256, 64, 4
 				plan := sched.ZipfPlan(xrand.New(seed), p, 8192, 1.1)
-				ss := newBSPSelfSched(p, mm, l, Config{Seed: seed})
+				ss := newBSP(p, model.BSPSelfSched(mm, l), Config{Seed: seed})
 				sres := sched.NaiveSend(ss, plan)
-				real := newBSPmExp(p, mm, l, Config{Seed: seed})
+				real := newBSP(p, model.BSPm(mm, l), Config{Seed: seed})
 				rres := sched.UnbalancedSend(real, plan, sched.Options{Eps: 0.25, KnownN: sres.N})
 				ratio := rres.Time / sres.Time
 				return fmt.Sprintf("realized/metric = %.3f", ratio), ratio <= 1.3

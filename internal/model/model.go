@@ -276,16 +276,7 @@ func QSMg(g int) Cost { return Cost{Kind: KindQSMg, G: g} }
 // QSMm returns a QSM(m) cost model with the exponential penalty.
 func QSMm(m int) Cost { return Cost{Kind: KindQSMm, M: m} }
 
-// MatchedPair returns the locally- and globally-limited variants with equal
-// aggregate bandwidth for p processors: g and m = p/g (the paper's standing
-// assumption p·(1/g) = m). It panics unless g divides p.
-func MatchedPair(p, g, l int, shared bool) (local, global Cost) {
-	if g < 1 || p%g != 0 {
-		panic(fmt.Sprintf("model: MatchedPair requires g >= 1 dividing p, got p=%d g=%d", p, g))
-	}
-	m := p / g
-	if shared {
-		return QSMg(g), QSMm(m)
-	}
-	return BSPg(g, l), BSPm(m, l)
+// QSMmLinear returns a QSM(m) cost model with the linear penalty f^ℓ.
+func QSMmLinear(m int) Cost {
+	return Cost{Kind: KindQSMm, M: m, Penalty: LinearPenalty}
 }

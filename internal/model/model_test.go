@@ -165,29 +165,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestMatchedPair(t *testing.T) {
-	local, global := MatchedPair(64, 8, 4, false)
-	if local.Kind != KindBSPg || local.G != 8 {
-		t.Fatalf("local = %+v", local)
-	}
-	if global.Kind != KindBSPm || global.M != 8 {
-		t.Fatalf("global = %+v", global)
-	}
-	ql, qg := MatchedPair(64, 4, 0, true)
-	if ql.Kind != KindQSMg || qg.Kind != KindQSMm || qg.M != 16 {
-		t.Fatalf("qsm pair = %+v %+v", ql, qg)
-	}
-}
-
-func TestMatchedPairPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-dividing g did not panic")
-		}
-	}()
-	MatchedPair(10, 3, 1, false)
-}
-
 // The emulation observation of Section 4: a locally-limited superstep cost
 // always dominates the corresponding globally-limited cost when m = p/g and
 // the injections are spread as in the grouped emulation (g substeps, each

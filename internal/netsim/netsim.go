@@ -192,8 +192,8 @@ func NaiveSchedule(x []int) [][]int {
 }
 
 // UnbalancedSchedule plans flits with the Theorem 6.2 schedule: source i
-// with x_i <= T gets a uniform cyclic start in the period T = (1+ε)n/m;
-// overloaded sources start at 0.
+// with x_i <= T gets a uniform cyclic start in the period
+// T = max(⌊(1+ε)n/m⌋, 1); overloaded sources start at 0.
 func UnbalancedSchedule(rng *xrand.Source, x []int, m int, eps float64) [][]int {
 	n := 0
 	for _, k := range x {

@@ -3,6 +3,7 @@ package oracle
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"parbw/internal/work"
 )
@@ -70,13 +71,8 @@ func Replay(e *Entry) error {
 	if want == nil {
 		want = []string{}
 	}
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		return fmt.Errorf("oracle: replay: violations %v, entry records %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Errorf("oracle: replay: violations %v, entry records %v", got, want)
-		}
 	}
 	return nil
 }

@@ -7,14 +7,12 @@
 // answer; all communication flows through the machine so its simulated
 // clock measures the algorithm's model time. Globally-limited machines get
 // slot-scheduled injections: when a superstep or phase sends k messages,
-// they are spread over a period of ⌈(1+ε)·k/m⌉ steps with random offsets
-// (the per-superstep application of the paper's self-scheduling
+// they are spread over a period of max(⌊(1+ε)·k/m⌋, 1) steps with random
+// offsets (the per-superstep application of the paper's self-scheduling
 // transformation, Section 2 + Theorem 6.2).
 package problems
 
 import (
-	"sort"
-
 	"parbw/internal/bsp"
 	"parbw/internal/collective"
 	"parbw/internal/model"
@@ -117,9 +115,4 @@ func SummationQSM(m *qsm.Machine, input []int64) int64 {
 // ParityQSM computes the parity of n input bits on a QSM machine.
 func ParityQSM(m *qsm.Machine, input []int64) int64 {
 	return foldLocalQSM(m, input, collective.Xor, 0) & 1
-}
-
-// sortInt64s sorts in place (local computation inside algorithms).
-func sortInt64s(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,7 +251,7 @@ func TestColumnsortBSPSortsRandom(t *testing.T) {
 		}
 		// Same multiset.
 		want := append([]int64(nil), keys...)
-		sortInt64s(want)
+		slices.Sort(want)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d q=%d: got[%d]=%d want %d", cfg.n, cfg.q, i, got[i], want[i])
@@ -277,7 +278,7 @@ func TestColumnsortBSPProperty(t *testing.T) {
 			return false
 		}
 		want := append([]int64(nil), keys...)
-		sortInt64s(want)
+		slices.Sort(want)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -400,7 +401,7 @@ func TestColumnsortQSMSortsRandom(t *testing.T) {
 				t.Fatalf("n=%d p=%d q=%d: QSM output not sorted", cfg.n, cfg.p, cfg.q)
 			}
 			want := append([]int64(nil), keys...)
-			sortInt64s(want)
+			slices.Sort(want)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d q=%d: got[%d]=%d want %d", cfg.n, cfg.q, i, got[i], want[i])
@@ -429,7 +430,7 @@ func TestColumnsortQSMProperty(t *testing.T) {
 			return false
 		}
 		want := append([]int64(nil), keys...)
-		sortInt64s(want)
+		slices.Sort(want)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -511,7 +512,7 @@ func TestSampleSortBSPSorts(t *testing.T) {
 			t.Fatalf("n=%d p=%d: not sorted", cfg.n, cfg.p)
 		}
 		want := append([]int64(nil), keys...)
-		sortInt64s(want)
+		slices.Sort(want)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d: got[%d]=%d want %d", cfg.n, i, got[i], want[i])
@@ -535,7 +536,7 @@ func TestSampleSortBSPProperty(t *testing.T) {
 			return false
 		}
 		want := append([]int64(nil), keys...)
-		sortInt64s(want)
+		slices.Sort(want)
 		for i := range want {
 			if got[i] != want[i] {
 				return false

@@ -1,6 +1,8 @@
 package problems
 
 import (
+	"slices"
+
 	"parbw/internal/bsp"
 	"parbw/internal/collective"
 	"parbw/internal/sched"
@@ -50,7 +52,7 @@ func SampleSortBSP(m *bsp.Machine, keys []int64, oversample int) []int64 {
 		lo, hi := blockOf(i)
 		blk := keys[lo:hi]
 		local := append([]int64(nil), blk...)
-		sortInt64s(local)
+		slices.Sort(local)
 		c.Charge(len(local) * bitsLen(len(local)))
 		copy(keys[lo:hi], local)
 		s := make([]int64, 0, oversample)
@@ -80,7 +82,7 @@ func SampleSortBSP(m *bsp.Machine, keys []int64, oversample int) []int64 {
 		for _, msg := range c.Recv() {
 			all = append(all, msg.A)
 		}
-		sortInt64s(all)
+		slices.Sort(all)
 		c.Charge(len(all) * bitsLen(len(all)))
 		splitters = make([]int64, 0, p-1)
 		for b := 1; b < p; b++ {
@@ -125,8 +127,8 @@ func SampleSortBSP(m *bsp.Machine, keys []int64, oversample int) []int64 {
 		for _, msg := range c.Recv() {
 			b = append(b, msg.A)
 		}
-		sortInt64s(b)
-		c.Charge(len(b) * bitsLen(maxi(len(b), 1)))
+		slices.Sort(b)
+		c.Charge(len(b) * bitsLen(max(len(b), 1)))
 		buckets[i] = b
 	})
 	out := make([]int64, 0, n)

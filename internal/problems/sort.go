@@ -2,7 +2,7 @@ package problems
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"parbw/internal/bsp"
 	"parbw/internal/sched"
@@ -53,8 +53,8 @@ func ColumnsortBSP(m *bsp.Machine, keys []int64, q int) []int64 {
 	// arr[s·n/q, (s+1)·n/q)). The permutation is oblivious, so the message
 	// count is known a priori (KnownN).
 	routeBSP(m, p, n, keys,
-		func(idx int) int { return idx / maxi(n/p, 1) }, // input layout owner
-		func(idx int) int { return idx / (n / q) },      // sorter layout owner
+		func(idx int) int { return idx / max(n/p, 1) }, // input layout owner
+		func(idx int) int { return idx / (n / q) },     // sorter layout owner
 		arr)
 
 	columnsortRec(bspBackend{m}, arr, []span{{off: 0, cnt: n, procLo: 0, procN: q}})
@@ -63,7 +63,7 @@ func ColumnsortBSP(m *bsp.Machine, keys []int64, q int) []int64 {
 	out := make([]int64, n)
 	routeBSP(m, p, n, arr,
 		func(idx int) int { return idx / (n / q) },
-		func(idx int) int { return idx / maxi(n/p, 1) },
+		func(idx int) int { return idx / max(n/p, 1) },
 		out)
 	return out
 }
@@ -179,7 +179,7 @@ func (b bspBackend) leafSort(arr []int64, spans []span) {
 	b.m.Superstep(func(c *bsp.Ctx) {
 		for _, sp := range spans {
 			if sp.procLo == c.ID() {
-				sortInt64s(arr[sp.off : sp.off+sp.cnt])
+				slices.Sort(arr[sp.off : sp.off+sp.cnt])
 				c.Charge(sp.cnt * bitsLen(sp.cnt))
 			}
 		}
@@ -266,7 +266,7 @@ func (b bspBackend) gatherSort(arr []int64, spans []span) {
 	m.Superstep(func(c *bsp.Ctx) {
 		for _, sp := range spans {
 			if sp.procLo == c.ID() {
-				sortInt64s(arr[sp.off : sp.off+sp.cnt])
+				slices.Sort(arr[sp.off : sp.off+sp.cnt])
 				c.Charge(sp.cnt * bitsLen(sp.cnt))
 			}
 		}
@@ -333,14 +333,7 @@ func routeBSP(m *bsp.Machine, p, n int, in []int64,
 
 // IsSorted reports whether xs is non-decreasing.
 func IsSorted(xs []int64) bool {
-	return sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	return slices.IsSorted(xs)
 }
 
 func isPow2(x int) bool { return x > 0 && x&(x-1) == 0 }
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

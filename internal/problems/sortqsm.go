@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"slices"
 
 	"parbw/internal/model"
 	"parbw/internal/qsm"
@@ -17,7 +18,7 @@ import (
 // Data movement goes through shared memory: for each oblivious permutation,
 // holders write their keys into the buffer cells of the destination
 // positions and the new owners read them in the next phase, with requests
-// spread cyclically over a ⌈(1+ε)·moved/m⌉-step window on the QSM(m)
+// spread cyclically over a ⌊(1+ε)·moved/m⌋-step window on the QSM(m)
 // (Theorem 6.2's schedule, which the paper notes carries over to the
 // QSM(m)). This realizes the Table 1 row 5 bound Θ(n/m) for
 // m = O(n^{1-ε}).
@@ -41,7 +42,7 @@ func ColumnsortQSM(m *qsm.Machine, keys []int64, q int) []int64 {
 
 	arr := make([]int64, n)
 	b.move(keys, arr,
-		func(idx int) int { return idx / maxi(n/p, 1) }, // input owner
+		func(idx int) int { return idx / max(n/p, 1) }, // input owner
 		identity,
 		func(pos int) int { return pos / (n / q) }) // sorter owner
 
@@ -51,7 +52,7 @@ func ColumnsortQSM(m *qsm.Machine, keys []int64, q int) []int64 {
 	b.move(arr, out,
 		func(idx int) int { return idx / (n / q) },
 		identity,
-		func(pos int) int { return pos / maxi(n/p, 1) })
+		func(pos int) int { return pos / max(n/p, 1) })
 	return out
 }
 
@@ -60,7 +61,7 @@ type qsmBackend struct{ m *qsm.Machine }
 
 // slotter assigns a processor's j-th shared-memory request of a phase to a
 // step, mirroring Unbalanced-Send's cyclic schedule: a random start in a
-// window of ⌈(1+ε)·total/m⌉ steps (at least the processor's own request
+// window of ⌊(1+ε)·total/m⌋ steps (at least the processor's own request
 // count, so its requests get distinct steps).
 type slotter struct {
 	period int
@@ -69,7 +70,7 @@ type slotter struct {
 
 func newSlotter(rng *xrand.Source, global bool, total, mine, mm int) slotter {
 	if !global {
-		return slotter{period: maxi(mine, 1)}
+		return slotter{period: max(mine, 1)}
 	}
 	period := int((1 + schedEps) * float64(total) / float64(mm))
 	if period < mine {
@@ -142,7 +143,7 @@ func (b qsmBackend) leafSort(arr []int64, spans []span) {
 	b.m.Phase(func(c *qsm.Ctx) {
 		for _, sp := range spans {
 			if sp.procLo == c.ID() {
-				sortInt64s(arr[sp.off : sp.off+sp.cnt])
+				slices.Sort(arr[sp.off : sp.off+sp.cnt])
 				c.Charge(sp.cnt * bitsLen(sp.cnt))
 			}
 		}
@@ -202,7 +203,7 @@ func (b qsmBackend) gatherSort(arr []int64, spans []span) {
 	b.m.Phase(func(c *qsm.Ctx) {
 		for _, sp := range spans {
 			if sp.procLo == c.ID() {
-				sortInt64s(tmp[sp.off : sp.off+sp.cnt])
+				slices.Sort(tmp[sp.off : sp.off+sp.cnt])
 				c.Charge(sp.cnt * bitsLen(sp.cnt))
 			}
 		}

@@ -11,11 +11,7 @@ import (
 // requests spread two per step (m = 2), then a second phase reads them.
 // Phase costs are max(w, h, κ, c_m).
 func Example() {
-	m := qsm.New(qsm.Config{P: 8, Mem: 8, Cost: func() model.Cost {
-		c := model.QSMm(2)
-		c.Penalty = model.LinearPenalty
-		return c
-	}(), Seed: 1})
+	m := qsm.New(qsm.Config{P: 8, Mem: 8, Cost: model.QSMmLinear(2), Seed: 1})
 	st := m.Phase(func(c *qsm.Ctx) {
 		c.WriteAt(c.ID()/2, c.ID(), int64(c.ID()*3))
 	})

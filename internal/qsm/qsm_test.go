@@ -15,9 +15,7 @@ func newQSMg(p, mem, g int) *Machine {
 }
 
 func newQSMmLin(p, mem, m int) *Machine {
-	c := model.QSMm(m)
-	c.Penalty = model.LinearPenalty
-	return New(Config{P: p, Mem: mem, Cost: c, Seed: 1})
+	return New(Config{P: p, Mem: mem, Cost: model.QSMmLinear(m), Seed: 1})
 }
 
 func TestWriteVisibleNextPhase(t *testing.T) {

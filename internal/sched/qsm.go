@@ -77,7 +77,7 @@ func checkQSMPlan(m *qsm.Machine, plan QSMPlan) []int {
 
 // learnQSM validates plan, makes n known to every processor (Options.KnownN
 // or the prefix-sum/broadcast protocol on the QSM, charging τ) and returns
-// the request counts, τ and the period T = ⌈(1+ε)n/m⌉. A QSM(g) has no
+// the request counts, τ and the period T = max(⌊(1+ε)n/m⌋, 1). A QSM(g) has no
 // aggregate limit, so there the schedule degenerates to m = p.
 func learnQSM(m *qsm.Machine, plan QSMPlan, opt Options) (x []int, tau model.Time, T int) {
 	x = checkQSMPlan(m, plan)
@@ -134,7 +134,7 @@ func writeQSM(m *qsm.Machine, plan QSMPlan, x []int, tau model.Time, T int,
 }
 
 // UnbalancedSendQSM is Unbalanced-Send on a QSM machine: processor i with
-// x_i <= T picks a uniform phase j_i in the period T = ⌈(1+ε)n/m⌉ and
+// x_i <= T picks a uniform phase j_i in the period T = max(⌊(1+ε)n/m⌋, 1) and
 // issues its requests at steps (j_i + k) mod T; an overloaded processor
 // issues consecutively from step 0.
 func UnbalancedSendQSM(m *qsm.Machine, plan QSMPlan, opt Options) QSMResult {

@@ -239,7 +239,7 @@ func learnN(m *bsp.Machine, x []int, opt Options) (n int, tau model.Time) {
 	return int(total), m.Time() - before
 }
 
-// period returns the cyclic schedule period T = ⌈(1+ε)n/m⌉, at least 1.
+// period returns the cyclic schedule period T = ⌊(1+ε)n/m⌋, at least 1.
 func period(n, m int, eps float64) int {
 	t := int((1 + eps) * float64(n) / float64(m))
 	if t < 1 {
@@ -288,7 +288,7 @@ func send(m *bsp.Machine, cp *compiled, tau model.Time, T, sep int,
 
 // UnbalancedSend runs Algorithm Unbalanced-Send (Theorem 6.2): processor i
 // with x_i <= T sends cyclically from a uniform phase in the period
-// T = ⌈(1+ε)n/m⌉, an overloaded processor consecutively from step 0.
+// T = max(⌊(1+ε)n/m⌋, 1), an overloaded processor consecutively from step 0.
 // Messages of length > 1 use the paper's long-message modification: a
 // message whose cyclic allocation crosses the period boundary is sent
 // straight through in consecutive steps (additive ℓ̂). It is TemplateSend

@@ -170,7 +170,7 @@ func CommAwareSchedule(d *DAG, levels []int, p int, capFactor float64) Placement
 		load := make([]int64, p)
 		for _, v := range nodes {
 			choice := -1
-			if pref := preferredProc(d, in[v], place, p); pref >= 0 && load[pref]+d.Nodes[v].Work <= maxI64(budget, d.Nodes[v].Work) {
+			if pref := preferredProc(d, in[v], place, p); pref >= 0 && load[pref]+d.Nodes[v].Work <= max(budget, d.Nodes[v].Work) {
 				choice = pref
 			}
 			if choice < 0 {
@@ -225,13 +225,6 @@ func leastLoaded(load []int64) int {
 		}
 	}
 	return best
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Options tunes Lower.

@@ -68,9 +68,7 @@ type GenConfig struct {
 	M      int     // machine bandwidth limit; 0 = draw from [1, P]
 	L      int     // latency/periodicity; 0 = draw from [1, 8]
 	Steps  int     // supersteps; 0 = draw from [1, 6]
-	MaxLen int     // max message flits; 0 = draw from [1, 4]
 	Load   float64 // mean sends per processor per superstep; 0 = draw from [0.25, 4]
-	Skew   float64 // Zipf exponent for balls destinations; 0 = draw from [0, 2]
 
 	// Adversarial makes the generator corrupt the finished workload in one
 	// seed-determined way (negative slot, out-of-range destination,
@@ -122,8 +120,7 @@ func GenerateIR(cfg GenConfig) *work.IR {
 		panic(err)
 	}
 	if cfg.P < 0 || cfg.P > work.MaxP || cfg.M < 0 || cfg.L < 0 || cfg.Steps < 0 ||
-		cfg.Steps > work.MaxSteps || cfg.MaxLen < 0 || cfg.MaxLen > work.MaxMsgLen ||
-		cfg.Load < 0 || cfg.Skew < 0 {
+		cfg.Steps > work.MaxSteps || cfg.Load < 0 {
 		panic(fmt.Sprintf("workgen: invalid GenConfig %+v", cfg))
 	}
 	st := deriveStreams(cfg.Family, cfg.Seed)
@@ -136,15 +133,12 @@ func GenerateIR(cfg GenConfig) *work.IR {
 	}
 	ir.L = orDraw(cfg.L, st.shape, 1, 8)
 	steps := orDraw(cfg.Steps, st.shape, 1, 6)
-	maxLen := orDraw(cfg.MaxLen, st.shape, 1, 4)
+	maxLen := 1 + st.shape.Intn(4) // max message flits, in [1, 4]
 	load := cfg.Load
 	if load == 0 {
 		load = 0.25 + st.shape.Float64()*3.75
 	}
-	skew := cfg.Skew
-	if skew == 0 {
-		skew = st.shape.Float64() * 2
-	}
+	skew := st.shape.Float64() * 2 // Zipf exponent for balls destinations
 
 	switch cfg.Family {
 	case FamilyHRel:

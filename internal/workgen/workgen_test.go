@@ -75,16 +75,9 @@ func TestGeneratedWorkloadsValidate(t *testing.T) {
 }
 
 func TestPinnedConfigRespected(t *testing.T) {
-	ir := GenerateIR(GenConfig{Family: FamilyHRel, Seed: 3, P: 8, M: 4, L: 2, Steps: 3, MaxLen: 1})
+	ir := GenerateIR(GenConfig{Family: FamilyHRel, Seed: 3, P: 8, M: 4, L: 2, Steps: 3})
 	if ir.P != 8 || ir.M != 4 || ir.L != 2 || len(ir.Steps) != 3 {
 		t.Fatalf("pins ignored: p=%d m=%d l=%d steps=%d", ir.P, ir.M, ir.L, len(ir.Steps))
-	}
-	for _, step := range ir.Steps {
-		for _, s := range step.Sends {
-			if s.Len != 1 {
-				t.Fatalf("MaxLen=1 pin ignored: len %d", s.Len)
-			}
-		}
 	}
 }
 
