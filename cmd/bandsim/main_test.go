@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -193,6 +196,40 @@ func TestRunExperimentsFraming(t *testing.T) {
 		if !json.Valid([]byte(line)) {
 			t.Errorf("json run all line %d (%s) is not valid JSON", i, harness.All()[i].ID)
 		}
+	}
+}
+
+// The full-preset `bandsim run all` output is pinned byte for byte: the
+// sha256 of the -json bytes at 1, 2 and 4 cores, and of the text bytes
+// once. A change that moves any experiment's outcome, or lets one depend on
+// the core count, changes a hash. The canonical bytes round model times to
+// fewer digits than the last-bit differences between math.Exp's assembly
+// and pure-Go paths, so the pin holds under GOARCH=386 too.
+func TestRunAllOutputPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a full-preset run of every experiment takes minutes under the race detector")
+	}
+	const (
+		jsonSHA = "8d9ca1c6c12ebb4c1146eb6160b39b1f5ffa4257ced2883fec7b51f73d89d013"
+		textSHA = "4cd270d7ad88e5b1efea1c192da050e21000d63098eabc8db7f607c0d9c3987c"
+	)
+	cfg := harness.Config{Seed: 1, Params: map[string]string{}}
+	hash := func(jsonOut bool) string {
+		h := sha256.New()
+		if err := runExperiments(h, harness.All(), cfg, jsonOut); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := hash(true); got != jsonSHA {
+			t.Errorf("GOMAXPROCS=%d: -json run all sha256 %s, want %s", procs, got, jsonSHA)
+		}
+	}
+	if got := hash(false); got != textSHA {
+		t.Errorf("text run all sha256 %s, want %s", got, textSHA)
 	}
 }
 

@@ -20,6 +20,19 @@ func benchMachine(p int) (*Machine, func() Stats) {
 	return m, func() Stats { return m.Superstep(body) }
 }
 
+// contiguousMachine is benchMachine with both of a processor's messages
+// sent to its successor, so every destination's messages are adjacent in
+// the send arena and the merge delivers the arena in place.
+func contiguousMachine(p int) (*Machine, func() Stats) {
+	m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1})
+	body := func(c *Ctx) {
+		c.Charge(4)
+		c.Send((c.ID()+1)%p, 1, int64(c.ID()))
+		c.Send((c.ID()+1)%p, 2, int64(c.ID()))
+	}
+	return m, func() Stats { return m.Superstep(body) }
+}
+
 // unorderedMachine is benchMachine with every processor's run sent out of
 // slot order, so the merge sorts and checks all p runs.
 func unorderedMachine(p int) (*Machine, func() Stats) {
@@ -35,7 +48,7 @@ func unorderedMachine(p int) (*Machine, func() Stats) {
 // scaleMachine builds a p-processor BSP(g) machine whose program sends one
 // single-flit neighbor message per processor: the p-scaling workload, which
 // measures the per-processor engine overhead (context resets, arena
-// appends, counting-sort routing).
+// appends, in-place delivery).
 func scaleMachine(p int) (*Machine, func() Stats) {
 	m := New(Config{P: p, Cost: model.BSPg(4, 16), Seed: 1})
 	body := func(c *Ctx) {
@@ -65,7 +78,7 @@ func fingerprint(st Stats) string {
 }
 
 // thirdStep returns the Stats of a fresh machine's third superstep, by
-// which both halves of the double-buffered inbox slab are in use.
+// which each of its three rotating message buffers has been filled.
 func thirdStep(step func() Stats) Stats {
 	step()
 	step()
@@ -74,8 +87,7 @@ func thirdStep(step func() Stats) Stats {
 
 func BenchmarkSuperstepMerge(b *testing.B) {
 	_, step := benchMachine(256)
-	step() // warm both halves of the double-buffered inbox slab
-	step()
+	thirdStep(step) // warm the rotating arena, inbox and spare buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,8 +99,7 @@ func BenchmarkSuperstepScale(b *testing.B) {
 	for _, sz := range scaleSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			_, step := scaleMachine(sz.p)
-			step() // warm both halves of the double-buffered inbox slab
-			step()
+			thirdStep(step) // warm the rotating arena, inbox and spare buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -98,18 +109,20 @@ func BenchmarkSuperstepScale(b *testing.B) {
 	}
 }
 
-// The merge path recycles its histogram, count columns, unordered-run list
-// and inbox buffers; after warmup a superstep must not allocate at all,
-// whether its runs were sent in slot order or not.
+// The merge path recycles its histogram, route columns, unordered-run list
+// and message buffers; after warmup a superstep must not allocate at all,
+// whether it is delivered in place or counting-sorted, and whether its runs
+// were sent in slot order or not.
 const superstepAllocBudget = 0
 
 func TestSuperstepMergeAllocs(t *testing.T) {
 	for name, build := range map[string]func(int) (*Machine, func() Stats){
 		"in-order":     benchMachine,
 		"out-of-order": unorderedMachine,
+		"contiguous":   contiguousMachine,
 	} {
 		_, step := build(256)
-		step() // warm the recycled buffers
+		thirdStep(step) // warm the rotating arena, inbox and spare buffers
 		avg := testing.AllocsPerRun(50, func() { step() })
 		if avg > superstepAllocBudget {
 			t.Errorf("%s: superstep allocates %.1f objects/op, budget %d", name, avg, superstepAllocBudget)
@@ -123,8 +136,7 @@ func TestSuperstepMergeAllocs(t *testing.T) {
 func TestSuperstepScaleAllocs(t *testing.T) {
 	for _, sz := range scaleSizes[:2] {
 		_, step := scaleMachine(sz.p)
-		step() // warm both halves of the double-buffered inbox slab
-		step()
+		thirdStep(step) // warm the rotating arena, inbox and spare buffers
 		avg := testing.AllocsPerRun(5, func() { step() })
 		if avg > superstepAllocBudget {
 			t.Errorf("%s: superstep allocates %.1f objects/op, budget %d", sz.name, avg, superstepAllocBudget)

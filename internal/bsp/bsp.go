@@ -30,10 +30,21 @@
 // begins. A processor whose sends ran in nondecreasing, non-overlapping slot
 // order needs no schedule check; the merge sorts and validates only the runs
 // sent out of order.
+//
+// Delivery needs no copy when the traffic is contiguous. Each send also
+// notes whether its destination's messages so far sit next to each other in
+// the send arena. When every destination's do and every run was sent in slot
+// order — a permutation, a gather, a broadcast tree — the arena already
+// holds each destination's messages in (source, slot) order, and the arena
+// itself becomes the next inbox. Any other superstep counting-sorts the
+// arena into a second buffer in that same order, so both paths deliver
+// identical inboxes.
 package bsp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"parbw/internal/engine"
@@ -57,13 +68,6 @@ func (m Msg) Flits() int {
 		return 1
 	}
 	return int(m.Len)
-}
-
-// send is a scheduled outgoing message: the message's flits occupy
-// injection steps slot, slot+1, ..., slot+Flits-1 of the superstep.
-type send struct {
-	slot int
-	msg  Msg
 }
 
 // Stats describes one executed superstep.
@@ -98,42 +102,62 @@ type Config struct {
 //
 // Per-processor state is flat: the running processor's work, sent flits and
 // next free slot are scalars on the one Ctx, queued sends live in one arena
-// carved into processor runs by an offset column, the per-destination counts
-// are taken as the sends are queued, inboxes are an offset column over one
-// routed message slab, and the random sources are a lazy engine.Cols column.
-// Machine memory is O(p) flat words plus O(1) objects — never O(p) objects.
+// carved into processor runs by an offset column, each destination's
+// delivery record is taken as the sends are queued, inboxes are views carved
+// by those records out of one message buffer, and the random sources are a
+// lazy engine.Cols column. Machine memory is O(p) flat words plus O(1)
+// objects — never O(p) objects.
 type Machine struct {
 	p    int
 	cost model.Cost
 	core *engine.Core
 	cols *engine.Cols
 
-	// sends is the send arena, recycled across supersteps: processors run
-	// in ascending order and each appends its sends, so the arena is every
-	// processor's run concatenated in processor order, and processor i's run
-	// is sends[off[i]:off[i+1]] (off has length p+1). ctx is the one Ctx
+	// sends is the send arena: processors run in ascending order and each
+	// appends its sends, so the arena is every processor's run concatenated
+	// in processor order, and processor i's run is sends[off[i]:off[i+1]]
+	// (off has length p+1). slots is the arena's parallel injection-slot
+	// column, never shorter than the arena's capacity. ctx is the one Ctx
 	// every program runs under.
-	sends []send
+	sends []Msg
+	slots []int32
 	off   []int32
 	ctx   Ctx
 
-	// recv and dests are the per-destination flit and message counts
-	// (length p), added to by every send and cleared when a superstep
-	// starts. unordered lists, in id order, the processors whose runs were
-	// sent out of slot order: the only runs the merge sorts and checks.
-	recv, dests []int
-	unordered   []int32
+	// Send-time bookkeeping, reset when a superstep starts. routes (length
+	// p) holds each destination's record of the superstep in flight, hist
+	// the per-step injection counts m_t so far, and hrecv the largest flit
+	// count any destination has received so far.
+	// last is the previous send's destination; scattered is set by a send to
+	// a destination that already holds messages but was not last, after
+	// which that destination's messages are not adjacent in the arena.
+	// unordered lists, in id order, the processors whose runs were sent out
+	// of slot order: the only runs the merge sorts and checks.
+	routes    []route
+	hist      []int
+	hrecv     int
+	last      int32
+	scattered bool
+	unordered []int32
 
-	// inbox is the current routed message slab in destination order; inOff
-	// (length p+1) carves it into per-destination views, spareOff is the
-	// column the next merge fills before the swap. slabs double-buffer the
-	// storage: the inbox of the superstep in flight is never overwritten by
-	// the merge that builds the next one. cur indexes the slab backing inbox.
+	// inbox is the message buffer the current inboxes are carved from, and
+	// inRoutes (length p) holds their records. spare is the third message
+	// buffer. The merge rotates arena, inbox and spare so that a superstep's
+	// sends never land in the inbox its programs read. low counts
+	// consecutive supersteps that used under a quarter of the largest
+	// buffer's capacity.
 	inbox    []Msg
-	inOff    []int32
-	spareOff []int32
-	slabs    [2]engine.Slab[Msg]
-	cur      int
+	inRoutes []route
+	spare    []Msg
+	low      int
+}
+
+// route is one destination's delivery record for one superstep: the flits
+// and messages sent to it, and the index just past its last message in the
+// buffer that delivers them, so its inbox is buf[end-n : end].
+type route struct {
+	flits  int
+	n, end int32
 }
 
 // New constructs a Machine. It panics on invalid configuration.
@@ -144,16 +168,15 @@ func New(cfg Config) *Machine {
 	if err := cfg.Cost.Validate(cfg.P); err != nil {
 		panic("bsp: " + err.Error())
 	}
+	routes := make([]route, 2*cfg.P) // both record columns, one allocation
 	m := &Machine{
 		p:        cfg.P,
 		cost:     cfg.Cost,
 		core:     engine.NewCore("bsp", cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		off:      make([]int32, cfg.P+1),
-		recv:     make([]int, cfg.P),
-		dests:    make([]int, cfg.P),
-		inOff:    make([]int32, cfg.P+1),
-		spareOff: make([]int32, cfg.P+1),
+		routes:   routes[:cfg.P:cfg.P],
+		inRoutes: routes[cfg.P:],
 	}
 	m.ctx.m = m
 	return m
@@ -225,22 +248,24 @@ func (c *Ctx) SendMsg(dst int, msg Msg) {
 // (0-based within the superstep); a message of k flits occupies steps
 // slot..slot+k-1 consecutively. At most one flit may be injected by a
 // processor per step; violations are detected at superstep end and panic.
+// A slot that is negative or above math.MaxInt32 panics at once.
 func (c *Ctx) SendAt(slot, dst int, msg Msg) {
 	c.sendAt(slot, dst, &msg)
 }
 
 // sendAt is the per-message hot path: it appends the message to the
-// processor's run in the machine's send arena and counts it. msg is read
-// through a pointer, field by field, so the caller's message is copied once,
-// into the arena entry. The panics live in separate noinline functions, so
-// their formatting stays off the hot path — enqueueing a message is a
-// bounds check, one arena entry (48 bytes on a 64-bit host), three count
-// updates and a slot-cursor update. A send that starts before the run's largest end marks
-// the run unordered; a run never marked is slot-sorted and non-overlapping.
+// processor's run in the machine's send arena, its slot to the slot column,
+// and adds it to its destination's route. msg is read through a pointer,
+// field by field, so the caller's message is copied once, into the arena.
+// The panics live in separate noinline functions, so their formatting stays
+// off the hot path — enqueueing a message is a bounds check, one 40-byte
+// arena entry and its 4-byte slot, one route update and a slot-cursor
+// update. A send that starts before the run's largest end marks the run
+// unordered; a run never marked is slot-sorted and non-overlapping.
 func (c *Ctx) sendAt(slot, dst int, msg *Msg) {
 	m := c.m
-	if slot < 0 {
-		c.badSlot(slot) // only SendAt passes a slot that can be negative
+	if uint(slot) > math.MaxInt32 {
+		c.badSlot(slot) // negative, or too wide for the slot column
 	}
 	if dst < 0 || dst >= m.p {
 		c.badDst(dst)
@@ -248,31 +273,72 @@ func (c *Ctx) sendAt(slot, dst int, msg *Msg) {
 	fl := max(msg.Len, 1)
 	n := len(m.sends)
 	if n == cap(m.sends) {
-		m.sends = append(m.sends, send{})
-	} else {
-		m.sends = m.sends[:n+1] // a self-reslice stores only the length
+		m.grow()
 	}
+	m.sends = m.sends[:n+1] // a self-reslice stores only the length
 	s := &m.sends[n]
-	s.slot = slot
-	s.msg.Src = int32(c.id)
-	s.msg.Dst = int32(dst)
-	s.msg.Tag = msg.Tag
-	s.msg.Len = fl
-	s.msg.A, s.msg.B, s.msg.C = msg.A, msg.B, msg.C
-	m.recv[dst] += int(fl)
-	m.dests[dst]++
+	s.Src = int32(c.id)
+	s.Dst = int32(dst)
+	s.Tag = msg.Tag
+	s.Len = fl
+	s.A, s.B, s.C = msg.A, msg.B, msg.C
+	m.slots[n] = int32(slot)
+	end := slot + int(fl)
+	if end > len(m.hist) {
+		m.growHist(end)
+	}
+	h := m.hist[slot:end]
+	for f := range h {
+		h[f]++
+	}
+	r := &m.routes[dst]
+	if r.n != 0 && int32(dst) != m.last {
+		m.scattered = true
+	}
+	m.last = int32(dst)
+	r.n++
+	r.end = int32(n + 1)
+	r.flits += int(fl)
+	m.hrecv = max(m.hrecv, r.flits)
 	c.sent += int(fl)
 	if slot < c.auto {
 		c.unordered = true
 	}
-	if end := slot + int(fl); end > c.auto {
+	if end > c.auto {
 		c.auto = end
+	}
+}
+
+// grow doubles the send arena, and grows the slot column with it.
+func (m *Machine) grow() {
+	sends := make([]Msg, len(m.sends), max(2*cap(m.sends), 8))
+	copy(sends, m.sends)
+	m.sends = sends
+	m.fitSlots()
+}
+
+// growHist extends the histogram with zeroed steps up to end.
+func (m *Machine) growHist(end int) {
+	n := len(m.hist)
+	m.hist = slices.Grow(m.hist, end-n)[:end]
+	clear(m.hist[n:])
+}
+
+// fitSlots keeps the slot column at least as long as the arena's capacity.
+func (m *Machine) fitSlots() {
+	if c := cap(m.sends); len(m.slots) < c {
+		slots := make([]int32, c)
+		copy(slots, m.slots[:len(m.sends)])
+		m.slots = slots
 	}
 }
 
 //go:noinline
 func (c *Ctx) badSlot(slot int) {
-	panic(fmt.Sprintf("bsp: proc %d SendAt negative slot %d", c.id, slot))
+	if slot < 0 {
+		panic(fmt.Sprintf("bsp: proc %d SendAt negative slot %d", c.id, slot))
+	}
+	panic(fmt.Sprintf("bsp: proc %d SendAt slot %d past the last injection step %d", c.id, slot, math.MaxInt32))
 }
 
 //go:noinline
@@ -289,8 +355,9 @@ func (c *Ctx) badDst(dst int) {
 func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
 	m.sends = m.sends[:0]
 	m.unordered = m.unordered[:0]
-	clear(m.recv)
-	clear(m.dests)
+	clear(m.routes)
+	m.hist = m.hist[:0]
+	m.hrecv, m.scattered = 0, false
 	c := &m.ctx
 	var st Stats
 	for i := range m.p {
@@ -317,73 +384,52 @@ func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
 const insertionSortMax = 32
 
 // merge is the BSP merge strategy: it validates the injection schedules
-// sent out of order, builds the per-step histogram, counting-sorts messages
-// into the next inbox slab, and completes and costs st, whose W, HSend, N
-// and Steps the program loop has already folded.
+// sent out of order, builds the per-step histogram, delivers the arena as
+// the next inbox, and completes and costs st, whose W, HSend, N and Steps
+// the program loop has already folded.
 func (m *Machine) merge(st *Stats) engine.StepStats {
 	// Schedule validation, on the unordered runs only: sort by start slot,
 	// then reject overlapping [slot, slot+len) intervals — the model permits
 	// one flit injection per processor per step. The list is in id order, so
-	// the lowest-id bad processor panics. The sort and the overlap check are
-	// inlined on the concrete send type, so the loop makes no indirect calls.
+	// the lowest-id bad processor panics. The short-run sort is inlined on
+	// the two columns, so the loop makes no indirect calls.
 	for _, i := range m.unordered {
-		sends := m.sends[m.off[i]:m.off[i+1]]
-		if n := len(sends); n <= insertionSortMax {
+		lo, hi := m.off[i], m.off[i+1]
+		msgs, slots := m.sends[lo:hi], m.slots[lo:hi]
+		if n := len(slots); n <= insertionSortMax {
 			for a := 1; a < n; a++ {
-				for j := a; j > 0 && sends[j].slot < sends[j-1].slot; j-- {
-					sends[j], sends[j-1] = sends[j-1], sends[j]
+				for j := a; j > 0 && slots[j] < slots[j-1]; j-- {
+					slots[j], slots[j-1] = slots[j-1], slots[j]
+					msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
 				}
 			}
 		} else {
-			slices.SortFunc(sends, func(a, b send) int { return a.slot - b.slot })
+			// Every message of the run has Src i, so the library sort
+			// keys each by its slot parked in Src, and the sorted run
+			// gives the slots back.
+			for k := range msgs {
+				msgs[k].Src = slots[k]
+			}
+			slices.SortFunc(msgs, func(a, b Msg) int { return cmp.Compare(a.Src, b.Src) })
+			for k := range msgs {
+				slots[k], msgs[k].Src = msgs[k].Src, i
+			}
 		}
 		prevEnd := -1
-		for k := range sends {
-			s := &sends[k]
-			if s.slot < prevEnd {
-				panic(fmt.Sprintf("bsp: proc %d injects two flits in step %d (model allows one send initiation per step)", i, s.slot))
+		for k, slot := range slots {
+			if int(slot) < prevEnd {
+				panic(fmt.Sprintf("bsp: proc %d injects two flits in step %d (model allows one send initiation per step)", i, slot))
 			}
-			prevEnd = s.slot + int(s.msg.Len) // sendAt normalized Len >= 1
+			prevEnd = int(slot) + int(msgs[k].Len) // sendAt normalized Len >= 1
 		}
 	}
 
-	// Bucket layout: exclusive prefix sum over the per-destination message
-	// counts turns them into placement cursors and fills the spare offset
-	// column that will carve per-destination inbox views out of the flat
-	// slab; the same pass finds the largest per-destination flit count. The
-	// slab, histogram, count and offset columns are all recycled across
-	// supersteps; Recv slices are therefore only valid within their
-	// superstep, as documented.
-	hist := m.core.Hist(st.Steps)
-	slab := m.slabs[1-m.cur].Take(len(m.sends))
-	nextOff, recv, cnt := m.spareOff, m.recv, m.dests
-	acc := 0
-	for d := 0; d < m.p; d++ {
-		nextOff[d] = int32(acc)
-		k := cnt[d]
-		cnt[d] = acc
-		acc += k
-		st.HRecv = max(st.HRecv, recv[d])
-	}
-	nextOff[m.p] = int32(acc)
-
-	// Pass 2: the per-step injection histogram and the counting-sort
-	// placement. Every message's slab position is determined by the
-	// precomputed cursors — (destination, then source processor, then slot
-	// order within the processor) — exactly the delivery order the old
-	// append-per-destination routing produced. The arena is the processors'
-	// runs concatenated in (processor, slot-sorted) order, so the pass scans
-	// it linearly.
-	for k := range m.sends {
-		s := &m.sends[k]
-		end := s.slot + int(s.msg.Len)
-		for f := s.slot; f < end; f++ {
-			hist[f]++
-		}
-		d := int(s.msg.Dst)
-		slab[cnt[d]] = s.msg
-		cnt[d]++
-	}
+	// The per-step injection histogram was counted at send time and spans
+	// st.Steps steps. It and every buffer are recycled across supersteps;
+	// Recv slices are therefore only valid within their superstep, as
+	// documented.
+	hist := m.hist
+	st.HRecv = m.hrecv
 	st.H = max(st.HSend, st.HRecv)
 	global, budget := m.cost.Global(), m.cost.M // once per merge, not per slot
 	for _, mt := range hist {
@@ -399,9 +445,34 @@ func (m *Machine) merge(st *Stats) engine.StepStats {
 	}
 	st.Cost = m.cost.BSPSuperstep(st.W, st.H, st.N, st.CM)
 
-	m.inbox = slab
-	m.inOff, m.spareOff = m.spareOff, m.inOff
-	m.cur = 1 - m.cur
+	// Delivery, in (destination, source processor, slot) order. When every
+	// destination's messages are adjacent in the arena and every run is in
+	// slot order, the arena is already in that order within each
+	// destination, and the send-time routes already carve it: arena and
+	// inbox swap. Otherwise an exclusive prefix sum over the message counts
+	// turns each route's end into a placement cursor, a counting sort copies
+	// the arena into the spare, and inbox and spare swap.
+	n := len(m.sends)
+	if m.scattered || len(m.unordered) > 0 {
+		slab := slices.Grow(m.spare[:0], n)[:n]
+		acc := int32(0)
+		for d := range m.routes {
+			r := &m.routes[d]
+			r.end = acc
+			acc += r.n
+		}
+		for k := range m.sends {
+			s := &m.sends[k]
+			r := &m.routes[s.Dst]
+			slab[r.end] = *s
+			r.end++
+		}
+		m.inbox, m.spare = slab, m.inbox
+	} else {
+		m.sends, m.inbox = m.inbox[:0], m.sends
+	}
+	m.routes, m.inRoutes = m.inRoutes, m.routes
+	m.recycle(n)
 	return engine.StepStats{
 		W: st.W, H: st.H, N: st.N,
 		Steps: st.Steps, MaxSlot: st.MaxSlot, Overload: st.Overload,
@@ -409,12 +480,41 @@ func (m *Machine) merge(st *Stats) engine.StepStats {
 	}
 }
 
-// inboxView carves processor i's inbox out of the routed slab. The view is
+// decayAfter is the length of the low-utilization streak after which the
+// machine releases message buffers sized for an earlier, larger superstep.
+const decayAfter = 32
+
+// recycle readies the arena and spare for the next superstep after one of
+// n messages. One oversized superstep must not pin its peak for the
+// machine's lifetime: after decayAfter consecutive supersteps using under a
+// quarter of the largest buffer's capacity, each free buffer still above
+// that is reallocated at twice the latest demand (the inbox in use is left
+// alone and decays on a later superstep, once rotated out). A superstep at
+// 25% utilization or more resets the streak, so steady-state supersteps
+// never reallocate.
+func (m *Machine) recycle(n int) {
+	if 4*n >= max(cap(m.sends), cap(m.inbox), cap(m.spare)) {
+		m.low = 0
+	} else if m.low++; m.low >= decayAfter {
+		if cap(m.sends) > 4*n {
+			m.sends = make([]Msg, 0, 2*n)
+		}
+		if len(m.slots) > 4*n {
+			m.slots = nil
+		}
+		if cap(m.spare) > 4*n {
+			m.spare = make([]Msg, 0, 2*n)
+		}
+	}
+	m.fitSlots()
+}
+
+// inboxView carves processor i's inbox out of the inbox buffer. The view is
 // a three-index subslice (cap == len), so a caller's append past it
-// reallocates rather than clobbering a neighboring bucket.
+// reallocates rather than clobbering a neighboring inbox.
 func (m *Machine) inboxView(i int) []Msg {
-	lo, hi := m.inOff[i], m.inOff[i+1]
-	return m.inbox[lo:hi:hi]
+	r := &m.inRoutes[i]
+	return m.inbox[r.end-r.n : r.end : r.end]
 }
 
 // Inbox returns processor i's current inbox (the messages it would see via

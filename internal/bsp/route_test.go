@@ -31,3 +31,98 @@ func TestInboxAppendDoesNotClobberSlab(t *testing.T) {
 		t.Fatalf("appended message missing: %+v", got)
 	}
 }
+
+// decayBodies are one superstep of traffic per delivery path: every
+// processor sends k messages, all to its successor (delivered in place) or
+// alternating between its successor and itself (counting-sorted).
+var decayBodies = map[string]func(p, k int) func(*Ctx){
+	"in-place": func(p, k int) func(*Ctx) {
+		return func(c *Ctx) {
+			for range k {
+				c.Send((c.ID()+1)%p, 0, 1)
+			}
+		}
+	},
+	"counting-sort": func(p, k int) func(*Ctx) {
+		return func(c *Ctx) {
+			for j := range k {
+				c.Send((c.ID()+j%2)%p, 0, 1)
+			}
+		}
+	},
+}
+
+// peakBuffer is the largest capacity among the machine's message buffers.
+func peakBuffer(m *Machine) int {
+	return max(cap(m.sends), cap(m.inbox), cap(m.spare))
+}
+
+// One oversized superstep must not pin its peak for the machine's lifetime,
+// but the release must wait out decayAfter consecutive supersteps under a
+// quarter of the peak, so steady workloads never reallocate.
+func TestBufferDecay(t *testing.T) {
+	const p = 4
+	for name, body := range decayBodies {
+		m := newBSPg(p, 1, 1)
+		m.Superstep(body(p, 1000))
+		high := peakBuffer(m)
+		if high < 4*1000 {
+			t.Fatalf("%s: peak buffer %d after a %d-message superstep", name, high, 4*1000)
+		}
+		small := body(p, 2)
+		for i := range decayAfter - 1 {
+			m.Superstep(small)
+			if got := peakBuffer(m); got != high {
+				t.Fatalf("%s: peak buffer %d after %d low supersteps, want %d retained", name, got, i+1, high)
+			}
+		}
+		for range 3 { // the inbox in use decays once rotated out
+			m.Superstep(small)
+		}
+		if got := peakBuffer(m); got > 4*2*p {
+			t.Fatalf("%s: peak buffer %d after %d low supersteps of %d messages, want it released", name, got, decayAfter+2, 2*p)
+		}
+		if len(m.slots) > 4*2*p {
+			t.Fatalf("%s: slot column %d long after the arena decayed", name, len(m.slots))
+		}
+	}
+}
+
+// Any superstep at 25% or more of the peak resets the low-utilization
+// streak: a workload oscillating near its capacity never decays.
+func TestBufferDecayStreakResets(t *testing.T) {
+	const p = 4
+	for name, body := range decayBodies {
+		m := newBSPg(p, 1, 1)
+		m.Superstep(body(p, 1000))
+		high := peakBuffer(m)
+		for range 3 {
+			for range decayAfter - 1 {
+				m.Superstep(body(p, 2))
+			}
+			m.Superstep(body(p, 500)) // half the peak: the streak resets
+		}
+		if got := peakBuffer(m); got < high {
+			t.Fatalf("%s: peak buffer %d, want %d retained across interrupted streaks", name, got, high)
+		}
+	}
+}
+
+// A superstep that grows a buffer starts a fresh streak: the buffer is
+// sized to the new demand, so it is not yet oversized.
+func TestBufferGrowResetsStreak(t *testing.T) {
+	const p = 4
+	for name, body := range decayBodies {
+		m := newBSPg(p, 1, 1)
+		m.Superstep(body(p, 250))
+		for range decayAfter - 1 {
+			m.Superstep(body(p, 2))
+		}
+		m.Superstep(body(p, 2500)) // grow
+		high := peakBuffer(m)
+		m.Superstep(body(p, 2)) // first low superstep of a new streak
+		if got := peakBuffer(m); got != high {
+			t.Fatalf("%s: peak buffer %d right after a grow, want %d", name, got, high)
+		}
+	}
+}

@@ -557,15 +557,23 @@ func TestBroadcastVecMemoryLinear(t *testing.T) {
 	}
 }
 
-// broadcastVecP and broadcastVecK size the pinned vector broadcast: the
-// n = p sample sort's splitter broadcast in miniature, with a non-zero root
-// so the virtual-id rotation is exercised.
-const broadcastVecP, broadcastVecK, broadcastVecRoot = 1024, 1023, 341
+// broadcastVecSizes are the pinned vector broadcasts. p=1024 is the n = p
+// sample sort's splitter broadcast in miniature, with a non-zero root so the
+// virtual-id rotation is exercised; p=4096 is ablation/sort's splitter
+// broadcast at full size, whose per-superstep traffic no longer fits in the
+// caches the miniature runs in.
+var broadcastVecSizes = []struct {
+	name       string
+	p, k, root int
+}{
+	{"p=1024", 1024, 1023, 341},
+	{"p=4096", 4096, 4095, 0},
+}
 
-// broadcastVecInput is the pinned broadcast's vector: distinct items, so a
+// broadcastVecInput is a pinned broadcast's vector: distinct items, so a
 // misrouted or reordered item moves the returned vector's sum.
-func broadcastVecInput() []int64 {
-	vec := make([]int64, broadcastVecK)
+func broadcastVecInput(k int) []int64 {
+	vec := make([]int64, k)
 	for j := range vec {
 		vec[j] = int64(j*j + 3*j + 1)
 	}
@@ -577,18 +585,21 @@ func broadcastVecInput() []int64 {
 // two items per processor on precomputed slots, so a change to the tree,
 // the slot striping or the send path moves one of these strings.
 func TestBroadcastVecBSPFingerprint(t *testing.T) {
+	small, full := broadcastVecSizes[0], broadcastVecSizes[1]
 	for _, tc := range []struct {
-		name string
-		cost model.Cost
-		want string
+		name       string
+		p, k, root int
+		cost       model.Cost
+		want       string
 	}{
-		{"BSPmLinear(8,2)", model.BSPmLinear(8, 2), "time=262646 supersteps=1035 sum=357912577"},
-		{"BSPm(8,2)", model.BSPm(8, 2), "time=262646 supersteps=1035 sum=357912577"},
-		{"BSPg(4,2)", model.BSPg(4, 2), "time=8258 supersteps=1035 sum=357912577"},
+		{"p=1024 BSPmLinear(8,2)", small.p, small.k, small.root, model.BSPmLinear(8, 2), "time=262646 supersteps=1035 sum=357912577"},
+		{"p=1024 BSPm(8,2)", small.p, small.k, small.root, model.BSPm(8, 2), "time=262646 supersteps=1035 sum=357912577"},
+		{"p=1024 BSPg(4,2)", small.p, small.k, small.root, model.BSPg(4, 2), "time=8258 supersteps=1035 sum=357912577"},
+		{"p=4096 BSPmLinear(8,2)", full.p, full.k, full.root, model.BSPmLinear(8, 2), "time=4196338 supersteps=4109 sum=22906486785"},
 	} {
-		m := bspMachine(broadcastVecP, tc.cost)
+		m := bspMachine(tc.p, tc.cost)
 		var sum int64
-		for _, v := range BroadcastVecBSP(m, broadcastVecRoot, broadcastVecInput()) {
+		for _, v := range BroadcastVecBSP(m, tc.root, broadcastVecInput(tc.k)) {
 			sum += v
 		}
 		got := fmt.Sprintf("time=%.9g supersteps=%d sum=%d", m.Time(), m.Supersteps(), sum)
@@ -598,15 +609,19 @@ func TestBroadcastVecBSPFingerprint(t *testing.T) {
 	}
 }
 
-// BenchmarkSuperstepBroadcastVec times the pinned vector broadcast on the
+// BenchmarkSuperstepBroadcastVec times the pinned vector broadcasts on the
 // linear-penalty BSP(m): ~k + lg p supersteps in which nearly every
 // processor receives one item and forwards it to two children.
 func BenchmarkSuperstepBroadcastVec(b *testing.B) {
-	vec := broadcastVecInput()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := bspMachine(broadcastVecP, model.BSPmLinear(8, 2))
-		BroadcastVecBSP(m, broadcastVecRoot, vec)
+	for _, sz := range broadcastVecSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			vec := broadcastVecInput(sz.k)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := bspMachine(sz.p, model.BSPmLinear(8, 2))
+				BroadcastVecBSP(m, sz.root, vec)
+			}
+		})
 	}
 }
 

@@ -51,8 +51,8 @@ func GatherBSP(m *bsp.Machine, root int, vals []int64) []int64 {
 //
 // Host memory is O(p + k): a node forwards each item in the superstep after
 // it arrives, so it never holds more than one received, unforwarded item,
-// only the farthest node keeps the whole vector, and the tree is two
-// length-p columns built once.
+// only the farthest node keeps the whole vector, and the tree and each
+// node's pipeline state are one length-p column of records built once.
 func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 	p := m.P()
 	k := len(vec)
@@ -79,35 +79,29 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 	// group q uses steps 2q and 2q+1 for its two child messages.
 	stripes := (p + mm - 1) / mm
 
-	// The tree, built once: each processor's two child ids (−1 = none) and
-	// the first of the two steps its stripe injects on.
-	kids := make([][2]int32, p)
-	first := make([]int32, p)
+	// Per-node pipeline state, one record per processor, built once. The
+	// root forwards straight from vec.
+	nodes := make([]pipeNode, p)
 	for v := range p {
-		i := rid(v)
-		kids[i] = [2]int32{-1, -1}
+		nd := &nodes[rid(v)]
+		nd.kids = [2]int32{-1, -1}
 		for c := range 2 {
 			if child := 2*v + 1 + c; child < p {
-				kids[i][c] = int32(rid(child))
+				nd.kids[c] = int32(rid(child))
 			}
 		}
-		first[i] = int32(2 * (v % stripes))
+		nd.first = int32(2 * (v % stripes))
 	}
-
-	// Per-node pipeline state: items received, items forwarded, and the
-	// received item not yet forwarded. The root forwards straight from vec.
-	got := make([]int, p)
-	fwd := make([]int, p)
-	cur := make([]int64, p)
-	got[root] = k
+	nodes[root].got = k
 	far := rid(p - 1)
 	out := make([]int64, k)
 	take := func(i int, msg *bsp.Msg) {
-		if got[i] != fwd[i] || int(msg.B) != got[i] {
-			outOfStep(i, msg.B, got[i]-fwd[i])
+		nd := &nodes[i]
+		if nd.got != nd.fwd || int(msg.B) != nd.got {
+			outOfStep(i, msg.B, nd.got-nd.fwd)
 		}
-		cur[i] = msg.A
-		got[i]++
+		nd.held = msg.A
+		nd.got++
 		if i == far {
 			out[msg.B] = msg.A
 		}
@@ -125,23 +119,24 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 				take(i, &in[k])
 			}
 		}
-		j := fwd[i]
-		if j >= got[i] {
+		nd := &nodes[i]
+		j := nd.fwd
+		if j >= nd.got {
 			return
 		}
-		item := cur[i]
+		item := nd.held
 		if i == root {
 			item = vec[j]
 		}
 		// A node with a second child has a first one.
-		if a := kids[i][0]; a >= 0 {
-			slot := int(first[i])
+		if a := nd.kids[0]; a >= 0 {
+			slot := int(nd.first)
 			c.SendAt(slot, int(a), bsp.Msg{A: item, B: int64(j)})
-			if b := kids[i][1]; b >= 0 {
+			if b := nd.kids[1]; b >= 0 {
 				c.SendAt(slot+1, int(b), bsp.Msg{A: item, B: int64(j)})
 			}
 		}
-		fwd[i] = j + 1
+		nd.fwd = j + 1
 	}
 	for total := k + depth + 2; t < total; t++ {
 		m.Superstep(step)
@@ -150,12 +145,23 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 	for k := range in {
 		take(far, &in[k])
 	}
-	for i, n := range got {
-		if n != k {
+	for i := range nodes {
+		if n := nodes[i].got; n != k {
 			panic(fmt.Sprintf("collective: pipelined broadcast incomplete: processor %d received %d of %d items", i, n, k))
 		}
 	}
 	return out
+}
+
+// pipeNode is one processor's state in the pipelined vector broadcast: its
+// two children (-1 = none) and the first of the two steps its stripe
+// injects on, built once; the items it has received and forwarded; and the
+// received item not yet forwarded.
+type pipeNode struct {
+	kids     [2]int32
+	first    int32
+	got, fwd int
+	held     int64
 }
 
 // outOfStep panics for an item that arrives out of pipeline order; it is

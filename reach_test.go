@@ -26,7 +26,7 @@ const (
 // non-test file of the root or benchmark module names, with the reason it
 // stays. A key is the declaring package's directory, a dot and the name; a
 // method is keyed by its receiver's type and its name
-// ("internal/engine.Slab.Cap"), and "<dir>.*" keeps every such name of one
+// ("internal/async.Machine.Sent"), and "<dir>.*" keeps every such name of one
 // package.
 var keepList = map[string]string{
 	"internal/collective.BroadcastVecQSM":         paperClaim,
@@ -57,7 +57,6 @@ var keepList = map[string]string{
 	"internal/sched.PermutationPlan":              testInput,
 	"internal/async.Machine.Sent":                 testSeam,
 	"internal/async.Msg.Arrival":                  testSeam,
-	"internal/engine.Slab.Cap":                    testSeam,
 	"internal/fault.*":                            testSeam,
 	"internal/oracle.DecodeEntry":                 testSeam,
 	"internal/oracle.Invariants":                  testSeam,
