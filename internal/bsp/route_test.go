@@ -126,3 +126,39 @@ func TestBufferGrowResetsStreak(t *testing.T) {
 		}
 	}
 }
+
+// bufferBases is the set of backing arrays of the machine's message buffers.
+func bufferBases(m *Machine) map[*Msg]bool {
+	bases := map[*Msg]bool{}
+	for _, b := range [][]Msg{m.sends, m.inbox, m.spare} {
+		if cap(b) > 0 {
+			bases[&b[:1][0]] = true
+		}
+	}
+	return bases
+}
+
+// The message buffers grow to a superstep's demand, and later supersteps of
+// the same or a smaller size (at or above a quarter of the peak) rotate the
+// same backing arrays instead of allocating new ones.
+func TestBufferTakeGrowsAndRecycles(t *testing.T) {
+	const p = 4
+	for name, body := range decayBodies {
+		m := newBSPg(p, 1, 1)
+		for range 3 { // until every rotating buffer has been sized
+			m.Superstep(body(p, 100))
+		}
+		if got := peakBuffer(m); got < 100*p {
+			t.Fatalf("%s: peak buffer %d after a %d-message superstep", name, got, 100*p)
+		}
+		want := bufferBases(m)
+		for i, k := range []int{100, 60, 100, 25, 80} {
+			m.Superstep(body(p, k))
+			for b := range bufferBases(m) {
+				if !want[b] {
+					t.Fatalf("%s: superstep %d of %d messages allocated a new buffer", name, i+1, k*p)
+				}
+			}
+		}
+	}
+}
