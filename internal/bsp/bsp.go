@@ -309,12 +309,17 @@ func (c *Ctx) sendAt(slot, dst int, msg *Msg) {
 	}
 }
 
-// grow doubles the send arena, and grows the slot column with it.
+// grow doubles the send arena mid-superstep, and grows the slot column with
+// it, keeping the slots already written.
 func (m *Machine) grow() {
 	sends := make([]Msg, len(m.sends), max(2*cap(m.sends), 8))
 	copy(sends, m.sends)
 	m.sends = sends
-	m.fitSlots()
+	if len(m.slots) < cap(sends) {
+		slots := make([]int32, cap(sends))
+		copy(slots, m.slots[:len(sends)])
+		m.slots = slots
+	}
 }
 
 // growHist extends the histogram with zeroed steps up to end.
@@ -322,15 +327,6 @@ func (m *Machine) growHist(end int) {
 	n := len(m.hist)
 	m.hist = slices.Grow(m.hist, end-n)[:end]
 	clear(m.hist[n:])
-}
-
-// fitSlots keeps the slot column at least as long as the arena's capacity.
-func (m *Machine) fitSlots() {
-	if c := cap(m.sends); len(m.slots) < c {
-		slots := make([]int32, c)
-		copy(slots, m.slots[:len(m.sends)])
-		m.slots = slots
-	}
 }
 
 //go:noinline
@@ -491,7 +487,9 @@ const decayAfter = 32
 // that is reallocated at twice the latest demand (the inbox in use is left
 // alone and decays on a later superstep, once rotated out). A superstep at
 // 25% utilization or more resets the streak, so steady-state supersteps
-// never reallocate.
+// never reallocate. The slot column only has to be as long as the arena
+// about to be filled, which may be a smaller buffer rotated in from the
+// inbox; its contents are dead once merged, so it is resized, not copied.
 func (m *Machine) recycle(n int) {
 	if 4*n >= max(cap(m.sends), cap(m.inbox), cap(m.spare)) {
 		m.low = 0
@@ -506,7 +504,9 @@ func (m *Machine) recycle(n int) {
 			m.spare = make([]Msg, 0, 2*n)
 		}
 	}
-	m.fitSlots()
+	if len(m.slots) < cap(m.sends) {
+		m.slots = make([]int32, cap(m.sends))
+	}
 }
 
 // inboxView carves processor i's inbox out of the inbox buffer. The view is

@@ -210,6 +210,55 @@ func TestDeliveryMatchesReference(t *testing.T) {
 	}
 }
 
+// bigPlan is a superstep far larger than genPlan's: every processor sends
+// 100 to 300 auto-slotted messages, all to its image under perm (delivered
+// in place) or each to a random destination (counting-sorted).
+func bigPlan(rng *xrand.Source, p int) plan {
+	perm, scattered := rng.Perm(p), rng.Intn(2) == 0
+	pl := make(plan, p)
+	for i := range pl {
+		pl[i] = make([]plannedSend, 100+rng.Intn(201))
+		for j := range pl[i] {
+			d := perm[i]
+			if scattered {
+				d = rng.Intn(p)
+			}
+			pl[i][j] = plannedSend{auto: true, dst: d, msg: Msg{A: int64(j)}}
+		}
+	}
+	return pl
+}
+
+// The buffers a machine rotates must stay correct through growth and decay:
+// long runs of genPlan supersteps, broken by an occasional bigPlan peak,
+// mix both delivery paths across several low-utilization streaks, each
+// superstep compared with the reference router.
+func TestDeliveryMatchesReferenceThroughDecay(t *testing.T) {
+	cost := model.BSPm(4, 2)
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := xrand.New(seed)
+		p := 1 + rng.Intn(16)
+		m := New(Config{P: p, Cost: cost, Seed: seed})
+		prev := make([][]Msg, p)
+		for step := range 4 * decayAfter {
+			pl := genPlan(rng, p)
+			if rng.Intn(decayAfter) == 0 {
+				pl = bigPlan(rng, p)
+			}
+			want, wantSt := refSuperstep(cost, p, pl)
+			if got := runPlan(t, m, pl, prev); got != wantSt {
+				t.Fatalf("seed %d p=%d step %d: Stats %+v, want %+v", seed, p, step, got, wantSt)
+			}
+			for d := range p {
+				if got := m.Inbox(d); !slices.Equal(got, want[d]) {
+					t.Fatalf("seed %d p=%d step %d: inbox %d = %+v, want %+v", seed, p, step, d, got, want[d])
+				}
+			}
+			prev = want
+		}
+	}
+}
+
 // deliveredInPlace runs pl as one superstep of m and reports whether the
 // merge handed the send arena itself to the next inbox.
 func deliveredInPlace(t *testing.T, m *Machine, pl plan) bool {

@@ -88,6 +88,45 @@ func TestBufferDecay(t *testing.T) {
 	}
 }
 
+// The delivery paths rotate different buffers into the arena: after an
+// in-place superstep the arena is the old inbox, which may be far smaller
+// than the slot column sized for an earlier peak. A large superstep on one
+// path followed by a long low streak on the other must deliver every small
+// superstep intact, keep the slot column as long as the arena, and still
+// release the peak.
+func TestBufferDecayAcrossPaths(t *testing.T) {
+	const p, k = 4, 2
+	for _, order := range [][2]string{{"in-place", "counting-sort"}, {"counting-sort", "in-place"}} {
+		name := order[0] + " then " + order[1]
+		m := newBSPg(p, 1, 1)
+		m.Superstep(decayBodies[order[0]](p, 1000))
+		small := decayBodies[order[1]](p, k)
+		for i := range decayAfter + 2 {
+			m.Superstep(small)
+			if len(m.slots) < cap(m.sends) {
+				t.Fatalf("%s: low superstep %d left a slot column of %d for an arena of %d", name, i+1, len(m.slots), cap(m.sends))
+			}
+			for d := range p {
+				in := m.Inbox(d)
+				if len(in) != k {
+					t.Fatalf("%s: low superstep %d delivered %d messages to %d, want %d", name, i+1, len(in), d, k)
+				}
+				for _, msg := range in {
+					if msg.Dst != int32(d) {
+						t.Fatalf("%s: low superstep %d delivered %+v to %d", name, i+1, msg, d)
+					}
+				}
+			}
+		}
+		if got := peakBuffer(m); got > 4*k*p {
+			t.Fatalf("%s: peak buffer %d after %d low supersteps of %d messages, want it released", name, got, decayAfter+2, k*p)
+		}
+		if len(m.slots) > 4*k*p {
+			t.Fatalf("%s: slot column %d long after the arena decayed", name, len(m.slots))
+		}
+	}
+}
+
 // Any superstep at 25% or more of the peak resets the low-utilization
 // streak: a workload oscillating near its capacity never decays.
 func TestBufferDecayStreakResets(t *testing.T) {
