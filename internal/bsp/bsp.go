@@ -126,8 +126,9 @@ type Machine struct {
 
 	// Send-time bookkeeping, reset when a superstep starts. routes (length
 	// p) holds each destination's record of the superstep in flight, hist
-	// the per-step injection counts m_t so far, and hrecv the largest flit
-	// count any destination has received so far.
+	// the per-step injection counts m_t so far (its backing array is zero
+	// past its length), and hrecv the largest flit count any destination
+	// has received so far.
 	// last is the previous send's destination; scattered is set by a send to
 	// a destination that already holds messages but was not last, after
 	// which that destination's messages are not adjacent in the arena.
@@ -322,11 +323,17 @@ func (m *Machine) grow() {
 	}
 }
 
-// growHist extends the histogram with zeroed steps up to end.
+// growHist extends the histogram to end steps. Past its length the
+// histogram's backing array is all zero — Superstep clears the steps the
+// previous superstep used — so extending within capacity is a reslice.
 func (m *Machine) growHist(end int) {
-	n := len(m.hist)
-	m.hist = slices.Grow(m.hist, end-n)[:end]
-	clear(m.hist[n:])
+	if end > cap(m.hist) {
+		hist := make([]int, end, max(2*cap(m.hist), end))
+		copy(hist, m.hist)
+		m.hist = hist
+		return
+	}
+	m.hist = m.hist[:end]
 }
 
 //go:noinline
@@ -352,6 +359,7 @@ func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
 	m.sends = m.sends[:0]
 	m.unordered = m.unordered[:0]
 	clear(m.routes)
+	clear(m.hist)
 	m.hist = m.hist[:0]
 	m.hrecv, m.scattered = 0, false
 	c := &m.ctx

@@ -416,6 +416,7 @@ func TestPanickedSuperstepCommitsNothing(t *testing.T) {
 		c.Charge(1 + len(c.Recv()))
 		c.Send((c.ID()+1)%p, 1, int64(c.ID()))
 		c.Send((c.ID()+3)%p, 2, int64(len(c.Recv())))
+		c.SendAt(6, (c.ID()+5)%p, Msg{Tag: 3}) // spans the panicked steps
 	}
 
 	m := newMachine()
