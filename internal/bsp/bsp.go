@@ -435,18 +435,7 @@ func (m *Machine) merge(st *Stats) engine.StepStats {
 	hist := m.hist
 	st.HRecv = m.hrecv
 	st.H = max(st.HSend, st.HRecv)
-	global, budget := m.cost.Global(), m.cost.M // once per merge, not per slot
-	for _, mt := range hist {
-		if mt > st.MaxSlot {
-			st.MaxSlot = mt
-		}
-		if global && mt > budget {
-			st.Overload++
-		}
-	}
-	if m.cost.Kind == model.KindBSPm {
-		st.CM = m.cost.CM(hist)
-	}
+	st.MaxSlot, st.Overload, st.CM = m.cost.Slots(hist)
 	st.Cost = m.cost.BSPSuperstep(st.W, st.H, st.N, st.CM)
 
 	// Delivery, in (destination, source processor, slot) order. When every

@@ -31,77 +31,56 @@ func BroadcastBSP(m *bsp.Machine, root int, val int64) []int64 {
 		}
 	}
 
+	// Stage 1: a degree-d tree over the first mm = min(budget, p) virtual
+	// processors. A BSP(g) has no aggregate limit, so mm = p and its whole
+	// broadcast is this tree, of degree treeDegree(L, g). On the BSP(m),
+	// d = L: in each superstep the k informed processors inject at most one
+	// flit per step, so every step carries at most k <= mm <= m messages:
+	// no overload.
 	cost := m.Cost()
+	var d int
 	switch cost.Kind {
 	case model.KindBSPg:
-		d := treeDegree(cost.L, cost.G)
-		for k := 1; k < p; k = k * (d + 1) {
-			kk := k
-			m.Superstep(func(c *bsp.Ctx) {
-				v := vid(c.ID())
-				if v >= kk {
-					return
-				}
-				for j := 0; j < d; j++ {
-					t := kk + v*d + j
-					if t < p {
-						c.SendAt(j, rid(t), bsp.Msg{A: out[c.ID()]})
-					}
-				}
-			})
-			collect()
-		}
-
+		d = treeDegree(cost.L, cost.G)
 	case model.KindBSPm, model.KindBSPSelfSched:
-		mm := cost.M
-		if mm > p {
-			mm = p
-		}
-		d := cost.L
-		if d < 2 {
-			d = 2
-		}
-		// Stage 1: degree-L tree over the first mm virtual processors.
-		// In each superstep the k informed processors inject at most one
-		// flit per step, so every step carries at most k <= mm <= m
-		// messages: no overload.
-		for k := 1; k < mm; k = k * (d + 1) {
-			kk := k
-			m.Superstep(func(c *bsp.Ctx) {
-				v := vid(c.ID())
-				if v >= kk {
-					return
-				}
-				for j := 0; j < d; j++ {
-					t := kk + v*d + j
-					if t < mm {
-						c.SendAt(j, rid(t), bsp.Msg{A: out[c.ID()]})
-					}
-				}
-			})
-			collect()
-		}
-		// Stage 2: the mm informed processors fan out to the rest, m
-		// messages per step: virtual processor v informs mm+v, 2mm+v, ...
-		if mm < p {
-			m.Superstep(func(c *bsp.Ctx) {
-				v := vid(c.ID())
-				if v >= mm {
-					return
-				}
-				for r := 0; ; r++ {
-					t := mm + r*mm + v
-					if t >= p {
-						break
-					}
-					c.SendAt(r, rid(t), bsp.Msg{A: out[c.ID()]})
-				}
-			})
-			collect()
-		}
-
+		d = max(cost.L, 2)
 	default:
 		panic(fmt.Sprintf("collective: BroadcastBSP on %v", cost.Kind))
+	}
+	mm := min(cost.Budget(p), p)
+	for k := 1; k < mm; k = k * (d + 1) {
+		kk := k
+		m.Superstep(func(c *bsp.Ctx) {
+			v := vid(c.ID())
+			if v >= kk {
+				return
+			}
+			for j := 0; j < d; j++ {
+				t := kk + v*d + j
+				if t < mm {
+					c.SendAt(j, rid(t), bsp.Msg{A: out[c.ID()]})
+				}
+			}
+		})
+		collect()
+	}
+	// Stage 2: the mm informed processors fan out to the rest, m messages
+	// per step: virtual processor v informs mm+v, 2mm+v, ...
+	if mm < p {
+		m.Superstep(func(c *bsp.Ctx) {
+			v := vid(c.ID())
+			if v >= mm {
+				return
+			}
+			for r := 0; ; r++ {
+				t := mm + r*mm + v
+				if t >= p {
+					break
+				}
+				c.SendAt(r, rid(t), bsp.Msg{A: out[c.ID()]})
+			}
+		})
+		collect()
 	}
 	return out
 }

@@ -71,7 +71,7 @@ func BroadcastQSM(m *qsm.Machine, root int, val int64) []int64 {
 		}
 
 	case model.KindQSMm:
-		mm := cost.M
+		mm := cost.Budget(p)
 		// Doubling: round k has k new readers of k distinct cells
 		// (κ = 1), spread over ⌈k/m⌉ request steps.
 		for k := 1; k < p; k = 2 * k {
@@ -125,10 +125,7 @@ func OneToAllQSM(m *qsm.Machine, root int, vals []int64) []int64 {
 			slot++
 		}
 	})
-	mm := m.Cost().M
-	if m.Cost().Kind == model.KindQSMg {
-		mm = p // no aggregate limit: all reads in one step
-	}
+	mm := m.Cost().Budget(p) // QSM(g): no aggregate limit, all reads in one step
 	m.Phase(func(c *qsm.Ctx) {
 		if c.ID() == root {
 			return

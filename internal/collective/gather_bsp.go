@@ -70,10 +70,7 @@ func BroadcastVecBSP(m *bsp.Machine, root int, vec []int64) []int64 {
 		depth++
 	}
 
-	mm := p
-	if m.Cost().Global() {
-		mm = m.Cost().M
-	}
+	mm := m.Cost().Budget(p)
 	// Stagger senders so that each injection step carries at most m
 	// messages: nodes are striped into K = ⌈p/m⌉ groups by virtual id and
 	// group q uses steps 2q and 2q+1 for its two child messages.

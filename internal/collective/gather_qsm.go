@@ -14,7 +14,7 @@ func GatherQSM(m *qsm.Machine, root int, vals []int64) []int64 {
 	if len(vals) != p {
 		panic("collective: GatherQSM needs one value per processor")
 	}
-	bw := qsmBW(m)
+	bw := m.Cost().Budget(p)
 	m.Phase(func(c *qsm.Ctx) {
 		i := c.ID()
 		if i == root {
@@ -43,10 +43,14 @@ func GatherQSM(m *qsm.Machine, root int, vals []int64) []int64 {
 }
 
 // BroadcastVecQSM broadcasts a k-item vector from root through shared
-// memory with a pipelined binary doubling of readers per item: item j's
-// copies double one phase behind item j−1's, so the total is
-// O((k + lg p)·phase) instead of k·lg p phases. Returns the vector read by
-// the last processor.
+// memory. The root writes the vector once into cells [p, p+k), one
+// BroadcastQSM of a ready token tells every processor it is there, and then
+// every processor reads all k cells in one phase, processor i's j-th read
+// in step j·⌈p/b⌉ + ⌊i/b⌋, so each step carries at most b requests (b = m on
+// the QSM(m), p on the QSM(g)). Every cell has p−1 readers (κ = p−1), so
+// beyond the token broadcast the cost is k + max(k·⌈p/m⌉, p−1) on the
+// QSM(m) and g·k + max(g·k, p−1) on the QSM(g). The machine needs
+// Mem >= p + k. Returns the vector read by processor root−1 (mod p).
 func BroadcastVecQSM(m *qsm.Machine, root int, vec []int64) []int64 {
 	qsmScratch(m)
 	p := m.P()
@@ -57,16 +61,10 @@ func BroadcastVecQSM(m *qsm.Machine, root int, vec []int64) []int64 {
 	if p == 1 {
 		return append([]int64(nil), vec...)
 	}
-	// Simple pipelined structure on the item axis: one BroadcastQSM per
-	// item would pay lg p phases each. Instead lay the vector into k cells
-	// by the root (spread), then run ONE doubling broadcast of a "ready"
-	// token; after processor i learns the token it reads the k cells
-	// directly, spread m per step — total O(lg p + k·p/m) on the QSM(m)
-	// versus k·g·... on the QSM(g). Cells [p, p+k) hold the vector.
 	if m.Mem() < p+k {
 		panic("collective: BroadcastVecQSM needs Mem >= p + k")
 	}
-	bw := qsmBW(m)
+	bw := m.Cost().Budget(p)
 	m.Phase(func(c *qsm.Ctx) {
 		if c.ID() != root {
 			return
@@ -85,8 +83,6 @@ func BroadcastVecQSM(m *qsm.Machine, root int, vec []int64) []int64 {
 		}
 		vals := make([]int64, k)
 		for j := 0; j < k; j++ {
-			// Spread: processor i's j-th read at a step staggered by both
-			// i and j so each step carries at most bw requests.
 			slot := j*((p+bw-1)/bw) + i/bw
 			vals[j] = c.ReadAt(slot, p+j)
 		}

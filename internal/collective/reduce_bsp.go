@@ -20,10 +20,7 @@ func bspReduceParams(cost model.Cost, p int) (gsz, d int) {
 	case model.KindBSPg:
 		return 1, treeDegree(cost.L, cost.G)
 	case model.KindBSPm, model.KindBSPSelfSched:
-		mm := cost.M
-		if mm > p {
-			mm = p
-		}
+		mm := min(cost.Budget(p), p)
 		gsz = (p + mm - 1) / mm
 		d = cost.L
 		if d < 2 {
@@ -35,9 +32,10 @@ func bspReduceParams(cost model.Cost, p int) (gsz, d int) {
 	}
 }
 
-// bspTree holds the intermediate state of a grouped tree reduction so that
-// the down-sweep of a prefix computation can reuse the up-sweep's partials.
-type bspTree struct {
+// reduceTree holds the intermediate state of a grouped tree reduction on
+// either machine, so that the down-sweep of a prefix computation can reuse
+// the up-sweep's partials.
+type reduceTree struct {
 	gsz, d  int
 	q       int       // number of leaders
 	partial []int64   // per-leader running partial (subtree sums after up-sweep)
@@ -46,22 +44,22 @@ type bspTree struct {
 }
 
 // leaderOf returns the leader processor of proc i.
-func (t *bspTree) leaderOf(i int) int { return (i / t.gsz) * t.gsz }
+func (t *reduceTree) leaderOf(i int) int { return (i / t.gsz) * t.gsz }
 
 // upsweep gathers group values at leaders and reduces leader partials up a
 // d-ary tree, leaving the total at processor 0. vals[i] is processor i's
 // contribution.
-func bspUpsweep(m *bsp.Machine, vals []int64, op Op) *bspTree {
+func bspUpsweep(m *bsp.Machine, vals []int64, op Op) *reduceTree {
 	gsz, d := bspReduceParams(m.Cost(), m.P())
 	return bspUpsweepDeg(m, vals, op, gsz, d)
 }
 
 // bspUpsweepDeg is bspUpsweep with explicit group size and tree fan-in,
 // used by the combine-tree ablation.
-func bspUpsweepDeg(m *bsp.Machine, vals []int64, op Op, gsz, d int) *bspTree {
+func bspUpsweepDeg(m *bsp.Machine, vals []int64, op Op, gsz, d int) *reduceTree {
 	p := m.P()
 	q := (p + gsz - 1) / gsz
-	t := &bspTree{gsz: gsz, d: d, q: q,
+	t := &reduceTree{gsz: gsz, d: d, q: q,
 		partial: make([]int64, p),
 		members: make([][]int64, p),
 	}

@@ -16,47 +16,26 @@ func qsmReduceParams(cost model.Cost, p int) (gsz, d int) {
 	case model.KindQSMg:
 		return 1, 2
 	case model.KindQSMm:
-		mm := cost.M
-		if mm > p {
-			mm = p
-		}
+		mm := min(cost.Budget(p), p)
 		return (p + mm - 1) / mm, 2
 	default:
 		panic(fmt.Sprintf("collective: QSM reduction on %v", cost.Kind))
 	}
 }
 
-// qsmBW returns the per-step request budget used to spread QSM(m) requests
-// (p, i.e. unbounded, on the QSM(g)).
-func qsmBW(m *qsm.Machine) int {
-	if m.Cost().Kind == model.KindQSMm {
-		return m.Cost().M
-	}
-	return m.P()
-}
-
-// qsmTree mirrors bspTree for the shared-memory machines.
-type qsmTree struct {
-	gsz, d  int
-	q       int
-	partial []int64
-	snaps   [][]int64
-	members [][]int64
-}
-
-func qsmUpsweep(m *qsm.Machine, vals []int64, op Op) *qsmTree {
+func qsmUpsweep(m *qsm.Machine, vals []int64, op Op) *reduceTree {
 	qsmScratch(m)
 	p := m.P()
 	gsz, d := qsmReduceParams(m.Cost(), p)
 	q := (p + gsz - 1) / gsz
-	t := &qsmTree{gsz: gsz, d: d, q: q,
+	t := &reduceTree{gsz: gsz, d: d, q: q,
 		partial: make([]int64, p),
 		members: make([][]int64, p),
 	}
 	for i := range t.partial {
 		t.partial[i] = vals[i]
 	}
-	bw := qsmBW(m)
+	bw := m.Cost().Budget(p)
 
 	// Gather: every member publishes its value in its own cell (requests
 	// spread bw per step), then each leader reads its members' cells.
@@ -153,7 +132,7 @@ func PrefixSumQSM(m *qsm.Machine, vals []int64, op Op, id int64) ([]int64, int64
 	t := qsmUpsweep(m, vals, op)
 	total := t.partial[0]
 	gsz, d, q := t.gsz, t.d, t.q
-	bw := qsmBW(m)
+	bw := m.Cost().Budget(p)
 
 	offset := make([]int64, p)
 	offset[0] = id

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"parbw/internal/bsp"
-	"parbw/internal/model"
 	"parbw/internal/problems"
 	"parbw/internal/qsm"
 )
@@ -79,10 +78,7 @@ func (pm PRAMm) SimulateCRCWRead(m *qsm.Machine, addr []int) []int64 {
 	if pm.Base < p {
 		panic("emulate: Base must be >= p (cells [0, p) are the sort buffer)")
 	}
-	mm := m.Cost().M
-	if m.Cost().Kind == model.KindQSMg {
-		mm = p
-	}
+	mm := m.Cost().Budget(p)
 	block := p / mm
 	if block < 1 {
 		block = 1
@@ -115,15 +111,11 @@ func (pm PRAMm) SimulateCRCWRead(m *qsm.Machine, addr []int) []int64 {
 		i := c.ID()
 		pairs[i] = c.ReadAt(i/mm, s0+i)
 	})
-	// Sorter count: the largest power of two admitting a depth-1 columnsort
-	// (p/q >= 2(q-1)², i.e. q ≈ (p/2)^{1/3}), so the sort's recursion
-	// constant stays fixed as m varies; its per-processor term p/q is
-	// subsumed by p/m throughout the theorem's clean m = O(p^{1/3}) regime.
-	q := 1
-	for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
-		q *= 2
-	}
-	sorted := problems.ColumnsortQSM(m, pairs, q)
+	// Sorter count: the depth-1 columnsort shape (q ≈ (p/2)^{1/3}), so the
+	// sort's recursion constant stays fixed as m varies; its per-processor
+	// term p/q is subsumed by p/m throughout the theorem's clean
+	// m = O(p^{1/3}) regime.
+	sorted := problems.ColumnsortQSM(m, pairs, problems.Depth1Sorters(p, p))
 	// Publish the sorted array back into B (reusing region s0).
 	m.Phase(func(c *qsm.Ctx) {
 		i := c.ID()
@@ -227,10 +219,7 @@ func (pm PRAMm) SimulateCRCWWrite(m *qsm.Machine, addr []int, val []int64) {
 	if pm.Base < p {
 		panic("emulate: Base must be >= p (cells [0, p) are the sort buffer)")
 	}
-	mm := m.Cost().M
-	if m.Cost().Kind == model.KindQSMg {
-		mm = p
-	}
+	mm := m.Cost().Budget(p)
 	s0 := pm.Base + pm.MCells
 	if m.Mem() < s0+p {
 		panic("emulate: insufficient memory")
@@ -265,11 +254,7 @@ func (pm PRAMm) SimulateCRCWWrite(m *qsm.Machine, addr []int, val []int64) {
 		i := c.ID()
 		pairs[i] = c.ReadAt(i/mm, s0+i)
 	})
-	q := 1
-	for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
-		q *= 2
-	}
-	sorted := problems.ColumnsortQSM(m, pairs, q)
+	sorted := problems.ColumnsortQSM(m, pairs, problems.Depth1Sorters(p, p))
 
 	// Designated writers: processor i handles sorted[i]; it writes iff its
 	// pair is real and the next pair has a different address (the last of

@@ -68,10 +68,7 @@ func RunPRAMOnQSM(m *qsm.Machine, prog VirtProgram) MapStats {
 	if prog.VirtProcs < 1 || prog.Steps < 0 {
 		panic("emulate: malformed virtual program")
 	}
-	sims := m.P()
-	if k := m.Cost().M; m.Cost().Kind == model.KindQSMm && k < sims {
-		sims = k
-	}
+	sims := min(m.Cost().Budget(m.P()), m.P())
 	var st MapStats
 	maxSlot := 0
 	overload := 0

@@ -15,13 +15,13 @@
 // inside the merge, so Core cannot change any simulated time: it only adds
 // the merged cost to the clock.
 //
-// Core also owns the recycled per-step injection histogram the merges share,
-// and the observability layer of observer.go: a normalized per-step callback
-// to the observer the machine was constructed with, plus cheap process-wide
-// atomic counters that aggregate across every machine in the process
-// (surfaced by `bandsim serve` on /statsz). Core keeps no per-step record of
-// its own: a step is seen through an observer or through the native Stats
-// value the machine returns.
+// Core also owns the observability layer of observer.go: a normalized
+// per-step callback to the observer the machine was constructed with, plus
+// cheap process-wide atomic counters that aggregate across every machine in
+// the process (surfaced by `bandsim serve` on /statsz). Core keeps no
+// per-step record of its own: a step is seen through an observer or through
+// the native Stats value the machine returns. Each machine keeps its own
+// recycled slot histogram.
 package engine
 
 import "parbw/internal/model"
@@ -34,8 +34,6 @@ type Core struct {
 
 	time  model.Time
 	steps int
-
-	hist []int // recycled per-step injection/request histogram
 }
 
 // NewCore constructs a Core. label names the machine family in StepStats
@@ -49,17 +47,6 @@ func (c *Core) Time() model.Time { return c.time }
 
 // Steps returns the number of supersteps committed.
 func (c *Core) Steps() int { return c.steps }
-
-// Hist returns the recycled histogram buffer resized and zeroed to n slots.
-// The returned slice is owned by the Core and valid until the next call.
-func (c *Core) Hist(n int) []int {
-	if cap(c.hist) < n {
-		c.hist = make([]int, n)
-	}
-	h := c.hist[:n]
-	clear(h)
-	return h
-}
 
 // Commit records one merged superstep: it stamps view with the machine label
 // and the step's index, advances the clock by view.Cost and the step count

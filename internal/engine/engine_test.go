@@ -29,29 +29,6 @@ func TestCoreClockAndTrace(t *testing.T) {
 	}
 }
 
-func TestHistRecycled(t *testing.T) {
-	c := NewCore("test", nil)
-	h1 := c.Hist(8)
-	if len(h1) != 8 {
-		t.Fatalf("len = %d", len(h1))
-	}
-	for i := range h1 {
-		h1[i] = 7
-	}
-	h2 := c.Hist(4)
-	if len(h2) != 4 {
-		t.Fatalf("len = %d", len(h2))
-	}
-	for i, v := range h2 {
-		if v != 0 {
-			t.Fatalf("hist[%d] = %d, want zeroed", i, v)
-		}
-	}
-	if &h1[0] != &h2[0] {
-		t.Fatal("histogram buffer not recycled")
-	}
-}
-
 func TestObserverSeesCommittedSteps(t *testing.T) {
 	var got []StepStats
 	c := NewCore("obs", ObserverFunc(func(st StepStats) { got = append(got, st) }))

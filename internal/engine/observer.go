@@ -29,8 +29,8 @@ type StepStats struct {
 	Overload int        // steps with m_t > m (globally-limited models only)
 	CM       model.Time // c_m = Σ_t f_m(m_t) (globally-limited models only)
 	Cost     model.Time // simulated time charged for the step
-	// Hist is the per-step load histogram snapshot. It aliases an
-	// engine-owned recycled buffer: valid only inside the observer callback
+	// Hist is the per-step load histogram snapshot. It aliases the
+	// machine's recycled buffer: valid only inside the observer callback
 	// (copy it to keep it), and nil for machines without slot schedules.
 	Hist []int
 }

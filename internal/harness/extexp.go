@@ -237,16 +237,6 @@ func init() {
 
 func runSortAblation(rec *Recorder) {
 	cfg := rec.Cfg
-	// depth1Q returns the largest power-of-two sorter count admitting a
-	// depth-1 columnsort (the favourable shape).
-	depth1Q := func(n, p int) int {
-		q := 1
-		for q*2 <= p && q*2 <= n && n/(q*2) >= 2*(q*2-1)*(q*2-1) {
-			q *= 2
-		}
-		return q
-	}
-
 	// Regime 1: n ≫ p. Sample sort's p² splitter traffic amortizes and its
 	// single routing round beats columnsort's 8-step schedule.
 	p, mm, l := rec.Int("p"), rec.Int("m"), rec.Int("l")
@@ -256,7 +246,7 @@ func runSortAblation(rec *Recorder) {
 	rec.Rows(t, len(ns), func(i int, row func(...any)) {
 		n := ns[i]
 		keys := sortKeys(cfg.Seed, n)
-		q := depth1Q(n, p)
+		q := problems.Depth1Sorters(n, p)
 		mc := newBSP(p, model.BSPmLinear(mm, l), cfg)
 		problems.ColumnsortBSP(mc, keys, q)
 		ms := newBSP(p, model.BSPmLinear(mm, l), cfg)
@@ -275,7 +265,7 @@ func runSortAblation(rec *Recorder) {
 	rec.Rows(t2, len(nps), func(i int, row func(...any)) {
 		n := nps[i]
 		keys := sortKeys(cfg.Seed, n)
-		q := depth1Q(n, n)
+		q := problems.Depth1Sorters(n, n)
 		mc := newBSP(n, model.BSPmLinear(mm, l), cfg)
 		problems.ColumnsortBSP(mc, keys, q)
 		ms := newBSP(n, model.BSPmLinear(mm, l), cfg)

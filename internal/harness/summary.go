@@ -115,10 +115,7 @@ func runTable1Summary(rec *Recorder) {
 	{
 		g, l := 16, 8
 		keys := sortKeys(cfg.Seed, p)
-		q := 1
-		for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
-			q *= 2
-		}
+		q := problems.Depth1Sorters(p, p)
 		lm := newBSP(p, model.BSPg(g, l), cfg)
 		problems.ColumnsortBSP(lm, keys, q)
 		gm := newBSP(p, model.BSPmLinear(p/g, l), cfg)

@@ -230,12 +230,7 @@ func runSortRow(rec *Recorder) {
 	rec.Rows(t, len(ps), func(i int, row func(...any)) {
 		p := ps[i]
 		m := max(p/g, 1)
-		// Sorter count: depth-1 columnsort shape (q ≈ (n/2)^{1/3}) so the
-		// recursion constant is fixed across the sweep.
-		q := 1
-		for q*2 <= p && p/(q*2) >= 2*(q*2-1)*(q*2-1) {
-			q *= 2
-		}
+		q := problems.Depth1Sorters(p, p)
 		keys := sortKeys(cfg.Seed, p)
 
 		lb := newBSP(p, model.BSPg(g, l), cfg)

@@ -180,6 +180,43 @@ func (c Cost) Global() bool {
 	return c.Kind == KindBSPm || c.Kind == KindBSPSelfSched || c.Kind == KindQSMm
 }
 
+// Budget returns the per-step injection budget of a p-processor machine: M
+// on a globally-limited kind, p on a locally-limited one, which has no
+// aggregate limit. It is not clamped to p.
+func (c Cost) Budget(p int) int {
+	if c.Global() {
+		return c.M
+	}
+	return p
+}
+
+// Period returns the Unbalanced-Send period T = max(⌊(1+ε)n/m⌋, 1) for n
+// flits at m injections per step (Theorem 6.2). It returns 1 when m < 1,
+// where the quotient would be infinite and its conversion to int undefined.
+func Period(n, m int, eps float64) int {
+	if m < 1 {
+		return 1
+	}
+	return max(int((1+eps)*float64(n)/float64(m)), 1)
+}
+
+// Slots prices a step histogram: its peak load, its overloaded steps
+// (m_t > M, globally-limited kinds only) and c_m = CM(hist) (BSP(m) and
+// QSM(m) only; the self-scheduling model ignores injection times).
+func (c Cost) Slots(hist []int) (peak, overload int, cm Time) {
+	global, budget := c.Global(), c.M // once per histogram, not per slot
+	for _, mt := range hist {
+		peak = max(peak, mt)
+		if global && mt > budget {
+			overload++
+		}
+	}
+	if c.Kind == KindBSPm || c.Kind == KindQSMm {
+		cm = c.CM(hist)
+	}
+	return peak, overload, cm
+}
+
 // SharedMemory reports whether the model is a QSM variant.
 func (c Cost) SharedMemory() bool {
 	return c.Kind == KindQSMg || c.Kind == KindQSMm

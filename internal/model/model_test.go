@@ -252,3 +252,72 @@ func TestGlobalAndShared(t *testing.T) {
 		}
 	}
 }
+
+func TestBudget(t *testing.T) {
+	cases := []struct {
+		c    Cost
+		p    int
+		want int
+	}{
+		{BSPg(4, 2), 64, 64},
+		{BSPm(8, 2), 64, 8},
+		{BSPmLinear(8, 2), 64, 8},
+		{BSPSelfSched(8, 2), 64, 8},
+		{QSMg(4), 64, 64},
+		{QSMm(8), 64, 8},
+		{QSMm(128), 64, 128}, // not clamped to p
+	}
+	for _, c := range cases {
+		if got := c.c.Budget(c.p); got != c.want {
+			t.Errorf("%v.Budget(%d) = %d, want %d", c.c.Kind, c.p, got, c.want)
+		}
+	}
+}
+
+func TestPeriod(t *testing.T) {
+	cases := []struct {
+		n, m int
+		eps  float64
+		want int
+	}{
+		{10, 0, 0.25, 1},  // locally-limited machine: m = 0
+		{0, 0, 0.25, 1},   // 0/0
+		{10, -1, 0.25, 1}, // negative budget
+		{0, 4, 0.25, 1},   // no flits: the floor of 1
+		{5, 4, 0.25, 1},   // ⌊1.5625⌋: the floor, not the ceiling
+		{100, 8, 0.25, 15},
+		{100, 8, 0, 12},
+		{1 << 30, 3, 0.5, 1 << 29}, // large n, fits a 32-bit int
+	}
+	for _, c := range cases {
+		if got := Period(c.n, c.m, c.eps); got != c.want {
+			t.Errorf("Period(%d, %d, %v) = %d, want %d", c.n, c.m, c.eps, got, c.want)
+		}
+	}
+}
+
+func TestSlots(t *testing.T) {
+	hist := []int{0, 3, 4, 8, 5}
+	cases := []struct {
+		c        Cost
+		overload int
+		cm       Time
+	}{
+		{BSPg(4, 2), 0, 0},
+		{BSPmLinear(4, 2), 2, 0 + 1 + 1 + 2 + 5.0/4},
+		{BSPm(4, 2), 2, 1 + 1 + math.Exp(8.0/4-1) + math.Exp(5.0/4-1)},
+		{BSPSelfSched(4, 2), 2, 0},
+		{QSMg(4), 0, 0},
+		{QSMmLinear(4), 2, 0 + 1 + 1 + 2 + 5.0/4},
+		{QSMm(4), 2, 1 + 1 + math.Exp(8.0/4-1) + math.Exp(5.0/4-1)},
+	}
+	for _, c := range cases {
+		peak, overload, cm := c.c.Slots(hist)
+		if peak != 8 || overload != c.overload || math.Abs(cm-c.cm) > 1e-12 {
+			t.Errorf("%v.Slots = (%d, %d, %v), want (8, %d, %v)", c.c.Kind, peak, overload, cm, c.overload, c.cm)
+		}
+	}
+	if peak, overload, cm := BSPm(4, 2).Slots(nil); peak != 0 || overload != 0 || cm != 0 {
+		t.Errorf("empty Slots = (%d, %d, %v), want zeros", peak, overload, cm)
+	}
+}

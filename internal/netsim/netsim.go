@@ -22,6 +22,7 @@ package netsim
 import (
 	"sort"
 
+	"parbw/internal/model"
 	"parbw/internal/xrand"
 )
 
@@ -199,10 +200,7 @@ func UnbalancedSchedule(rng *xrand.Source, x []int, m int, eps float64) [][]int 
 	for _, k := range x {
 		n += k
 	}
-	T := int((1 + eps) * float64(n) / float64(m))
-	if T < 1 {
-		T = 1
-	}
+	T := model.Period(n, m, eps)
 	out := make([][]int, len(x))
 	for i, k := range x {
 		ts := make([]int, k)

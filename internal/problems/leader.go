@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parbw/internal/collective"
-	"parbw/internal/model"
 	"parbw/internal/pram"
 	"parbw/internal/qsm"
 )
@@ -175,10 +174,7 @@ func LeaderQSM(m *qsm.Machine, inBase, leader int) []int64 {
 	}
 	m.Store(inBase+leader, 1)
 	found := make([]bool, p)
-	mm := m.Cost().M
-	if m.Cost().Kind == model.KindQSMg {
-		mm = p
-	}
+	mm := m.Cost().Budget(p)
 	// Every processor reads its own input cell (spread m per step).
 	m.Phase(func(c *qsm.Ctx) {
 		i := c.ID()

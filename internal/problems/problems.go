@@ -27,14 +27,10 @@ const schedEps = 0.5
 // with aggregate bandwidth m (1 when the model is locally limited, i.e.
 // spreading is irrelevant).
 func periodFor(cost model.Cost, k int) int {
-	if !cost.Global() || k <= 0 {
+	if !cost.Global() {
 		return 1
 	}
-	t := int((1 + schedEps) * float64(k) / float64(cost.M))
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return model.Period(k, cost.M, schedEps)
 }
 
 // slotIn draws a random slot in [0, period).

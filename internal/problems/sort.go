@@ -158,6 +158,12 @@ func columnsortRec(m sortBackend, arr []int64, spans []span) {
 	m.permute(arr, spans, unshift)
 }
 
+// Depth1Sorters returns the sorter count of a depth-1 columnsort of n keys
+// on p processors: the largest power of two q <= min(n, p) with
+// n/q >= 2(q-1)², so q ≈ (n/2)^{1/3} and the recursion constant stays fixed
+// across a sweep.
+func Depth1Sorters(n, p int) int { return pickColumns(n, min(n, p)) }
+
 // pickColumns returns the largest power-of-two column count s with
 // 2 <= s <= q and N/s >= 2(s-1)², or 1 if none exists.
 func pickColumns(n, q int) int {

@@ -61,8 +61,9 @@ type qsmBackend struct{ m *qsm.Machine }
 
 // slotter assigns a processor's j-th shared-memory request of a phase to a
 // step, mirroring Unbalanced-Send's cyclic schedule: a random start in a
-// window of ⌊(1+ε)·total/m⌋ steps (at least the processor's own request
-// count, so its requests get distinct steps).
+// window of model.Period(total, m, ε) = max(⌊(1+ε)·total/m⌋, 1) steps (at
+// least the processor's own request count, so its requests get distinct
+// steps).
 type slotter struct {
 	period int
 	start  int
@@ -72,13 +73,7 @@ func newSlotter(rng *xrand.Source, global bool, total, mine, mm int) slotter {
 	if !global {
 		return slotter{period: max(mine, 1)}
 	}
-	period := int((1 + schedEps) * float64(total) / float64(mm))
-	if period < mine {
-		period = mine
-	}
-	if period < 1 {
-		period = 1
-	}
+	period := max(model.Period(total, mm, schedEps), mine)
 	return slotter{period: period, start: rng.Intn(period)}
 }
 
@@ -91,8 +86,7 @@ func (s slotter) slot(j int) int { return (s.start + j) % s.period }
 func (b qsmBackend) move(in, out []int64, srcOwner, dstPos, posOwner func(int) int) {
 	m := b.m
 	p := m.P()
-	global := m.Cost().Kind == model.KindQSMm
-	mm := m.Cost().M
+	global, mm := m.Cost().Global(), m.Cost().Budget(p)
 	writes := make([][]int, p) // source indices each processor publishes
 	reads := make([][]int, p)  // destination positions each processor reads
 	locals := make([][]int, p) // same-owner source indices

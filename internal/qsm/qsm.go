@@ -95,6 +95,10 @@ type Machine struct {
 	// addresses of the current phase, reused across phases
 	rdCount, wrCount []int
 	touched          []int
+
+	// hist is the per-step request histogram, recycled across phases; the
+	// StepStats.Hist a phase reports aliases it.
+	hist []int
 }
 
 // New constructs a Machine. It panics on invalid configuration.
@@ -350,7 +354,11 @@ func (m *Machine) merge(w int) (Stats, engine.StepStats) {
 	// Histogram over request steps; apply writes in processor order so the
 	// highest-numbered writer wins deterministically (Arbitrary rule). The
 	// arena holds the runs in processor order, so it is scanned linearly.
-	hist := m.core.Hist(maxStep)
+	if cap(m.hist) < maxStep {
+		m.hist = make([]int, maxStep)
+	}
+	hist := m.hist[:maxStep]
+	clear(hist)
 	for k := range m.reqs {
 		r := &m.reqs[k]
 		hist[r.slot]++
@@ -358,17 +366,7 @@ func (m *Machine) merge(w int) (Stats, engine.StepStats) {
 			m.mem[r.addr] = r.val
 		}
 	}
-	for _, mt := range hist {
-		if mt > st.MaxSlot {
-			st.MaxSlot = mt
-		}
-		if m.cost.Kind == model.KindQSMm && mt > m.cost.M {
-			st.Overload++
-		}
-	}
-	if m.cost.Kind == model.KindQSMm {
-		st.CM = m.cost.CM(hist)
-	}
+	st.MaxSlot, st.Overload, st.CM = m.cost.Slots(hist)
 	st.Cost = m.cost.QSMPhase(st.W, st.H, st.Kappa, st.CM)
 	return st, engine.StepStats{
 		W: st.W, H: st.H, N: st.Reads + st.Writes,

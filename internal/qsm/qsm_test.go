@@ -292,3 +292,34 @@ func TestPanickedPhaseCommitsNothing(t *testing.T) {
 		}
 	}
 }
+
+// The request histogram is recycled across phases: a phase over fewer steps
+// than the one before it reuses the buffer and sees none of its counts.
+func TestHistRecycled(t *testing.T) {
+	const p = 8
+	var raw, seen [][]int
+	m := New(Config{P: p, Mem: p * p, Cost: model.QSMm(2), Seed: 1,
+		Observer: engine.ObserverFunc(func(st engine.StepStats) {
+			raw = append(raw, st.Hist)
+			seen = append(seen, slices.Clone(st.Hist))
+		})})
+	m.Phase(func(c *Ctx) {
+		for j := range p {
+			c.WriteAt(j, c.ID()*p+j, 1)
+		}
+	})
+	m.Phase(func(c *Ctx) {
+		if c.ID() == 0 {
+			c.ReadAt(1, 0)
+		}
+	})
+	if want := []int{8, 8, 8, 8, 8, 8, 8, 8}; !slices.Equal(seen[0], want) {
+		t.Fatalf("first hist = %v, want %v", seen[0], want)
+	}
+	if want := []int{0, 1}; !slices.Equal(seen[1], want) {
+		t.Fatalf("second hist = %v, want %v (stale counts)", seen[1], want)
+	}
+	if &raw[0][0] != &raw[1][0] {
+		t.Fatal("histogram buffer not recycled")
+	}
+}

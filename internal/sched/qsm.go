@@ -91,11 +91,7 @@ func learnQSM(m *qsm.Machine, plan QSMPlan, opt Options) (x []int, tau model.Tim
 		n = int(collective.SumAllQSM(m, counts, collective.Sum))
 		tau = m.Time() - before
 	}
-	mm := m.Cost().M
-	if m.Cost().Kind == model.KindQSMg {
-		mm = m.P()
-	}
-	return x, tau, period(n, mm, opt.eps())
+	return x, tau, model.Period(n, m.Cost().Budget(m.P()), opt.eps())
 }
 
 // writeQSM is the one write phase every QSM scheduler runs, the QSM

@@ -239,15 +239,6 @@ func learnN(m *bsp.Machine, x []int, opt Options) (n int, tau model.Time) {
 	return int(total), m.Time() - before
 }
 
-// period returns the cyclic schedule period T = ⌊(1+ε)n/m⌋, at least 1.
-func period(n, m int, eps float64) int {
-	t := int((1 + eps) * float64(n) / float64(m))
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
 // send is the one injection superstep every BSP scheduler runs; the
 // schedulers differ only in their start rule. start(c, x) returns the first
 // slot of a processor holding x > 0 flits and its wrap period (0 = no wrap);
@@ -304,7 +295,7 @@ func UnbalancedSend(m *bsp.Machine, plan Plan, opt Options) Result {
 func UnbalancedConsecutiveSend(m *bsp.Machine, plan Plan, opt Options) Result {
 	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
-	T := period(n, m.Cost().M, opt.eps())
+	T := model.Period(n, m.Cost().M, opt.eps())
 	return send(m, cp, tau, T, 0, func(c *bsp.Ctx, x int) (int, int) {
 		if x > T {
 			return 0, 0
@@ -384,7 +375,7 @@ func TemplateSend(m *bsp.Machine, plan Plan, sep int, opt Options) Result {
 	}
 	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
-	T := period(n*(sep+1), m.Cost().M, opt.eps())
+	T := model.Period(n*(sep+1), m.Cost().M, opt.eps())
 	return send(m, cp, tau, T, sep, func(c *bsp.Ctx, x int) (int, int) {
 		if x*(sep+1) > T {
 			return 0, 0
